@@ -236,27 +236,22 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-def _checkpoint_node(config, app: str, seed: int, packet_size: int,
-                     client_options: Optional[dict] = None):
-    """Build a node plus its traffic source exactly as ``checkpoint
-    save`` does, so ``checkpoint restore`` reconstructs the same
-    topology.  Returns ``(node, plan, needs_preload)``."""
+def _checkpoint_warm_start(config, app: str, seed: int, packet_size: int,
+                           client_options: Optional[dict] = None):
+    """The runners' own warm-up for ``app``: ``checkpoint save`` warms
+    through it and ``checkpoint restore`` rebuilds the same topology."""
     from repro.harness.runner import (
-        APP_REGISTRY,
-        _fixed_load_plan,
-        _memcached_plan,
-        build_node,
+        fixed_load_warm_start,
+        memcached_warm_start,
     )
     from repro.loadgen.memcached_client import MemcachedClientConfig
 
-    node = build_node(config, app, seed=seed)
-    if app.startswith("memcached"):
-        node.attach_memcached_client(
-            MemcachedClientConfig(**(client_options or {})))
-        return node, _memcached_plan(config), True
-    node.attach_loadgen()
-    echoes = APP_REGISTRY[app][2]
-    return node, _fixed_load_plan(config, packet_size, echoes, None), False
+    if app in ("memcached_dpdk", "memcached_kernel"):
+        client = MemcachedClientConfig(**(client_options or {}))
+        return memcached_warm_start(config, app == "memcached_kernel",
+                                    client.rate_rps, client.n_requests,
+                                    client, seed)
+    return fixed_load_warm_start(config, app, packet_size, seed=seed)
 
 
 def _cmd_checkpoint_save(args) -> int:
@@ -265,20 +260,18 @@ def _cmd_checkpoint_save(args) -> int:
     from repro.loadgen.memcached_client import MemcachedClientConfig
     from repro.sim.checkpoint import save_checkpoint
 
-    config = _platform(args.platform)
-    node, plan, needs_preload = _checkpoint_node(
-        config, args.app, args.seed, args.size)
+    spec = _checkpoint_warm_start(_platform(args.platform), args.app,
+                                  args.seed, args.size)
+    node = spec.build()
+    spec.warm(node)
     extra = {
         "phase": "warmup",
         "platform": args.platform,
         "app_name": args.app,
         "packet_size": args.size,
     }
-    if needs_preload:
-        node.memcached_client.preload(node.app.store)
+    if node.memcached_client is not None:
         extra["client"] = asdict(MemcachedClientConfig())
-    node.start()
-    node.warmup_and_reset(plan)
     document = node.checkpoint(extra_meta=extra)
     save_checkpoint(document, args.output)
     print(f"checkpoint written to {args.output} "
@@ -317,10 +310,9 @@ def _cmd_checkpoint_restore(args) -> int:
               "app_name/platform in meta); cannot rebuild the node",
               file=sys.stderr)
         return 1
-    client = meta.get("client")
-    node, _plan, _preload = _checkpoint_node(
-        _platform(platform), app, meta["seed"],
-        meta.get("packet_size", 0), client_options=client)
+    node = _checkpoint_warm_start(
+        _platform(platform), app, meta["seed"], meta.get("packet_size", 0),
+        client_options=meta.get("client")).build()
     try:
         node.restore(document)
     except CheckpointError as exc:
@@ -340,6 +332,10 @@ def _cmd_checkpoint_restore(args) -> int:
 
 
 def _cmd_fabric_run(args) -> int:
+    point = fabric_point(
+        _platform(args.platform), args.preset, args.stack,
+        pattern=args.pattern, load=args.load, n_flows=args.flows,
+        size_cdf=args.size_cdf, seed=args.seed)
     if args.shards > 1:
         if args.trace:
             print("--trace is not available with --shards > 1: each shard "
@@ -348,10 +344,6 @@ def _cmd_fabric_run(args) -> int:
         from repro.harness.fabric import run_fabric_sharded
         # Run with the same forked per-point seed the executor path
         # uses, so --shards N reproduces the --shards 1 digest exactly.
-        point = fabric_point(
-            _platform(args.platform), args.preset, args.stack,
-            pattern=args.pattern, load=args.load, n_flows=args.flows,
-            size_cdf=args.size_cdf, seed=args.seed)
         result = run_fabric_sharded(
             point.config, args.preset, args.stack,
             pattern=args.pattern, load=args.load, n_flows=args.flows,
@@ -360,10 +352,7 @@ def _cmd_fabric_run(args) -> int:
         ex = None
     else:
         ex = _executor_from(args)
-        result = ex.run([fabric_point(
-            _platform(args.platform), args.preset, args.stack,
-            pattern=args.pattern, load=args.load, n_flows=args.flows,
-            size_cdf=args.size_cdf, seed=args.seed)])[0]
+        result = ex.run([point])[0]
     rows = [
         ["flows completed", f"{result.flows_completed}/{result.flows_started}"],
         ["frames sent", f"{result.frames_sent:,}"],

@@ -39,7 +39,6 @@ the shard is raised.  No deadlocked peers, no orphan processes.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue as queue_lib
 import time
@@ -49,32 +48,27 @@ from typing import Dict, List, Optional, Tuple
 from repro.harness.fabric import (
     FabricRunResult,
     FabricWarmupPlan,
+    _check_fabric_sanity,
+    _fabric_result,
+    _fabric_tally,
     _finalize_run,
+    _run_phase,
     _warm_gen_config,
     build_fabric_rig,
     fabric_config_for,
     run_fabric,
 )
+from repro.harness.parallel import _default_context
 from repro.loadgen.flowgen import (
     FlowGenConfig,
     FlowRecord,
     fct_summary_from,
-    flow_digest_from,
     resolve_size_cdf,
 )
 from repro.net.fabric import FabricConfig
 from repro.sim.channel import ChannelError, ChannelGroup
-from repro.sim.checkpoint import CheckpointError
-from repro.sim.invariants import InvariantViolation
 from repro.sim.ticks import us_to_ticks
 from repro.system.config import SystemConfig
-
-# Phase-loop geometry: must mirror repro.harness.fabric._run_phase and
-# Fabric.drain_to_quiescence so sharded runs evaluate their done
-# conditions at the same absolute ticks as the single-process path.
-# The equivalence suite pins any drift.
-_PHASE_CHUNK_US = 50.0
-_PHASE_MAX_CHUNKS = 4000
 
 #: How long a shard waits for a peer's epoch batch before declaring the
 #: peer dead (backstop — the coordinator's liveness poll usually fires
@@ -166,15 +160,6 @@ def plan_fabric_shards(config: FabricConfig, n_shards: int) -> ShardPlan:
     return ShardPlan(n_shards=n_shards, hosts=hosts, switches=switches)
 
 
-def _mp_context():
-    # fork is cheap and inherits imported modules; fall back to the
-    # platform default (spawn on macOS/Windows) when unavailable.
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 def _status(fabric) -> dict:
     return {
         "now": fabric.sim.now,
@@ -244,16 +229,7 @@ def _shard_worker(shard_id: int, plan: ShardPlan, config: SystemConfig,
                 resp_q.put(("ok", shard_id, _status(fabric)))
             elif op == "finalize":
                 _finalize_run(fabric)
-                gen = fabric.generator
-                resp_q.put(("ok", shard_id, {
-                    "records": [r.as_tuple() for r in gen._records],
-                    "window_started": gen.flows_started,
-                    "frames_sent": fabric.frames_sent(),
-                    "frames_delivered": fabric.frames_delivered(),
-                    "drop_counts": fabric.drop_breakdown(),
-                    "per_switch_drops": fabric.per_switch_drops(),
-                    "now": fabric.sim.now,
-                }))
+                resp_q.put(("ok", shard_id, _fabric_tally(fabric)))
             elif op == "stop":
                 return
             else:
@@ -267,8 +243,8 @@ def _shard_worker(shard_id: int, plan: ShardPlan, config: SystemConfig,
 
 
 class _ShardCoordinator:
-    """Parent-side driver: owns the worker processes and the queues,
-    mirrors the single-process phase loops at the same absolute ticks."""
+    """The parent side: owns the worker processes and the queues, and
+    runs the single-process phase loop over the shards' merged status."""
 
     def __init__(self, plan: ShardPlan, config: SystemConfig, preset: str,
                  stack: str, seed: int,
@@ -276,9 +252,8 @@ class _ShardCoordinator:
         self.plan = plan
         self.now = 0
         self.warm_plan = FabricWarmupPlan()
-        self._chunk_ticks = us_to_ticks(_PHASE_CHUNK_US)
-        self._drain_ticks = us_to_ticks(self.warm_plan.drain_chunk_us)
-        ctx = _mp_context()
+        self.statuses: List[dict] = []
+        ctx = _default_context()
         n = plan.n_shards
         self.cmd_qs = [ctx.Queue() for _ in range(n)]
         self.resp_qs = [ctx.Queue() for _ in range(n)]
@@ -324,35 +299,25 @@ class _ShardCoordinator:
             q.put(cmd)
         return [self._collect(i) for i in range(self.plan.n_shards)]
 
-    def _advance(self, target: int) -> List[dict]:
-        statuses = self.broadcast(("advance", target))
+    def run_us(self, microseconds: float) -> None:
+        statuses = self.broadcast(
+            ("advance", self.now + us_to_ticks(microseconds)))
         # max() over shard clocks reproduces the single queue's `now`: a
         # shard whose queue drained mid-chunk froze early, exactly like
         # run(until) on the one global queue would have.
         self.now = max(self.now, max(s["now"] for s in statuses))
-        return statuses
+        self.statuses = statuses
 
     # -- the run shape of run_fabric, spread over the shards -----------------
 
     def run_phase(self, gen_cfg: FlowGenConfig, label: str) -> None:
-        statuses = self.broadcast(("start", asdict(gen_cfg), self.now))
-        for _ in range(_PHASE_MAX_CHUNKS):
-            if (not any(s["active"] for s in statuses)
-                    and all(s["quiescent"] for s in statuses)):
-                break
-            statuses = self._advance(self.now + self._chunk_ticks)
-        else:
-            raise CheckpointError(
-                f"sharded fabric: {label} phase failed to drain after "
-                f"{_PHASE_MAX_CHUNKS} chunks of {_PHASE_CHUNK_US}us")
-        for _ in range(self.warm_plan.max_drain_chunks):
-            if all(s["ready"] for s in statuses):
-                return
-            statuses = self._advance(self.now + self._drain_ticks)
-        raise CheckpointError(
-            f"sharded fabric: {label} drain failed to reach quiescence "
-            f"after {self.warm_plan.max_drain_chunks} chunks of "
-            f"{self.warm_plan.drain_chunk_us}us")
+        self.statuses = self.broadcast(("start", asdict(gen_cfg), self.now))
+        _run_phase(
+            self.run_us,
+            lambda: all(not s["active"] and s["quiescent"]
+                        for s in self.statuses),
+            lambda: all(s["ready"] for s in self.statuses),
+            self.warm_plan, f"sharded fabric {label}")
 
     def reset_measurement(self) -> None:
         self.broadcast(("reset",))
@@ -390,73 +355,6 @@ class _ShardCoordinator:
                 q.close()
             except Exception:
                 pass
-
-
-def _merge_results(payloads: List[dict], config: SystemConfig, preset: str,
-                   stack: str, pattern: str, load: float, n_flows: int
-                   ) -> FabricRunResult:
-    """Fold per-shard finalize payloads into one FabricRunResult, using
-    the same digest/summary code paths as the live generator."""
-    records = [FlowRecord(*tuple(t))
-               for payload in payloads for t in payload["records"]]
-    started = sum(p["window_started"] for p in payloads)
-    sent = sum(p["frames_sent"] for p in payloads)
-    delivered = sum(p["frames_delivered"] for p in payloads)
-    drop_counts: Dict[str, int] = {}
-    for payload in payloads:
-        for cause, count in payload["drop_counts"].items():
-            drop_counts[cause] = drop_counts.get(cause, 0) + count
-    per_switch: Dict[str, Dict[str, int]] = {}
-    for payload in payloads:
-        per_switch.update(payload["per_switch_drops"])
-    total_drops = sum(drop_counts.values())
-    breakdown = ({cause: count / total_drops
-                  for cause, count in sorted(drop_counts.items())}
-                 if total_drops else {})
-    return FabricRunResult(
-        label=config.label,
-        preset=preset,
-        stack=stack,
-        pattern=pattern,
-        offered_load=load,
-        n_flows=n_flows,
-        flows_started=started,
-        flows_completed=len(records),
-        frames_sent=sent,
-        frames_delivered=delivered,
-        drop_rate=(total_drops / sent) if sent else 0.0,
-        fct_us=fct_summary_from(records),
-        drop_breakdown=breakdown,
-        per_switch_drops=per_switch,
-        flow_digest=flow_digest_from(started,
-                                     (r.as_tuple() for r in records)),
-        trace_digest="",
-    )
-
-
-def _check_merged_sanity(result: FabricRunResult, final_tick: int) -> None:
-    """The cross-checks of ``_check_fabric_sanity``, on merged numbers
-    (each shard's internal conservation laws already ran in-process
-    during finalize)."""
-    fails = []
-    if result.flows_completed > result.flows_started:
-        fails.append(f"completed {result.flows_completed} flows but only "
-                     f"{result.flows_started} started")
-    if not 0 <= result.frames_delivered <= result.frames_sent:
-        fails.append(f"delivered {result.frames_delivered} outside "
-                     f"[0, sent {result.frames_sent}]")
-    share = sum(result.drop_breakdown.values())
-    if result.drop_breakdown and not 0.999 < share < 1.001:
-        fails.append(f"drop-cause breakdown sums to {share:.6f}, not 1: "
-                     f"{result.drop_breakdown}")
-    count = result.fct_us.get("count", 0)
-    if count != result.flows_completed:
-        fails.append(f"FCT samples ({count:g}) != completed flows "
-                     f"({result.flows_completed})")
-    if fails:
-        raise InvariantViolation(
-            [f"dist.shard: {msg}" for msg in fails],
-            tick=final_tick, phase="harness")
 
 
 def run_fabric_sharded(config: SystemConfig, preset: str, stack: str,
@@ -498,7 +396,11 @@ def run_fabric_sharded(config: SystemConfig, preset: str, stack: str,
         payloads = coordinator.finalize()
     finally:
         coordinator.shutdown()
-    result = _merge_results(payloads, config, preset, stack, pattern,
-                            load, n_flows)
-    _check_merged_sanity(result, coordinator.now)
+    # The merged records reproduce the live generator's FCT summary.
+    records = [FlowRecord(*r) for p in payloads for r in p["records"]]
+    result = _fabric_result(payloads, config, preset, stack, pattern, load,
+                            n_flows, fct_summary_from(records))
+    # Checked in every invariant mode: the shards' own laws cannot see a
+    # frame lost between them.
+    _check_fabric_sanity(result, payloads, coordinator.now, "dist.shard")
     return result

@@ -575,9 +575,9 @@ def fig20_loadgen_speedup(freqs_ghz: Sequence[float] = (1.0, 3.0),
                           n_requests: int = 1200,
                           rate_rps: float = 150_000.0
                           ) -> Dict[str, List[Tuple[str, float]]]:
-    """Wall-clock speedup of EtherLoadGen over dual-mode simulation.
+    """Host-time speedup of EtherLoadGen over dual-mode simulation.
 
-    Deliberately serial: the figure *measures wall-clock time*, and
+    Deliberately serial: the figure *measures host time*, and
     co-scheduled workers would distort exactly the quantity under test.
     """
     from repro.system.dual_mode import run_dual_mode_comparison

@@ -10,18 +10,21 @@ post-warm-up snapshot through the warm-up cache.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.harness.runner import _finalize_run
 from repro.harness.warmup_cache import (
+    WarmStart,
     WarmupCache,
-    warmup_cache_from_env,
+    warm_start,
     warmup_key,
 )
 from repro.loadgen.flowgen import (
     FlowGenConfig,
     FlowTrafficGenerator,
+    flow_digest_from,
     resolve_size_cdf,
 )
 from repro.net.fabric import Fabric, FabricConfig, build_fabric
@@ -104,12 +107,6 @@ class FabricRunResult:
     #: SHA-256 of the exported trace; empty when tracing was off.
     trace_digest: str = ""
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FabricRunResult":
-        """Rebuild from ``dataclasses.asdict`` output (the shape the
-        parallel executor's cache and workers exchange)."""
-        return cls(**data)
-
 
 def fabric_config_for(config: SystemConfig, preset: str,
                       stack: str) -> FabricConfig:
@@ -157,25 +154,36 @@ def build_fabric_rig(config: SystemConfig, preset: str, stack: str,
     return fabric
 
 
-def _run_phase(fabric: Fabric, chunk_us: float = 50.0,
+def _run_phase(run_us: Callable[[float], object], idle: Callable[[], bool],
+               ready: Callable[[], bool], plan: FabricWarmupPlan,
+               label: str, chunk_us: float = 50.0,
                max_chunks: int = 4000) -> None:
-    """Advance in fixed chunks until the generator has injected every
-    flow and the fabric has drained."""
-    generator = fabric.generator
+    """Advance in fixed chunks until every flow is injected and no frame
+    is in flight (``idle``), then in drain chunks until the fabric is
+    checkpoint-ready (``ready``).  The one loop of the single-process run
+    and the shard coordinator, so both test at the same absolute ticks.
+    """
     for _ in range(max_chunks):
-        if not generator.active and fabric.quiescent():
+        if idle():
+            break
+        run_us(chunk_us)
+    else:
+        raise CheckpointError(
+            f"{label}: flow phase failed to drain after "
+            f"{max_chunks} chunks of {chunk_us}us")
+    for _ in range(plan.max_drain_chunks):
+        if ready():
             return
-        fabric.run_us(chunk_us)
+        run_us(plan.drain_chunk_us)
     raise CheckpointError(
-        f"{fabric.label}: flow phase failed to drain after "
-        f"{max_chunks} chunks of {chunk_us}us")
+        f"{label}: fabric failed to reach quiescence after "
+        f"{plan.max_drain_chunks} drain chunks of {plan.drain_chunk_us}us")
 
 
-def _warm_key(config: SystemConfig, fabric: Fabric, preset: str, stack: str,
-              plan: FabricWarmupPlan, seed: int) -> str:
-    app_options = {"fabric": fabric.config.canonical_dict()}
-    return warmup_key(config, f"fabric:{preset}:{stack}", 0, app_options,
-                      plan, seed, fabric.sim.tracer._options_signature())
+def _run_fabric_phase(fabric: Fabric, plan: FabricWarmupPlan) -> None:
+    _run_phase(fabric.run_us,
+               lambda: not fabric.generator.active and fabric.quiescent(),
+               fabric._checkpoint_ready, plan, fabric.label)
 
 
 def _warm_gen_config(plan: FabricWarmupPlan) -> FlowGenConfig:
@@ -184,36 +192,27 @@ def _warm_gen_config(plan: FabricWarmupPlan) -> FlowGenConfig:
                          size_cdf=plan.warm_size_cdf)
 
 
-def prewarm_fabric(config: SystemConfig, preset: str, stack: str,
-                   seed: int = 0,
-                   warmup_cache: Optional[WarmupCache] = None) -> bool:
-    """Populate the warm-up checkpoint cache for a fabric run.
-
-    Exactly the warm-up block of :func:`run_fabric` (same key, same
-    plan), stopped after the snapshot is sealed.  The persistent-worker
-    sweep executor calls this in the parent before forking, so workers
-    inherit the parsed snapshot through copy-on-write memory.
-
-    Returns True when a fresh snapshot was simulated and stored, False
-    on a cache hit or when no cache is configured.
-    """
-    cache = warmup_cache if warmup_cache is not None \
-        else warmup_cache_from_env()
-    if cache is None:
-        return False
-    fabric = build_fabric_rig(config, preset, stack, seed=seed)
+def fabric_warm_start(config: SystemConfig, preset: str, stack: str,
+                      seed: int = 0) -> WarmStart:
+    """The warm-up of :func:`run_fabric`: a canonical uniform trickle,
+    drained to quiescence, statistics reset."""
     plan = FabricWarmupPlan()
-    key = _warm_key(config, fabric, preset, stack, plan, seed)
-    if cache.get(key) is not None:
-        return False
-    fabric.generator.start(_warm_gen_config(plan))
-    _run_phase(fabric)
-    fabric.drain_to_quiescence(chunk_us=plan.drain_chunk_us,
-                               max_chunks=plan.max_drain_chunks)
-    fabric.reset_measurement()
-    cache.put(key, fabric.checkpoint(extra_meta={"phase": "warmup"}))
-    cache.get(key)   # validated read-back seeds the in-memory memo
-    return True
+
+    def build() -> Fabric:
+        return build_fabric_rig(config, preset, stack, seed=seed)
+
+    def key(fabric: Fabric) -> str:
+        app_options = {"fabric": fabric.config.canonical_dict()}
+        return warmup_key(config, f"fabric:{preset}:{stack}", 0,
+                          app_options, plan, seed,
+                          fabric.sim.tracer._options_signature())
+
+    def warm(fabric: Fabric) -> None:
+        fabric.generator.start(_warm_gen_config(plan))
+        _run_fabric_phase(fabric, plan)
+        fabric.reset_measurement()
+
+    return WarmStart(build, key, warm, {"phase": "warmup"})
 
 
 def run_fabric(config: SystemConfig, preset: str, stack: str,
@@ -230,32 +229,8 @@ def run_fabric(config: SystemConfig, preset: str, stack: str,
     with the same key — bit-identical to warming up from scratch, and
     shared across patterns and loads.
     """
-    fabric = build_fabric_rig(config, preset, stack, seed=seed)
-    plan = FabricWarmupPlan()
-    cache = warmup_cache if warmup_cache is not None \
-        else warmup_cache_from_env()
-    key = None
-    restored = False
-    if cache is not None:
-        key = _warm_key(config, fabric, preset, stack, plan, seed)
-        snapshot = cache.get(key)
-        if snapshot is not None:
-            try:
-                fabric.restore(snapshot)
-                restored = True
-            except CheckpointError:
-                # Schema drift that survived the digest check: drop the
-                # entry and warm up from scratch on a rebuilt fabric.
-                cache.discard(key)
-                fabric = build_fabric_rig(config, preset, stack, seed=seed)
-    if not restored:
-        fabric.generator.start(_warm_gen_config(plan))
-        _run_phase(fabric)
-        fabric.drain_to_quiescence(chunk_us=plan.drain_chunk_us,
-                                   max_chunks=plan.max_drain_chunks)
-        fabric.reset_measurement()
-        if cache is not None:
-            cache.put(key, fabric.checkpoint(extra_meta={"phase": "warmup"}))
+    fabric = warm_start(fabric_warm_start(config, preset, stack, seed),
+                        warmup_cache)
 
     # Measured phase — identical code whether the warm-up was simulated
     # or restored from a checkpoint.
@@ -263,45 +238,78 @@ def run_fabric(config: SystemConfig, preset: str, stack: str,
     resolve_size_cdf(size_cdf)   # fail fast on unknown names
     generator.start(FlowGenConfig(pattern=pattern, load=load,
                                   n_flows=n_flows, size_cdf=size_cdf))
-    _run_phase(fabric)
-    fabric.drain_to_quiescence(chunk_us=plan.drain_chunk_us,
-                               max_chunks=plan.max_drain_chunks)
+    _run_fabric_phase(fabric, FabricWarmupPlan())
     trace_digest = _finalize_run(fabric)
 
-    sent = fabric.frames_sent()
-    delivered = fabric.frames_delivered()
-    drop_counts = fabric.drop_breakdown()
+    tallies = [_fabric_tally(fabric)]
+    result = _fabric_result(tallies, config, preset, stack, pattern, load,
+                            n_flows, generator.fct_summary(), trace_digest)
+    if fabric.sim.invariants.mode != "off":
+        _check_fabric_sanity(result, tallies, fabric.sim.now,
+                             "harness.fabric")
+    return result
+
+
+def _fabric_tally(fabric: Fabric) -> dict:
+    """What one fabric — or one shard's slice of it — contributes to a
+    run result, as plain data that can cross a process boundary."""
+    generator = fabric.generator
+    return {
+        "records": [r.as_tuple() for r in generator._records],
+        "window_started": generator.flows_started,
+        "frames_sent": fabric.frames_sent(),
+        "frames_delivered": fabric.frames_delivered(),
+        "drop_counts": fabric.drop_breakdown(),
+        "per_switch_drops": fabric.per_switch_drops(),
+        "channel_out": sum(half.frames_out for half in fabric.channels),
+        "channel_in": sum(half.frames_in for half in fabric.channels),
+    }
+
+
+def _fabric_result(tallies: List[dict], config: SystemConfig, preset: str,
+                   stack: str, pattern: str, load: float, n_flows: int,
+                   fct_us: Dict[str, float],
+                   trace_digest: str = "") -> FabricRunResult:
+    """Fold :func:`_fabric_tally` outputs — one per shard, or one for a
+    single-process run — into a result with the given FCT summary."""
+    started = sum(t["window_started"] for t in tallies)
+    sent = sum(t["frames_sent"] for t in tallies)
+    record_tuples = [r for t in tallies for r in t["records"]]
+    drop_counts: Counter = Counter()
+    per_switch: Dict[str, Dict[str, int]] = {}
+    for tally in tallies:
+        drop_counts.update(tally["drop_counts"])
+        per_switch.update(tally["per_switch_drops"])
     total_drops = sum(drop_counts.values())
     breakdown = ({cause: count / total_drops
                   for cause, count in sorted(drop_counts.items())}
                  if total_drops else {})
-    result = FabricRunResult(
+    return FabricRunResult(
         label=config.label,
         preset=preset,
         stack=stack,
         pattern=pattern,
         offered_load=load,
         n_flows=n_flows,
-        flows_started=generator.flows_started,
-        flows_completed=generator.flows_completed,
+        flows_started=started,
+        flows_completed=len(record_tuples),
         frames_sent=sent,
-        frames_delivered=delivered,
+        frames_delivered=sum(t["frames_delivered"] for t in tallies),
         drop_rate=(total_drops / sent) if sent else 0.0,
-        fct_us=generator.fct_summary(),
+        fct_us=fct_us,
         drop_breakdown=breakdown,
-        per_switch_drops=fabric.per_switch_drops(),
-        flow_digest=generator.flow_digest(),
+        per_switch_drops=per_switch,
+        flow_digest=flow_digest_from(started, record_tuples),
         trace_digest=trace_digest,
     )
-    _check_fabric_sanity(fabric, result)
-    return result
 
 
-def _check_fabric_sanity(fabric: Fabric, result: FabricRunResult) -> None:
-    """Harness-level cross-checks on the reported numbers (the fabric's
-    internal conservation laws are the invariant registry's job)."""
-    if fabric.sim.invariants.mode == "off":
-        return
+def _check_fabric_sanity(result: FabricRunResult, tallies: List[dict],
+                         tick: int, source: str) -> None:
+    """Harness-level cross-checks on the reported numbers.  Internal
+    conservation is the invariant registry's job, but a shard's laws
+    close over its own channel counters: only the merged tallies can
+    see a frame lost *between* shards."""
     fails = []
     if result.flows_completed > result.flows_started:
         fails.append(f"completed {result.flows_completed} flows but only "
@@ -317,10 +325,14 @@ def _check_fabric_sanity(fabric: Fabric, result: FabricRunResult) -> None:
     if count != result.flows_completed:
         fails.append(f"FCT samples ({count:g}) != completed flows "
                      f"({result.flows_completed})")
+    channel_out = sum(t["channel_out"] for t in tallies)
+    channel_in = sum(t["channel_in"] for t in tallies)
+    if channel_out != channel_in:
+        fails.append(f"{channel_out} frames left their shard over a "
+                     f"channel but {channel_in} arrived at the peer")
     if fails:
-        raise InvariantViolation(
-            [f"harness.fabric: {msg}" for msg in fails],
-            tick=fabric.sim.now, phase="harness")
+        raise InvariantViolation([f"{source}: {msg}" for msg in fails],
+                                 tick=tick, phase="harness")
 
 
 def run_fabric_sharded(config: SystemConfig, preset: str, stack: str,

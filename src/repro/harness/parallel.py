@@ -49,8 +49,8 @@ the same results whether ``jobs`` is 1 or N, whether results came from
 workers or the cache, and across runs — each simulation is hermetic in
 ``(config, effective seed)``.
 
-The ``_poison_*`` kinds are failure injection hooks for the test suite
-(worker crash, hang, exception); they never run simulations.
+Point kinds dispatch through ``_KIND_HANDLERS``; the failure-path tests
+install their own kinds there before the executor forks its workers.
 """
 
 from __future__ import annotations
@@ -71,19 +71,24 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.harness.fabric import (
     FabricRunResult,
-    prewarm_fabric,
+    fabric_warm_start,
     run_fabric,
 )
 from repro.harness.msb import MsbResult, _saturation_warmup_us, find_msb
 from repro.harness.runner import (
     FixedLoadResult,
     MemcachedRunResult,
-    prewarm_fixed_load,
-    prewarm_memcached,
+    fixed_load_warm_start,
+    memcached_warm_start,
     run_fixed_load,
     run_memcached,
 )
-from repro.harness.warmup_cache import WARMUP_CACHE_ENV, drop_warmup_cache
+from repro.harness.warmup_cache import (
+    WARMUP_CACHE_ENV,
+    WarmStart,
+    drop_warmup_cache,
+    prewarm,
+)
 from repro.sim.invariants import InvariantViolation
 from repro.sim.rng import DeterministicRng
 from repro.system.config import SystemConfig
@@ -240,63 +245,32 @@ def _run_fabric(point: SweepPoint):
                       seed=point.effective_seed)
 
 
-def _in_worker() -> bool:
-    return multiprocessing.parent_process() is not None
-
-
-def _poison_raise(point: SweepPoint):
-    raise RuntimeError("poisoned sweep point: injected exception")
-
-
-def _poison_hang(point: SweepPoint):
-    time.sleep(3600.0)
-
-
-def _poison_hang_once(point: SweepPoint):
-    # Hangs on its first attempt (stamping a flag file first) and
-    # completes on every later one — exercises timeout -> clean retry.
-    # The flag file path travels in ``app_options["flag"]``.
-    flag = Path(point.app_options["flag"])
-    if not flag.exists():
-        flag.write_text("first attempt")
-        time.sleep(3600.0)
-    return {"ok": True, "via": "retry", "seed": point.seed}
-
-
-def _poison_crash(point: SweepPoint):
-    # Hard worker death (no exception, no result) in a worker; the serial
-    # in-process fallback fails too — the unrecoverable-point case.
-    if _in_worker():
-        os._exit(17)
-    raise RuntimeError("poisoned sweep point: crashes everywhere")
-
-
-def _poison_child_crash(point: SweepPoint):
-    # Dies only inside a worker process; succeeds in-process — exercises
-    # the graceful serial fallback after worker death.
-    if _in_worker():
-        os._exit(17)
-    return {"ok": True, "via": "serial-fallback", "seed": point.seed}
-
-
-def _poison_invariant(point: SweepPoint):
-    # A simulation whose invariant checker fired — exercises the
-    # violation-verdict path (SweepInvariantError naming the point).
-    raise InvariantViolation(
-        ["poisoned: injected conservation failure"], tick=42)
-
-
 _KIND_HANDLERS: Dict[str, Callable[[SweepPoint], Any]] = {
     KIND_FIXED_LOAD: _run_fixed,
     KIND_MEMCACHED: _run_memcached,
     KIND_MSB: _run_msb,
     KIND_FABRIC: _run_fabric,
-    "_poison_raise": _poison_raise,
-    "_poison_hang": _poison_hang,
-    "_poison_hang_once": _poison_hang_once,
-    "_poison_crash": _poison_crash,
-    "_poison_child_crash": _poison_child_crash,
-    "_poison_invariant": _poison_invariant,
+}
+
+
+def _fixed_warm_start(point: SweepPoint,
+                      warmup_us: Optional[float] = None) -> WarmStart:
+    return fixed_load_warm_start(point.config, point.app, point.packet_size,
+                                 point.app_options, warmup_us,
+                                 point.effective_seed)
+
+
+#: Each kind's warm-up, as the very :class:`WarmStart` its runner uses, so
+#: a prewarm stores exactly the key the run looks up (find_msb's first
+#: probe warms up for the saturation window).
+_WARM_STARTS: Dict[str, Callable[[SweepPoint], WarmStart]] = {
+    KIND_FIXED_LOAD: _fixed_warm_start,
+    KIND_MSB: lambda p: _fixed_warm_start(p, _saturation_warmup_us(p.config)),
+    KIND_MEMCACHED: lambda p: memcached_warm_start(
+        p.config, p.app == "memcached_kernel", p.load, p.n_packets,
+        seed=p.effective_seed),
+    KIND_FABRIC: lambda p: fabric_warm_start(
+        p.config, *p.app.rsplit(":", 1), seed=p.effective_seed),
 }
 
 
@@ -342,7 +316,9 @@ def decode_result(payload: dict) -> Any:
     cls = _RESULT_TYPES.get(name)
     if cls is None:
         raise ValueError(f"unknown result type {name!r}")
-    return cls.from_dict(data)
+    # A result rebuilds from its fields; MsbResult's own from_dict also
+    # turns its curve points back into tuples.
+    return cls.from_dict(data) if hasattr(cls, "from_dict") else cls(**data)
 
 
 # ----------------------------------------------------------------------
@@ -510,10 +486,9 @@ def _warm_signature(point: SweepPoint):
     (which needs a built node for the tracer signature): two points with
     equal signatures share one warm-up snapshot.  Offered load is absent
     by design — that is the property the cache exists for.  ``None``
-    means the kind has no warm-up to share (poison hooks).
+    means the kind has no warm-up to share (kinds installed by tests).
     """
-    if point.config is None or point.kind not in (
-            KIND_FIXED_LOAD, KIND_MEMCACHED, KIND_MSB, KIND_FABRIC):
+    if point.config is None or point.kind not in _WARM_STARTS:
         return None
     return (
         point.kind,
@@ -531,32 +506,14 @@ def prewarm_point(point: SweepPoint) -> bool:
     running its measured phase.  Returns True when a warm-up was
     simulated and stored; False on a cache hit, a kind with no warm-up,
     or when no cache is configured (``REPRO_WARMUP_CACHE`` unset)."""
-    if point.kind == KIND_FIXED_LOAD:
-        return prewarm_fixed_load(
-            point.config, point.app, point.packet_size,
-            app_options=point.app_options, seed=point.effective_seed)
-    if point.kind == KIND_MSB:
-        # find_msb's first probe runs with the saturation warm-up window
-        # and the point's effective seed; prewarm exactly that key.
-        return prewarm_fixed_load(
-            point.config, point.app, point.packet_size,
-            app_options=point.app_options,
-            warmup_us=_saturation_warmup_us(point.config),
-            seed=point.effective_seed)
-    if point.kind == KIND_MEMCACHED:
-        return prewarm_memcached(
-            point.config, point.app == "memcached_kernel",
-            seed=point.effective_seed)
-    if point.kind == KIND_FABRIC:
-        preset, stack = point.app.rsplit(":", 1)
-        return prewarm_fabric(point.config, preset, stack,
-                              seed=point.effective_seed)
-    return False
+    make = _WARM_STARTS.get(point.kind)
+    return make is not None and prewarm(make(point))
 
 
 def _default_context():
-    # fork is cheap and inherits test-registered state; fall back to the
-    # platform default (spawn on macOS/Windows) when unavailable.
+    # fork is cheap and inherits imported modules and test-installed
+    # kinds; fall back to the platform default (spawn on macOS/Windows)
+    # when unavailable.
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")

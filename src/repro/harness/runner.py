@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import difflib
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from repro.apps.iperf import IperfServer
@@ -20,8 +20,9 @@ from repro.apps.testpmd import TestPmd
 from repro.apps.touchdrop import TouchDrop
 from repro.apps.touchfwd import TouchFwd
 from repro.harness.warmup_cache import (
+    WarmStart,
     WarmupCache,
-    warmup_cache_from_env,
+    warm_start,
     warmup_key,
 )
 from repro.kvstore.store import KvStore
@@ -31,7 +32,6 @@ from repro.loadgen.ether_load_gen import (
     pps_for_gbps,
 )
 from repro.loadgen.memcached_client import MemcachedClientConfig
-from repro.sim.checkpoint import CheckpointError
 from repro.sim.invariants import InvariantViolation
 from repro.system.config import SystemConfig
 from repro.system.node import DpdkNode, KernelNode, WarmupPlan
@@ -48,6 +48,16 @@ APP_REGISTRY: Dict[str, Tuple[type, type, bool]] = {
 }
 
 
+def _registered(app_name: str) -> Tuple[type, type, bool]:
+    if app_name not in APP_REGISTRY:
+        close = difflib.get_close_matches(app_name, APP_REGISTRY, n=1)
+        suggestion = f" (did you mean {close[0]!r}?)" if close else ""
+        raise ValueError(
+            f"unknown app {app_name!r}{suggestion}; expected one of "
+            f"{sorted(APP_REGISTRY)}")
+    return APP_REGISTRY[app_name]
+
+
 def build_node(config: SystemConfig, app_name: str,
                app_options: Optional[dict] = None, seed: int = 0):
     """Build a ready-to-run Test Node for a registered application.
@@ -55,13 +65,7 @@ def build_node(config: SystemConfig, app_name: str,
     Memcached apps get a KvStore created in the node's address space
     automatically.
     """
-    if app_name not in APP_REGISTRY:
-        close = difflib.get_close_matches(app_name, APP_REGISTRY, n=1)
-        suggestion = f" (did you mean {close[0]!r}?)" if close else ""
-        raise ValueError(
-            f"unknown app {app_name!r}{suggestion}; expected one of "
-            f"{sorted(APP_REGISTRY)}")
-    node_class, app_class, _echoes = APP_REGISTRY[app_name]
+    node_class, app_class, _echoes = _registered(app_name)
     node = node_class(config, seed=seed)
     options = dict(app_options or {})
     if app_name in ("memcached_dpdk", "memcached_kernel") \
@@ -159,12 +163,6 @@ class FixedLoadResult:
         """Mean round-trip latency in microseconds."""
         return self.latency_us.get("mean", 0.0)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FixedLoadResult":
-        """Rebuild from ``dataclasses.asdict`` output (the shape the
-        parallel executor's cache and workers exchange)."""
-        return cls(**data)
-
 
 def _effective_rate(config: SystemConfig, gbps: float,
                     packet_size: int) -> float:
@@ -199,44 +197,45 @@ def _fixed_load_plan(config: SystemConfig, packet_size: int, echoes: bool,
     )
 
 
-def prewarm_fixed_load(config: SystemConfig, app_name: str,
-                       packet_size: int,
-                       app_options: Optional[dict] = None,
-                       warmup_us: Optional[float] = None,
-                       seed: int = 0,
-                       warmup_cache: Optional[WarmupCache] = None) -> bool:
-    """Populate the warm-up checkpoint cache for a fixed-rate run without
-    running a measured window.
-
-    Exactly the warm-up block of :func:`run_fixed_load` (same key, same
-    plan, same checkpoint metadata), stopped right after the snapshot is
-    sealed.  The persistent-worker sweep executor calls this in the
-    *parent* before forking workers: the snapshot lands in the shared
-    :class:`~repro.harness.warmup_cache.WarmupCache` memo, so every
-    forked worker inherits the parsed document through copy-on-write
-    memory instead of racing to simulate (or re-read) it per point.
-
-    Returns True when a fresh snapshot was simulated and stored, False
-    on a cache hit or when no cache is configured.
-    """
-    cache = warmup_cache if warmup_cache is not None \
-        else warmup_cache_from_env()
-    if cache is None:
-        return False
-    node = build_node(config, app_name, app_options, seed=seed)
-    node.attach_loadgen()
-    _node_class, _app_class, echoes = APP_REGISTRY[app_name]
+def fixed_load_warm_start(config: SystemConfig, app_name: str,
+                          packet_size: int,
+                          app_options: Optional[dict] = None,
+                          warmup_us: Optional[float] = None,
+                          seed: int = 0) -> WarmStart:
+    """The warm-up of :func:`run_fixed_load`: a node with an attached
+    load generator, warmed at the canonical rate."""
+    echoes = _registered(app_name)[2]
     plan = _fixed_load_plan(config, packet_size, echoes, warmup_us)
-    key = warmup_key(config, app_name, packet_size, app_options, plan,
-                     seed, node.sim.tracer._options_signature())
-    if cache.get(key) is not None:
-        return False
-    node.start()
-    node.warmup_and_reset(plan)
-    cache.put(key, node.checkpoint(
-        extra_meta={"phase": "warmup", "packet_size": packet_size}))
-    cache.get(key)   # validated read-back seeds the in-memory memo
-    return True
+
+    def build():
+        node = build_node(config, app_name, app_options, seed=seed)
+        node.attach_loadgen()
+        return node
+
+    def key(node) -> str:
+        return warmup_key(config, app_name, packet_size, app_options, plan,
+                          seed, node.sim.tracer._options_signature())
+
+    def warm(node) -> None:
+        node.start()
+        node.warmup_and_reset(plan)
+
+    return WarmStart(build, key, warm,
+                     {"phase": "warmup", "packet_size": packet_size})
+
+
+def _drain_nic(node, config: SystemConfig) -> None:
+    """Let the node work off its queued backlog, then wait out the last
+    round trip.  Checks only the NIC rings and FIFO: the node's full
+    quiescence test covers more and would move the drain timing."""
+    for _ in range(40):
+        nic = node.nic
+        if (len(nic.rx_fifo) == 0 and nic.rx_ring.completed_count == 0
+                and nic.rx_ring.pending_writeback_count == 0
+                and nic.tx_ring.occupancy == 0):
+            break
+        node.run_us(200.0)
+    node.run_us(2 * config.link_delay_us + 100.0)
 
 
 def run_fixed_load(config: SystemConfig, app_name: str, packet_size: int,
@@ -254,37 +253,12 @@ def run_fixed_load(config: SystemConfig, app_name: str, packet_size: int,
     state is checkpointed once and restored on every later run with the
     same key — bit-identical to warming up from scratch.
     """
-    node = build_node(config, app_name, app_options, seed=seed)
-    loadgen = node.attach_loadgen()
-    _node_class, _app_class, echoes = APP_REGISTRY[app_name]
+    node = warm_start(fixed_load_warm_start(config, app_name, packet_size,
+                                            app_options, warmup_us, seed),
+                      warmup_cache)
+    loadgen = node.loadgen
+    echoes = APP_REGISTRY[app_name][2]
     effective_gbps = _effective_rate(config, gbps, packet_size)
-    plan = _fixed_load_plan(config, packet_size, echoes, warmup_us)
-    cache = warmup_cache if warmup_cache is not None \
-        else warmup_cache_from_env()
-    key = None
-    restored = False
-    if cache is not None:
-        key = warmup_key(config, app_name, packet_size, app_options, plan,
-                         seed, node.sim.tracer._options_signature())
-        snapshot = cache.get(key)
-        if snapshot is not None:
-            try:
-                node.restore(snapshot)
-                restored = True
-            except CheckpointError:
-                # Schema drift that survived the digest check (a snapshot
-                # from a different code version): drop it and warm up from
-                # scratch on a rebuilt node (restore may have partially
-                # mutated this one).
-                cache.discard(key)
-                node = build_node(config, app_name, app_options, seed=seed)
-                loadgen = node.attach_loadgen()
-    if not restored:
-        node.start()
-        node.warmup_and_reset(plan)
-        if cache is not None:
-            cache.put(key, node.checkpoint(
-                extra_meta={"phase": "warmup", "packet_size": packet_size}))
 
     # Measured phase — identical code whether the warm-up was simulated
     # or restored from a checkpoint.
@@ -321,14 +295,7 @@ def run_fixed_load(config: SystemConfig, app_name: str, packet_size: int,
     # through its queued backlog (heavily-overloaded runs hold hundreds of
     # packets in the FIFO and rings).
     node.run_us(2 * config.link_delay_us + 200.0)
-    for _ in range(40):
-        nic = node.nic
-        if (len(nic.rx_fifo) == 0 and nic.rx_ring.completed_count == 0
-                and nic.rx_ring.pending_writeback_count == 0
-                and nic.tx_ring.occupancy == 0):
-            break
-        node.run_us(200.0)
-    node.run_us(2 * config.link_delay_us + 100.0)
+    _drain_nic(node, config)
     trace_digest = _finalize_run(node)
 
     sent = loadgen.tx_packets
@@ -387,12 +354,6 @@ class MemcachedRunResult:
         """Offered rate scaled by the delivered fraction."""
         return self.offered_rps * (1.0 - self.drop_rate)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MemcachedRunResult":
-        """Rebuild from ``dataclasses.asdict`` output (the shape the
-        parallel executor's cache and workers exchange)."""
-        return cls(**data)
-
 
 #: Canonical memcached warm-up: a fixed comfortable request rate,
 #: independent of the measured offered rate (see CANONICAL_WARM_GBPS).
@@ -400,69 +361,46 @@ CANONICAL_WARM_REQUESTS = 400
 CANONICAL_WARM_RPS = 120_000.0
 
 
-def _memcached_plan(config: SystemConfig) -> WarmupPlan:
-    """The load-independent warm-up plan for a memcached run."""
-    return WarmupPlan(
+def memcached_warm_start(config: SystemConfig, kernel: bool,
+                         rate_rps: float, n_requests: int,
+                         client_config: Optional[MemcachedClientConfig] = None,
+                         seed: int = 0) -> WarmStart:
+    """The warm-up of :func:`run_memcached`: a memcached node with an
+    attached client set up for the measured rate and request count,
+    preloaded and warmed at the canonical rate."""
+    app_name = "memcached_kernel" if kernel else "memcached_dpdk"
+    base = client_config or MemcachedClientConfig()
+    plan = WarmupPlan(
         min_warm_us=(CANONICAL_WARM_REQUESTS / CANONICAL_WARM_RPS * 1e6
                      + 500.0),
         warm_packet_target=CANONICAL_WARM_REQUESTS,
         warm_requests=CANONICAL_WARM_REQUESTS,
         warm_rate_rps=CANONICAL_WARM_RPS,
     )
-
-
-def prewarm_memcached(config: SystemConfig, kernel: bool,
-                      client_config: Optional[MemcachedClientConfig] = None,
-                      seed: int = 0,
-                      warmup_cache: Optional[WarmupCache] = None) -> bool:
-    """Populate the warm-up checkpoint cache for a memcached run.
-
-    The counterpart of :func:`prewarm_fixed_load`: the warm-up block of
-    :func:`run_memcached` without the measured request phase.  The warm
-    key excludes the measured rate and request count, so the attached
-    client here runs at the canonical warm-up rate — any later measured
-    rate restores the same snapshot.
-
-    Returns True when a fresh snapshot was simulated and stored, False
-    on a cache hit or when no cache is configured.
-    """
-    cache = warmup_cache if warmup_cache is not None \
-        else warmup_cache_from_env()
-    if cache is None:
-        return False
-    app_name = "memcached_kernel" if kernel else "memcached_dpdk"
-    base = client_config or MemcachedClientConfig()
-    node = build_node(config, app_name, seed=seed)
-    client = node.attach_memcached_client(MemcachedClientConfig(
-        n_warm_keys=base.n_warm_keys,
-        n_requests=CANONICAL_WARM_REQUESTS,
-        get_fraction=base.get_fraction,
-        size_min=base.size_min,
-        size_max=base.size_max,
-        size_skew=base.size_skew,
-        rate_rps=CANONICAL_WARM_RPS,
-        distribution=base.distribution,
-    ))
-    plan = _memcached_plan(config)
+    # Only the warm-relevant client parameters key the snapshot: the
+    # measured rate and request count start after the checkpoint moment.
     warm_options = {"client": {
-        "n_warm_keys": base.n_warm_keys,
-        "get_fraction": base.get_fraction,
-        "size_min": base.size_min,
-        "size_max": base.size_max,
-        "size_skew": base.size_skew,
-        "distribution": base.distribution,
-    }}
-    key = warmup_key(config, app_name, 0, warm_options, plan, seed,
-                     node.sim.tracer._options_signature())
-    if cache.get(key) is not None:
-        return False
-    client.preload(node.app.store)
-    node.start()
-    node.warmup_and_reset(plan)
-    cache.put(key, node.checkpoint(
-        extra_meta={"phase": "warmup", "kernel": kernel}))
-    cache.get(key)   # validated read-back seeds the in-memory memo
-    return True
+        name: value for name, value in asdict(base).items()
+        if name not in ("n_requests", "rate_rps")}}
+
+    def build():
+        node = build_node(config, app_name, seed=seed)
+        node.attach_memcached_client(
+            replace(base, n_requests=n_requests, rate_rps=rate_rps))
+        return node
+
+    def key(node) -> str:
+        return warmup_key(config, app_name, 0, warm_options, plan, seed,
+                          node.sim.tracer._options_signature())
+
+    def warm(node) -> None:
+        node.memcached_client.preload(node.app.store)   # functional warm-up
+        node.start()
+        # Packet-driven warm-up: bring caches/BTB-analogue state to steady
+        # state at a comfortable rate before measuring (paper §VI.A).
+        node.warmup_and_reset(plan)
+
+    return WarmStart(build, key, warm, {"phase": "warmup", "kernel": kernel})
 
 
 def run_memcached(config: SystemConfig, kernel: bool, rate_rps: float,
@@ -472,59 +410,10 @@ def run_memcached(config: SystemConfig, kernel: bool, rate_rps: float,
                   warmup_cache: Optional[WarmupCache] = None
                   ) -> MemcachedRunResult:
     """Load a memcached server (kernel or DPDK) at a fixed request rate."""
-    app_name = "memcached_kernel" if kernel else "memcached_dpdk"
-    base = client_config or MemcachedClientConfig()
-
-    def make_client_config() -> MemcachedClientConfig:
-        return MemcachedClientConfig(
-            n_warm_keys=base.n_warm_keys,
-            n_requests=n_requests,
-            get_fraction=base.get_fraction,
-            size_min=base.size_min,
-            size_max=base.size_max,
-            size_skew=base.size_skew,
-            rate_rps=rate_rps,
-            distribution=base.distribution,
-        )
-
-    node = build_node(config, app_name, seed=seed)
-    client = node.attach_memcached_client(make_client_config())
-    plan = _memcached_plan(config)
-    # Only the warm-relevant client parameters key the snapshot: the
-    # measured rate and request count start after the checkpoint moment.
-    warm_options = {"client": {
-        "n_warm_keys": base.n_warm_keys,
-        "get_fraction": base.get_fraction,
-        "size_min": base.size_min,
-        "size_max": base.size_max,
-        "size_skew": base.size_skew,
-        "distribution": base.distribution,
-    }}
-    cache = warmup_cache if warmup_cache is not None \
-        else warmup_cache_from_env()
-    key = None
-    restored = False
-    if cache is not None:
-        key = warmup_key(config, app_name, 0, warm_options, plan, seed,
-                         node.sim.tracer._options_signature())
-        snapshot = cache.get(key)
-        if snapshot is not None:
-            try:
-                node.restore(snapshot)
-                restored = True
-            except CheckpointError:
-                cache.discard(key)
-                node = build_node(config, app_name, seed=seed)
-                client = node.attach_memcached_client(make_client_config())
-    if not restored:
-        client.preload(node.app.store)   # functional warm-up (5000 keys)
-        node.start()
-        # Packet-driven warm-up: bring caches/BTB-analogue state to steady
-        # state at a comfortable rate before measuring (paper §VI.A).
-        node.warmup_and_reset(plan)
-        if cache is not None:
-            cache.put(key, node.checkpoint(
-                extra_meta={"phase": "warmup", "kernel": kernel}))
+    node = warm_start(memcached_warm_start(config, kernel, rate_rps,
+                                           n_requests, client_config, seed),
+                      warmup_cache)
+    client = node.memcached_client
 
     # Measured phase — identical code whether the warm-up was simulated
     # or restored from a checkpoint.
@@ -532,14 +421,7 @@ def run_memcached(config: SystemConfig, kernel: bool, rate_rps: float,
     # Run to completion of the request phase, then drain the backlog.
     duration_us = n_requests / rate_rps * 1e6
     node.run_us(duration_us + 2 * config.link_delay_us + 500.0)
-    for _ in range(40):
-        nic = node.nic
-        if (len(nic.rx_fifo) == 0 and nic.rx_ring.completed_count == 0
-                and nic.rx_ring.pending_writeback_count == 0
-                and nic.tx_ring.occupancy == 0):
-            break
-        node.run_us(200.0)
-    node.run_us(2 * config.link_delay_us + 100.0)
+    _drain_nic(node, config)
     trace_digest = _finalize_run(node)
     # End-to-end drops under-count in short overloaded runs (the ring and
     # FIFO buffer a bounded backlog that eventually drains); the NIC's own

@@ -22,6 +22,12 @@ corrupt, is deleted, and the warm-up is re-simulated — a damaged cache
 can slow a sweep down but never change its results.  Writes are atomic
 (temp file + ``os.replace``), so sweep workers racing to produce the
 same snapshot never leave a torn file.
+
+The warm-start protocol is written once, here: each kind of run states
+its build, key, warm-up and checkpoint metadata as one
+:class:`WarmStart`, which its runner hands to :func:`warm_start` and the
+sweep executor to :func:`prewarm` — so a prewarm stores exactly the
+snapshot the run looks up.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.sim.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -170,11 +176,10 @@ def warmup_cache_from_env() -> Optional[WarmupCache]:
     """The cache named by ``REPRO_WARMUP_CACHE``, or None when unset.
 
     This is how sweep worker processes find the shared cache: the
-    executor/CLI exports the variable and every
-    :func:`repro.harness.runner.run_fixed_load` /
-    :func:`~repro.harness.runner.run_memcached` call picks it up.
-    Returns one :class:`WarmupCache` instance per directory so the
-    in-memory memo is shared across calls.
+    executor/CLI exports the variable and every :func:`warm_start` /
+    :func:`prewarm` without an explicit cache picks it up.  Returns one
+    :class:`WarmupCache` instance per directory so the in-memory memo is
+    shared across calls.
     """
     root = os.environ.get(WARMUP_CACHE_ENV)
     if not root:
@@ -185,3 +190,73 @@ def warmup_cache_from_env() -> Optional[WarmupCache]:
         cache = WarmupCache(root)
         _caches_by_root[resolved] = cache
     return cache
+
+
+@dataclass(frozen=True)
+class WarmStart:
+    """How one kind of run reaches its post-warm-up state.
+
+    ``build`` returns a fresh, never-run rig (a node or a fabric);
+    ``key`` is the warm-up cache key of a built rig; ``warm`` simulates
+    the warm-up on a built rig, ending drained with statistics reset;
+    ``meta`` is the extra checkpoint metadata of the sealed snapshot.
+    """
+
+    build: Callable[[], Any]
+    key: Callable[[Any], str]
+    warm: Callable[[Any], None]
+    meta: Dict[str, Any]
+
+
+def _resolve(cache: Optional[WarmupCache]) -> Optional[WarmupCache]:
+    return cache if cache is not None else warmup_cache_from_env()
+
+
+def warm_start(spec: WarmStart, cache: Optional[WarmupCache] = None):
+    """A built rig in its post-warm-up state, ready to measure.
+
+    With a cache (``cache`` or ``REPRO_WARMUP_CACHE``) a stored snapshot
+    is restored — bit-identical to warming up — and a missing one is
+    simulated and stored.  A snapshot that fails to restore (schema
+    drift from another code version) is discarded and the warm-up re-run
+    on a rebuilt rig: the failed restore may have half-mutated this one.
+    """
+    cache = _resolve(cache)
+    rig = spec.build()
+    if cache is None:
+        spec.warm(rig)
+        return rig
+    key = spec.key(rig)
+    snapshot = cache.get(key)
+    if snapshot is not None:
+        try:
+            rig.restore(snapshot)
+            return rig
+        except CheckpointError:
+            cache.discard(key)
+            rig = spec.build()
+    spec.warm(rig)
+    cache.put(key, rig.checkpoint(extra_meta=spec.meta))
+    return rig
+
+
+def prewarm(spec: WarmStart, cache: Optional[WarmupCache] = None) -> bool:
+    """Store the snapshot :func:`warm_start` would look up, without
+    measuring.  Returns True when a fresh snapshot was simulated and
+    stored, False on a cache hit or when no cache is configured.
+
+    The sweep executor's parent calls this before forking workers: the
+    validated read-back lands the snapshot in the in-memory memo, which
+    every forked worker inherits through copy-on-write memory.
+    """
+    cache = _resolve(cache)
+    if cache is None:
+        return False
+    rig = spec.build()
+    key = spec.key(rig)
+    if cache.get(key) is not None:
+        return False
+    spec.warm(rig)
+    cache.put(key, rig.checkpoint(extra_meta=spec.meta))
+    cache.get(key)   # validated read-back seeds the in-memory memo
+    return True

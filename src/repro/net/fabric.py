@@ -597,9 +597,9 @@ class Fabric:
     """A built fabric: hosts + switches + links + the wiring graph.
 
     Mirrors the :class:`repro.system.node._BaseNode` control surface —
-    ``run_us`` / ``drain_to_quiescence`` / ``reset_measurement`` /
-    ``checkpoint`` / ``restore`` — so the warm-up cache, the sweep
-    executor and the CLI drive a fabric exactly like a single node.
+    ``run_us`` / ``reset_measurement`` / ``checkpoint`` / ``restore`` —
+    so the warm-up cache, the sweep executor and the CLI drive a fabric
+    exactly like a single node.
 
     With a ``shard_plan`` (see :mod:`repro.dist.shard`) the builders
     construct only this shard's slice of the topology: remote hosts and
@@ -784,16 +784,6 @@ class Fabric:
 
     def run_us(self, microseconds: float) -> int:
         return self.sim.run(until=self.sim.now + us_to_ticks(microseconds))
-
-    def drain_to_quiescence(self, chunk_us: float = 200.0,
-                            max_chunks: int = 400) -> None:
-        for _ in range(max_chunks):
-            if self._checkpoint_ready():
-                return
-            self.run_us(chunk_us)
-        raise CheckpointError(
-            f"{self.label}: fabric failed to reach quiescence after "
-            f"{max_chunks} drain chunks of {chunk_us}us")
 
     def _checkpoint_ready(self) -> bool:
         if not self.quiescent():

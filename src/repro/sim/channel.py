@@ -31,9 +31,9 @@ delivery *ticks* are bit-identical to the single-process
 (``tests/test_dist_shard_equivalence.py``) pins the end-to-end result.
 
 The epoch machinery is split into ``begin_epoch`` / ``finish_epoch`` so
-the identical code path runs under :class:`InProcessCoupler` (unit and
-hypothesis tests, no processes involved) and under the multiprocess
-shard runner in :mod:`repro.dist.shard`.
+the identical code path runs under :class:`InProcessCoupler` (several
+simulations coupled in one process) and under the multiprocess shard
+runner in :mod:`repro.dist.shard`.
 """
 
 from __future__ import annotations
@@ -369,21 +369,16 @@ class ChannelGroup:
             incoming = exchange(self.epoch, horizon, outgoing)
             self.finish_epoch(horizon, incoming)
 
-    @property
-    def in_flight(self) -> int:
-        """Frames somewhere between a local device and a peer device."""
-        return sum(h.in_flight for h in self.halves)
-
 
 class InProcessCoupler:
     """Run several shards' channel groups in lockstep in one process.
 
-    The unit-test and hypothesis harness for the channel layer: no
-    processes, no queues — epochs are exchanged by routing each group's
-    outgoing batches straight into the peer group.  The per-epoch code
-    path (``begin_epoch`` / ``finish_epoch``) is exactly what the
-    multiprocess shard runner drives, so properties proven here hold
-    for the real transport too.
+    The in-process coupler: dist-gem5-style simulations (paper Fig 1a)
+    sharing one Python process, with no processes or queues — each
+    group's outgoing batches route straight into the peer group.  The
+    per-epoch code path (``begin_epoch`` / ``finish_epoch``) is exactly
+    what the multiprocess shard runner drives, so properties proven here
+    hold for the real transport too.
     """
 
     def __init__(self, groups: Dict[int, ChannelGroup]) -> None:

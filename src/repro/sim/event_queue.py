@@ -222,27 +222,22 @@ class EventQueue:
         """Convenience: wrap ``callback`` in a fresh event ``delay`` ticks out."""
         return self.schedule_after(Event(callback, name=name), delay)
 
-    def _drop_cancelled(self) -> None:
-        """Discard dead entries from both queue heads."""
-        fifo = self._fifo
+    def _head(self) -> Optional[tuple]:
+        """The next live entry (not popped), or None.  Discards dead
+        entries from both queue heads on the way."""
+        fifo, heap = self._fifo, self._heap
         while fifo:
             entry = fifo[0]
             event = entry[3]
             if event._scheduled and entry[4] == event._gen:
                 break
             fifo.popleft()
-        heap = self._heap
         while heap:
             entry = heap[0]
             event = entry[3]
             if event._scheduled and entry[4] == event._gen:
                 break
             heapq.heappop(heap)
-
-    def _head(self) -> Optional[tuple]:
-        """The next live entry (not popped), or None."""
-        self._drop_cancelled()
-        fifo, heap = self._fifo, self._heap
         if fifo and (not heap or fifo[0] < heap[0]):
             return fifo[0]
         return heap[0] if heap else None
@@ -274,24 +269,9 @@ class EventQueue:
 
     def step(self) -> bool:
         """Execute the next event.  Returns False if the queue is empty."""
-        head = self._head()
-        if head is None:
-            return False
-        if head is (self._fifo[0] if self._fifo else None):
-            self._fifo.popleft()
-        else:
-            heapq.heappop(self._heap)
-        when, _prio, _seq, event, _gen = head
-        self._now = when
-        event._scheduled = False
-        event._gen += 1
-        self._live -= 1
-        self._fired += 1
-        event.callback()
-        hook = self.on_event
-        if hook is not None:
-            hook(event)
-        return True
+        fired = self._fired
+        self.run(max_events=1)
+        return self._fired != fired
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` is passed, or

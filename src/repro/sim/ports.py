@@ -230,11 +230,9 @@ class PacketPort(Port):
 
     Packet ports bind peer-to-peer through an
     :class:`~repro.nic.phy.EtherLink` (or, when the far end lives in
-    another simulation, a proxy that stands in for the remote half of
-    the cable: a :class:`~repro.system.dist.DistPortAdapter` within one
-    process, a :class:`~repro.sim.channel.ChannelHalf` across
-    processes), which supplies the binding's bandwidth/latency
-    metadata.
+    another simulation, a :class:`~repro.sim.channel.ChannelHalf` that
+    stands in for the remote half of the cable), which supplies the
+    binding's bandwidth/latency metadata.
     """
 
     def __init__(self, owner, name: str, external: bool = False) -> None:

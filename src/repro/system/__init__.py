@@ -24,7 +24,6 @@ from repro.system.presets import (
 )
 from repro.system.node import DpdkNode, KernelNode, NodeBuildError
 from repro.system.dual_mode import DualModeResult, run_dual_mode_comparison
-from repro.system.dist import DistCoordinator, DistEtherLink
 from repro.system.topology import (
     Platform,
     Topology,
@@ -50,8 +49,6 @@ __all__ = [
     "NodeBuildError",
     "DualModeResult",
     "run_dual_mode_comparison",
-    "DistCoordinator",
-    "DistEtherLink",
     "Platform",
     "Topology",
     "TopologyError",

@@ -3,9 +3,12 @@
 A shard that dies mid-epoch must surface as a :class:`ShardCrashError`
 naming the dead shard — promptly (the coordinator polls liveness while
 waiting on responses, it does not sit out a full command timeout) — and
-teardown must leave neither deadlocked peers nor orphan processes.
+teardown must leave neither deadlocked peers nor orphan processes.  A
+frame lost *between* shards must fail the run: no shard's own
+conservation law can see it.
 """
 
+import itertools
 import multiprocessing
 import time
 
@@ -13,12 +16,21 @@ import pytest
 
 from repro.dist import ShardCrashError
 from repro.dist.shard import run_fabric_sharded
+from repro.sim.channel import ChannelHalf
+from repro.sim.invariants import InvariantViolation
 from repro.system.presets import gem5_default
 
 
-def _shard_children():
-    return [p for p in multiprocessing.active_children()
-            if p.name.startswith("repro-shard-")]
+def _assert_no_shard_children():
+    """Every worker process is joined or killed within a few seconds."""
+    deadline = time.monotonic() + 5.0
+    while True:
+        alive = [p for p in multiprocessing.active_children()
+                 if p.name.startswith("repro-shard-")]
+        if not alive or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert alive == []
 
 
 def _run_with_crash(crash, shards=2):
@@ -42,27 +54,37 @@ def test_crash_mid_epoch_raises_named_error_without_orphans():
     # peer-receive backstop.
     assert elapsed < 30.0, f"crash detection took {elapsed:.1f}s"
 
-    # No orphans: every worker process is joined or killed.
-    deadline = time.monotonic() + 5.0
-    while _shard_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert _shard_children() == []
+    # No orphans.
+    _assert_no_shard_children()
 
 
 def test_crash_in_first_epoch_of_four_shards():
     with pytest.raises(ShardCrashError) as excinfo:
         _run_with_crash(crash=(3, 0), shards=4)
     assert excinfo.value.shard_id == 3
-    deadline = time.monotonic() + 5.0
-    while _shard_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert _shard_children() == []
+    _assert_no_shard_children()
 
 
 def test_clean_run_leaves_no_processes_behind():
     result = _run_with_crash(crash=None)
     assert result.flows_completed > 0
-    deadline = time.monotonic() + 5.0
-    while _shard_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert _shard_children() == []
+    _assert_no_shard_children()
+
+
+def test_frame_lost_between_shards_fails_the_run(monkeypatch):
+    """Drop the 20th frame shard 1 receives from shard 0.  Each shard's
+    flow-conservation law still balances (the frame left one shard and
+    never entered the other), so only the merged channel tally can see
+    the loss — in every invariant mode."""
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "off")
+    inject = ChannelHalf.inject
+    from_shard0 = itertools.count(1)
+
+    def lossy_inject(half, deliver_at, frame):
+        if half.peer_shard != 0 or next(from_shard0) != 20:
+            inject(half, deliver_at, frame)
+
+    # Patched before the shards fork, so every shard inherits it.
+    monkeypatch.setattr(ChannelHalf, "inject", lossy_inject)
+    with pytest.raises(InvariantViolation, match="dist.shard: .*channel"):
+        _run_with_crash(crash=None)

@@ -1,12 +1,14 @@
 """Failure paths of the parallel sweep executor.
 
-The ``_poison_*`` sweep point kinds inject worker misbehaviour without
-running any simulation:
+The ``_poison_*`` sweep point kinds (installed by the ``poison_kinds``
+fixture in ``conftest.py``) inject worker misbehaviour without running
+any simulation:
 
 - ``_poison_raise``       the handler raises (in worker and in-process)
 - ``_poison_hang``        the handler sleeps forever (timeout path)
-- ``_poison_hang_once``   hangs on its first attempt only (timeout ->
-                          clean retry succeeds)
+- ``_poison_hang_once``   hangs on its first attempt only, stamping the
+                          flag file named in ``app_options["flag"]``
+                          (timeout -> clean retry succeeds)
 - ``_poison_child_crash`` hard ``os._exit`` in a worker, succeeds
                           in-process (crash -> retry -> serial fallback)
 - ``_poison_crash``       hard ``os._exit`` in a worker AND raises
@@ -35,9 +37,11 @@ from repro.harness.parallel import (
     cache_key,
     fixed_load_point,
 )
-from repro.harness.runner import _fixed_load_plan, build_node
-from repro.harness.warmup_cache import WarmupCache, warmup_key
+from repro.harness.runner import fixed_load_warm_start
+from repro.harness.warmup_cache import WarmupCache
 from repro.system.presets import gem5_default
+
+pytestmark = pytest.mark.usefixtures("poison_kinds")
 
 
 def _poison(kind: str, n: int = 1):
@@ -264,18 +268,13 @@ class TestWorkerWarmRestore:
         warm_dir = tmp_path / "warm"
         cache = WarmupCache(warm_dir)
         seed = points[0].effective_seed
-        impostor_node = build_node(config, "touchfwd", seed=seed)
-        impostor_node.attach_loadgen()
-        impostor_node.start()
-        impostor_node.warmup_and_reset(
-            _fixed_load_plan(config, 256, True, None))
-        impostor = impostor_node.checkpoint()
-        impostor_app = impostor["meta"]["app"]
-        plan = _fixed_load_plan(config, 256, True, None)
-        probe = build_node(config, "testpmd", seed=seed)
-        key = warmup_key(config, "testpmd", 256, None, plan, seed,
-                         probe.sim.tracer._options_signature())
-        cache.put(key, impostor)
+        impostor = fixed_load_warm_start(config, "touchfwd", 256, seed=seed)
+        impostor_node = impostor.build()
+        impostor.warm(impostor_node)
+        impostor_app = impostor_node.checkpoint()["meta"]["app"]
+        target = fixed_load_warm_start(config, "testpmd", 256, seed=seed)
+        key = target.key(target.build())
+        cache.put(key, impostor_node.checkpoint())
 
         ex = SweepExecutor(jobs=2, timeout_s=120.0,
                            warmup_cache_dir=warm_dir)

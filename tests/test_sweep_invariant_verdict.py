@@ -3,7 +3,8 @@
 A sweep point whose simulation violates a conservation invariant must
 fail the sweep with :class:`SweepInvariantError` *naming the offending
 point* — not a generic worker traceback — on both the serial and the
-parallel path.  The ``_poison_invariant`` kind injects the violation
+parallel path.  The ``_poison_invariant`` kind (installed by the
+``poison_kinds`` fixture in ``conftest.py``) injects the violation
 without running a simulation; the end-to-end case corrupts a real
 component inside a real run.
 """
@@ -19,6 +20,8 @@ from repro.harness.parallel import (
 )
 from repro.nic.fifo import PacketByteFifo
 from repro.system.presets import gem5_default
+
+pytestmark = pytest.mark.usefixtures("poison_kinds")
 
 
 def _poison_points(n=1):

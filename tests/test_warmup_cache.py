@@ -9,10 +9,18 @@ import os
 
 import pytest
 
-from repro.harness.parallel import SweepExecutor, fixed_load_point
+from repro.harness.parallel import (
+    SweepExecutor,
+    execute_point,
+    fabric_point,
+    fixed_load_point,
+    memcached_point,
+    msb_point,
+    prewarm_point,
+)
 from repro.harness.runner import (
     _fixed_load_plan,
-    build_node,
+    fixed_load_warm_start,
     run_fixed_load,
 )
 from repro.harness.warmup_cache import (
@@ -122,16 +130,12 @@ class TestCorruptionRecovery:
 
         # Forge a valid-looking entry under testpmd's key whose payload
         # belongs to a different application.
-        node = build_node(config, "touchfwd", seed=0)
-        node.attach_loadgen()
-        node.start()
-        node.warmup_and_reset(_fixed_load_plan(config, 256, True, None))
-        impostor = node.checkpoint()
-        plan = _fixed_load_plan(config, 256, True, None)
-        probe = build_node(config, "testpmd", seed=0)
-        key = warmup_key(config, "testpmd", 256, None, plan, 0,
-                         probe.sim.tracer._options_signature())
-        cache.put(key, impostor)
+        impostor = fixed_load_warm_start(config, "touchfwd", 256)
+        node = impostor.build()
+        impostor.warm(node)
+        target = fixed_load_warm_start(config, "testpmd", 256)
+        key = target.key(target.build())
+        cache.put(key, node.checkpoint())
 
         result = _reference(config, warmup_cache=cache)
         assert result == expected
@@ -182,3 +186,45 @@ class TestEnvironmentPlumbing:
                 for gbps in (6.0, 8.0, 10.0)])
         # Same rng_label => same effective seed => one shared snapshot.
         assert len(list(tmp_path.glob("warmup-*.json"))) == 1
+
+
+#: One small point per kind that shares warm-ups across a sweep.  The MSB
+#: ceiling sits below the node's capacity so the search stops after its
+#: first probe, which is the one the sweep prewarms.
+CONTRACT_POINTS = {
+    "fixed_load": lambda c: fixed_load_point(c, "testpmd", 256, 8.0,
+                                             n_packets=400),
+    "msb": lambda c: msb_point(c, "testpmd", 256, max_gbps=2.0,
+                               n_packets=400),
+    "memcached": lambda c: memcached_point(c, False, 150_000.0,
+                                           n_requests=400),
+    "fabric": lambda c: fabric_point(c, "leaf-spine", "dpdk", load=0.3,
+                                     n_flows=60),
+}
+
+
+class TestPrewarmRunKeyContract:
+    """``prewarm_point`` must store exactly the snapshot the point's run
+    looks up: if the two keys drift apart, every sweep worker silently
+    re-simulates its warm-up instead of restoring it."""
+
+    @pytest.mark.parametrize("kind", sorted(CONTRACT_POINTS))
+    def test_run_restores_the_prewarmed_snapshot(self, kind, monkeypatch,
+                                                 tmp_path):
+        point = CONTRACT_POINTS[kind](gem5_default())
+        monkeypatch.delenv(WARMUP_CACHE_ENV, raising=False)
+        cold = dataclasses.asdict(execute_point(point))
+
+        monkeypatch.setenv(WARMUP_CACHE_ENV, str(tmp_path))
+        assert prewarm_point(point) is True
+        entries = sorted(tmp_path.glob("warmup-*.json"))
+        assert len(entries) == 1
+        assert prewarm_point(point) is False
+
+        cache = warmup_cache_from_env()
+        saves, hits = cache.saves, cache.hits
+        warm = dataclasses.asdict(execute_point(point))
+        assert sorted(tmp_path.glob("warmup-*.json")) == entries
+        assert cache.saves == saves, "the run simulated its own warm-up"
+        assert cache.hits == hits + 1
+        assert warm == cold
