@@ -1,14 +1,14 @@
 """Acceptance benchmark for the parallel sweep executor.
 
 A six-point TestPMD bandwidth sweep is pushed through the executor three
-ways — serial, persistent-worker ``jobs=4`` with a shared warm-up cache,
-and warm result-cache replay — and must produce bit-identical results
-each time.  The parallel mode must beat serial wall-clock even on a
-single core: its workers fork after the parent has prewarmed the sweep's
-shared warm-up checkpoint, so the six points pay for one warm-up instead
-of six.  The warm-replay run must execute zero simulations and reports
-its (near-zero) wall time and hit count honestly — it measures cache
-lookup cost, not simulation speed.
+ways — serial, ``jobs=4`` (one forked child per point) with a shared
+warm-up cache, and warm result-cache replay — and must produce
+bit-identical results each time.  The parallel mode must beat serial
+wall-clock even on a single core: its children fork after the parent
+has prewarmed the sweep's shared warm-up checkpoint, so the six points
+pay for one warm-up instead of six.  The warm-replay run must execute
+zero simulations and reports its (near-zero) wall time and hit count
+honestly — it measures cache lookup cost, not simulation speed.
 
 A single-run speed gate rides along: one 600-packet TestPMD run must
 stay at least 1.3x faster than the pre-batching baseline recorded below,
@@ -59,14 +59,14 @@ def test_parallel_executor_acceptance(benchmark, tmp_path, save_result):
     speedup = PRE_BATCHING_SINGLE_RUN_S / single_s
 
     # Best-of-2 for the compared rows: single-core hosts time-share the
-    # workers, so one noisy round must not decide the verdict.
+    # children, so one noisy round must not decide the verdict.
     serial_ex = SweepExecutor(jobs=1)
     t0 = time.monotonic()
     serial = serial_ex.run(points)
     serial_s = min(time.monotonic() - t0,
                    _best_of(1, lambda: SweepExecutor(jobs=1).run(points)))
 
-    # jobs>1 provisions its own ephemeral warm-up cache: workers fork
+    # jobs>1 provisions its own ephemeral warm-up cache: children fork
     # after the parent prewarms the sweep's shared warm-up checkpoint.
     warm_round_ex = SweepExecutor(jobs=4, timeout_s=300.0)
     t0 = time.monotonic()
@@ -117,12 +117,12 @@ def test_parallel_executor_acceptance(benchmark, tmp_path, save_result):
           cached_ex.stats.executed, cached_ex.stats.cache_hits]]))
 
     # The headline claims, asserted on every host: the batched hot path
-    # holds its recorded speedup, and the persistent-worker sweep beats
-    # serial even single-core (one shared warm-up instead of six).
+    # holds its recorded speedup, and the jobs=4 sweep beats serial
+    # even single-core (one shared warm-up instead of six).
     assert speedup >= SINGLE_RUN_MIN_SPEEDUP, (
         f"single 600-packet run took {single_s:.2f}s; needs >= "
         f"{SINGLE_RUN_MIN_SPEEDUP}x over the recorded "
         f"{PRE_BATCHING_SINGLE_RUN_S}s pre-batching baseline")
     assert parallel_s < serial_s, (
         f"jobs=4 ({parallel_s:.2f}s) should beat serial "
-        f"({serial_s:.2f}s): workers share one prewarmed checkpoint")
+        f"({serial_s:.2f}s): children share one prewarmed checkpoint")

@@ -39,11 +39,10 @@ the shard is raised.  No deadlocked peers, no orphan processes.
 
 from __future__ import annotations
 
-import os
 import queue as queue_lib
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.harness.fabric import (
     FabricRunResult,
@@ -172,8 +171,7 @@ def _status(fabric) -> dict:
 def _shard_worker(shard_id: int, plan: ShardPlan, config: SystemConfig,
                   preset: str, stack: str, seed: int,
                   cmd_q, resp_q, send_qs: Dict[int, object],
-                  recv_qs: Dict[int, object],
-                  crash: Optional[Tuple[int, int]]) -> None:
+                  recv_qs: Dict[int, object]) -> None:
     """One shard process: build the slice, serve coordinator commands,
     exchange epoch batches with peer shards."""
     try:
@@ -183,10 +181,6 @@ def _shard_worker(shard_id: int, plan: ShardPlan, config: SystemConfig,
         neighbors = group.neighbors()
 
         def exchange(epoch: int, horizon: int, outgoing):
-            if crash is not None and crash == (shard_id, epoch):
-                # Test hook: die without a word, mid-epoch, with peers
-                # waiting on our batch.
-                os._exit(23)
             for peer in neighbors:
                 send_qs[peer].put((epoch, shard_id, outgoing.get(peer, [])))
             incoming = []
@@ -247,8 +241,7 @@ class _ShardCoordinator:
     runs the single-process phase loop over the shards' merged status."""
 
     def __init__(self, plan: ShardPlan, config: SystemConfig, preset: str,
-                 stack: str, seed: int,
-                 crash: Optional[Tuple[int, int]] = None) -> None:
+                 stack: str, seed: int) -> None:
         self.plan = plan
         self.now = 0
         self.warm_plan = FabricWarmupPlan()
@@ -266,8 +259,7 @@ class _ShardCoordinator:
             proc = ctx.Process(
                 target=_shard_worker, name=f"repro-shard-{i}", daemon=True,
                 args=(i, plan, config, preset, stack, seed,
-                      self.cmd_qs[i], self.resp_qs[i], send_qs, recv_qs,
-                      crash))
+                      self.cmd_qs[i], self.resp_qs[i], send_qs, recv_qs))
             proc.start()
             self.procs.append(proc)
 
@@ -361,9 +353,7 @@ def run_fabric_sharded(config: SystemConfig, preset: str, stack: str,
                        pattern: str = "uniform", load: float = 0.3,
                        n_flows: int = 200, size_cdf: str = "smoke",
                        seed: int = 0, shards: int = 2,
-                       warmup_cache=None,
-                       _crash: Optional[Tuple[int, int]] = None
-                       ) -> FabricRunResult:
+                       warmup_cache=None) -> FabricRunResult:
     """Run one fabric flow phase split over ``shards`` processes.
 
     Same contract as :func:`repro.harness.fabric.run_fabric` — same
@@ -372,9 +362,6 @@ def run_fabric_sharded(config: SystemConfig, preset: str, stack: str,
     checkpoint cache is not used in sharded mode (warm-up is simulated
     in the shards every run); ``warmup_cache`` only applies to the
     ``shards <= 1`` fallback, which delegates to :func:`run_fabric`.
-
-    ``_crash`` is a failure-injection hook for the crash-path tests:
-    ``(shard_id, epoch)`` makes that shard exit mid-epoch.
     """
     if shards <= 1:
         return run_fabric(config, preset, stack, pattern=pattern, load=load,
@@ -383,8 +370,7 @@ def run_fabric_sharded(config: SystemConfig, preset: str, stack: str,
     fab_cfg = fabric_config_for(config, preset, stack)
     plan = plan_fabric_shards(fab_cfg, shards)
     resolve_size_cdf(size_cdf)   # fail fast on unknown names
-    coordinator = _ShardCoordinator(plan, config, preset, stack, seed,
-                                    crash=_crash)
+    coordinator = _ShardCoordinator(plan, config, preset, stack, seed)
     try:
         coordinator.run_phase(_warm_gen_config(coordinator.warm_plan),
                               "warm-up")

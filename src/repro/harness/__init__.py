@@ -30,7 +30,6 @@ from repro.harness.parallel import (
     fixed_load_point,
     memcached_point,
     msb_point,
-    run_points,
 )
 from repro.harness.report import (
     format_executor_summary,
@@ -59,7 +58,6 @@ __all__ = [
     "fixed_load_point",
     "memcached_point",
     "msb_point",
-    "run_points",
     "format_executor_summary",
     "format_series",
     "format_table",

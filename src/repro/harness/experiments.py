@@ -9,10 +9,10 @@ Experiment scope knobs: most functions accept ``packet_sizes`` /
 for resolution; defaults are sized to finish the whole suite in minutes.
 
 Every figure is a sweep of independent simulation points, so each
-function also accepts ``jobs`` / ``cache_dir`` / ``executor`` and routes
-its points through :class:`repro.harness.parallel.SweepExecutor`: with
-``jobs=N`` the whole figure fans out across N worker processes, and with
-a cache directory re-runs of unchanged points replay from disk.  The
+function also accepts ``jobs`` / ``cache_dir`` and routes its points
+through :class:`repro.harness.parallel.SweepExecutor`: with ``jobs=N``
+the whole figure fans out across up to N child processes, and with a
+cache directory re-runs of unchanged points replay from disk.  The
 defaults (``jobs=1``, no cache) are the serial reference path and return
 bit-identical results to the parallel one.
 """
@@ -62,11 +62,6 @@ SENSITIVITY_SIZES = [128, 256, 512, 1024, 1518]
 
 def _app_name(key: str) -> str:
     return "rxptx" if key.startswith("rxptx") else key
-
-
-def _executor(jobs: int, cache_dir, executor) -> SweepExecutor:
-    """The executor a figure runs through (caller-supplied or fresh)."""
-    return executor or SweepExecutor(jobs=jobs, cache_dir=cache_dir)
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +121,7 @@ FIG5_WORKLOADS: List[Tuple[str, str, int, Optional[dict]]] = [
 
 def fig5_drop_breakdown(n_packets: int = 2000,
                         config: Optional[SystemConfig] = None,
-                        jobs: int = 1, cache_dir=None, executor=None
+                        jobs: int = 1, cache_dir=None
                         ) -> Dict[str, Dict[str, float]]:
     """Drop-cause fractions at the knee rate for each workload.
 
@@ -138,7 +133,7 @@ def fig5_drop_breakdown(n_packets: int = 2000,
     response stream to measure drops against), then all overload runs.
     """
     config = config or gem5_default()
-    ex = _executor(jobs, cache_dir, executor)
+    ex = SweepExecutor(jobs=jobs, cache_dir=cache_dir)
 
     def knee_spec(app: str, size: int, options: Optional[dict]):
         if app == "touchdrop":
@@ -218,39 +213,39 @@ def _bw_drop_figure(app: str, app_options: Optional[dict],
 def fig6_testpmd_bw_drop(packet_sizes: Sequence[int] = (64, 256, 1518),
                          rates: Sequence[float] = (5, 15, 25, 35, 45, 55, 65),
                          n_packets: int = 1200, jobs: int = 1,
-                         cache_dir=None, executor=None):
+                         cache_dir=None):
     """TestPMD bandwidth vs drop rate, gem5 vs altra."""
     return _bw_drop_figure("testpmd", None, packet_sizes, rates, n_packets,
-                           _executor(jobs, cache_dir, executor))
+                           SweepExecutor(jobs=jobs, cache_dir=cache_dir))
 
 
 def fig7_touchfwd_bw_drop(packet_sizes: Sequence[int] = (64, 256, 1518),
                           rates: Sequence[float] = (2, 4, 6, 8, 10, 12, 14),
                           n_packets: int = 1200, jobs: int = 1,
-                          cache_dir=None, executor=None):
+                          cache_dir=None):
     """TouchFwd bandwidth vs drop rate, gem5 vs altra."""
     return _bw_drop_figure("touchfwd", None, packet_sizes, rates, n_packets,
-                           _executor(jobs, cache_dir, executor))
+                           SweepExecutor(jobs=jobs, cache_dir=cache_dir))
 
 
 def fig8_rxptx10ns_bw_drop(packet_sizes: Sequence[int] = (64, 256, 1518),
                            rates: Sequence[float] = (5, 15, 25, 35, 45, 55, 65),
                            n_packets: int = 1200, jobs: int = 1,
-                           cache_dir=None, executor=None):
+                           cache_dir=None):
     """RXpTX (10ns processing) bandwidth vs drop rate."""
     return _bw_drop_figure("rxptx", {"proc_time_ns": 10.0}, packet_sizes,
                            rates, n_packets,
-                           _executor(jobs, cache_dir, executor))
+                           SweepExecutor(jobs=jobs, cache_dir=cache_dir))
 
 
 def fig9_rxptx1us_bw_drop(packet_sizes: Sequence[int] = (64, 256, 1518),
                           rates: Sequence[float] = (2, 6, 10, 15, 25, 40, 55),
                           n_packets: int = 1200, jobs: int = 1,
-                          cache_dir=None, executor=None):
+                          cache_dir=None):
     """RXpTX (1us processing) bandwidth vs drop rate."""
     return _bw_drop_figure("rxptx", {"proc_time_ns": 1000.0}, packet_sizes,
                            rates, n_packets,
-                           _executor(jobs, cache_dir, executor))
+                           SweepExecutor(jobs=jobs, cache_dir=cache_dir))
 
 
 # ----------------------------------------------------------------------
@@ -260,14 +255,13 @@ def fig9_rxptx1us_bw_drop(packet_sizes: Sequence[int] = (64, 256, 1518),
 def _cache_sensitivity(variants: Dict[str, SystemConfig],
                        packet_sizes: Sequence[int],
                        memcached_probe: Dict[str, float],
-                       ex: Optional[SweepExecutor] = None
+                       ex: SweepExecutor
                        ) -> Dict[str, Dict[str, List[Tuple[int, float]]]]:
     """MSB per app per cache variant, plus memcached RPS.
 
     Every (app x variant x size) MSB search and every memcached probe is
     an independent point; the whole figure runs as one fan-out batch.
     """
-    ex = ex or SweepExecutor()
     batch = []
     for app_key, _app_label, ceiling, options in SENSITIVITY_APPS:
         app = _app_name(app_key)
@@ -305,17 +299,17 @@ MEMCACHED_PROBE = {"dpdk": 900_000.0, "kernel": 330_000.0}
 
 
 def fig10_l1_sensitivity(packet_sizes: Sequence[int] = (128, 512, 1518),
-                         jobs: int = 1, cache_dir=None, executor=None):
+                         jobs: int = 1, cache_dir=None):
     """MSB/RPS vs L1 cache size (16KiB - 1MiB)."""
     base = gem5_default()
     variants = {f"{s // KIB}KiB-L1": with_l1_size(base, s)
                 for s in (16 * KIB, 128 * KIB, 256 * KIB, 1 * MIB)}
     return _cache_sensitivity(variants, packet_sizes, MEMCACHED_PROBE,
-                              _executor(jobs, cache_dir, executor))
+                              SweepExecutor(jobs=jobs, cache_dir=cache_dir))
 
 
 def fig11_l2_sensitivity(packet_sizes: Sequence[int] = (128, 512, 1518),
-                         jobs: int = 1, cache_dir=None, executor=None):
+                         jobs: int = 1, cache_dir=None):
     """MSB/RPS vs L2 cache size (256KiB - 8MiB)."""
     base = gem5_default()
     variants = {}
@@ -324,17 +318,17 @@ def fig11_l2_sensitivity(packet_sizes: Sequence[int] = (128, 512, 1518),
                 else f"{size // MIB}MiB-L2")
         variants[name] = with_l2_size(base, size)
     return _cache_sensitivity(variants, packet_sizes, MEMCACHED_PROBE,
-                              _executor(jobs, cache_dir, executor))
+                              SweepExecutor(jobs=jobs, cache_dir=cache_dir))
 
 
 def fig12_llc_sensitivity(packet_sizes: Sequence[int] = (128, 512, 1518),
-                          jobs: int = 1, cache_dir=None, executor=None):
+                          jobs: int = 1, cache_dir=None):
     """MSB/RPS vs LLC size (4MiB - 64MiB)."""
     base = gem5_default()
     variants = {f"{s // MIB}MiB-LLC": with_llc_size(base, s)
                 for s in (4 * MIB, 16 * MIB, 32 * MIB, 64 * MIB)}
     return _cache_sensitivity(variants, packet_sizes, MEMCACHED_PROBE,
-                              _executor(jobs, cache_dir, executor))
+                              SweepExecutor(jobs=jobs, cache_dir=cache_dir))
 
 
 # ----------------------------------------------------------------------
@@ -345,8 +339,8 @@ def fig13_dca_proctime(
         packet_sizes: Sequence[int] = (64, 256, 1518),
         proc_times_ns: Sequence[float] = (10, 100, 300, 500, 700,
                                           1000, 3000, 5000, 10000),
-        n_packets: int = 2500, jobs: int = 1, cache_dir=None,
-        executor=None) -> Dict[str, List[Tuple[float, float, float]]]:
+        n_packets: int = 2500, jobs: int = 1,
+        cache_dir=None) -> Dict[str, List[Tuple[float, float, float]]]:
     """Drop rate and LLC miss rate vs per-burst processing time.
 
     Ring 4096 entries, LLC fixed at 1MiB, DCA 4/16 ways (256KiB of LLC
@@ -354,7 +348,7 @@ def fig13_dca_proctime(
     batches: the per-size MSB anchors, then the full size x proc-time
     grid.
     """
-    ex = _executor(jobs, cache_dir, executor)
+    ex = SweepExecutor(jobs=jobs, cache_dir=cache_dir)
     base = with_llc_size(gem5_default(), 1 * MIB)
     config = base.variant(
         nic=replace(base.nic, rx_ring_size=4096, tx_ring_size=4096),
@@ -387,13 +381,13 @@ def fig13_dca_proctime(
 # ----------------------------------------------------------------------
 
 def fig14_dca_sensitivity(packet_sizes: Sequence[int] = SENSITIVITY_SIZES,
-                          jobs: int = 1, cache_dir=None, executor=None):
+                          jobs: int = 1, cache_dir=None):
     """MSB/RPS with DCA enabled vs disabled."""
     base = gem5_default()
     variants = {"ddio-enabled": with_dca(base, True),
                 "ddio-disabled": with_dca(base, False)}
     return _cache_sensitivity(variants, packet_sizes, MEMCACHED_PROBE,
-                              _executor(jobs, cache_dir, executor))
+                              SweepExecutor(jobs=jobs, cache_dir=cache_dir))
 
 
 # ----------------------------------------------------------------------
@@ -402,13 +396,13 @@ def fig14_dca_sensitivity(packet_sizes: Sequence[int] = SENSITIVITY_SIZES,
 
 def fig15_frequency(packet_sizes: Sequence[int] = (128, 512, 1518),
                     freqs_ghz: Sequence[float] = (1.0, 2.0, 4.0),
-                    jobs: int = 1, cache_dir=None, executor=None):
+                    jobs: int = 1, cache_dir=None):
     """MSB/RPS vs core frequency."""
     base = gem5_default()
     variants = {f"{f:.0f}GHz": with_frequency(base, f * 1e9)
                 for f in freqs_ghz}
     return _cache_sensitivity(variants, packet_sizes, MEMCACHED_PROBE,
-                              _executor(jobs, cache_dir, executor))
+                              SweepExecutor(jobs=jobs, cache_dir=cache_dir))
 
 
 # ----------------------------------------------------------------------
@@ -416,13 +410,13 @@ def fig15_frequency(packet_sizes: Sequence[int] = (128, 512, 1518),
 # ----------------------------------------------------------------------
 
 def fig16_core_uarch(packet_sizes: Sequence[int] = (128, 1518),
-                     jobs: int = 1, cache_dir=None, executor=None):
+                     jobs: int = 1, cache_dir=None):
     """MSB/RPS for out-of-order vs in-order cores."""
     base = gem5_default()
     variants = {"OoO Core": with_core(base, ooo=True),
                 "In-Order Core": with_core(base, ooo=False)}
     return _cache_sensitivity(variants, packet_sizes, MEMCACHED_PROBE,
-                              _executor(jobs, cache_dir, executor))
+                              SweepExecutor(jobs=jobs, cache_dir=cache_dir))
 
 
 # ----------------------------------------------------------------------
@@ -456,22 +450,22 @@ def _fig17_sweep(base: SystemConfig, packet_sizes: Sequence[int],
 
 def fig17_channels(packet_sizes: Sequence[int] = (128, 1518),
                    channels: Sequence[int] = (1, 4, 8, 16),
-                   jobs: int = 1, cache_dir=None, executor=None
+                   jobs: int = 1, cache_dir=None
                    ) -> Dict[str, Dict[str, List[Tuple[int, float]]]]:
     """MSB vs number of DRAM channels; DCA disabled so DRAM bandwidth
     utilization is apparent (paper Fig 17a-c)."""
     return _fig17_sweep(with_dca(gem5_default(), False), packet_sizes,
                         channels, with_dram_channels,
-                        _executor(jobs, cache_dir, executor))
+                        SweepExecutor(jobs=jobs, cache_dir=cache_dir))
 
 
 def fig17_rob(packet_sizes: Sequence[int] = (128, 1518),
               robs: Sequence[int] = (32, 128, 256, 512),
-              jobs: int = 1, cache_dir=None, executor=None
+              jobs: int = 1, cache_dir=None
               ) -> Dict[str, Dict[str, List[Tuple[int, float]]]]:
     """MSB vs ROB entries (paper Fig 17d-f)."""
     return _fig17_sweep(gem5_default(), packet_sizes, robs, with_rob,
-                        _executor(jobs, cache_dir, executor))
+                        SweepExecutor(jobs=jobs, cache_dir=cache_dir))
 
 
 # ----------------------------------------------------------------------
@@ -481,10 +475,10 @@ def fig17_rob(packet_sizes: Sequence[int] = (128, 1518),
 def fig18_memcached_rps(
         rps_points: Sequence[float] = (100_000, 200_000, 300_000, 400_000,
                                        500_000, 600_000, 700_000, 800_000),
-        n_requests: int = 2500, jobs: int = 1, cache_dir=None,
-        executor=None) -> Dict[str, List[Tuple[float, float]]]:
+        n_requests: int = 2500, jobs: int = 1,
+        cache_dir=None) -> Dict[str, List[Tuple[float, float]]]:
     """Requests/second vs drop rate for both memcached flavours."""
-    ex = _executor(jobs, cache_dir, executor)
+    ex = SweepExecutor(jobs=jobs, cache_dir=cache_dir)
     config = gem5_default()
     flavours = (("memcachedKernel", True), ("memcachedDpdk", False))
     grid = [(label, kernel, float(rps)) for label, kernel in flavours
@@ -498,32 +492,6 @@ def fig18_memcached_rps(
     return out
 
 
-def max_sustainable_rps(kernel: bool,
-                        rps_points: Sequence[float] = (
-                            100_000, 200_000, 300_000, 400_000, 500_000,
-                            600_000, 700_000, 800_000),
-                        drop_threshold: float = 0.01,
-                        n_requests: int = 2500, jobs: int = 1,
-                        cache_dir=None, executor=None) -> float:
-    """Highest request rate with drop rate within the threshold.
-
-    This is a search with an early exit, so points run one at a time (in
-    rate order) — but each probe still routes through the executor, so a
-    result cache makes repeated searches free.
-    """
-    ex = _executor(jobs, cache_dir, executor)
-    config = gem5_default()
-    best = 0.0
-    for rps in rps_points:
-        result = ex.run([memcached_point(config, kernel, float(rps),
-                                         n_requests=n_requests)])[0]
-        if result.drop_rate <= drop_threshold:
-            best = float(rps)
-        else:
-            break
-    return best
-
-
 # ----------------------------------------------------------------------
 # Fig 19 — memcached latency vs frequency
 # ----------------------------------------------------------------------
@@ -532,15 +500,15 @@ def fig19_memcached_latency(
         freqs_ghz: Sequence[float] = (1.0, 2.0, 3.0, 4.0),
         kernel_rps: Sequence[float] = (10_000, 80_000, 120_000, 200_000),
         dpdk_rps: Sequence[float] = (200_000, 400_000, 600_000, 700_000),
-        n_requests: int = 2000, jobs: int = 1, cache_dir=None,
-        executor=None) -> Dict[str, Dict[str, List[Tuple[float, float, float]]]]:
+        n_requests: int = 2000, jobs: int = 1, cache_dir=None
+        ) -> Dict[str, Dict[str, List[Tuple[float, float, float]]]]:
     """Normalized mean latency + drop rate vs offered RPS per frequency.
 
     Latencies are normalized to the 3GHz core at the lowest rate, as the
     paper normalizes to a 3GHz core.  The full flavour x frequency x rate
     grid is one fan-out batch; normalization happens afterwards.
     """
-    ex = _executor(jobs, cache_dir, executor)
+    ex = SweepExecutor(jobs=jobs, cache_dir=cache_dir)
     grid = [(label, kernel, freq, float(rps))
             for label, kernel, rps_list in (
                 ("MemcachedKernel", True, kernel_rps),
@@ -598,10 +566,10 @@ def fig20_loadgen_speedup(freqs_ghz: Sequence[float] = (1.0, 3.0),
 # ----------------------------------------------------------------------
 
 def headline_speedup(packet_size: int = 1518, jobs: int = 1,
-                     cache_dir=None, executor=None) -> Dict[str, float]:
+                     cache_dir=None) -> Dict[str, float]:
     """The paper's headline: userspace networking improves gem5's network
     bandwidth ~6.3x over the kernel stack (§I / abstract)."""
-    ex = _executor(jobs, cache_dir, executor)
+    ex = SweepExecutor(jobs=jobs, cache_dir=cache_dir)
     config = gem5_default()
     dpdk_result, kernel_result = ex.run([
         msb_point(config, "testpmd", packet_size),

@@ -136,20 +136,19 @@ def sweep_points(config: SystemConfig, app_name: str, packet_size: int,
 def bandwidth_sweep(config: SystemConfig, app_name: str, packet_size: int,
                     rates_gbps: List[float], n_packets: int = 1500,
                     app_options: Optional[dict] = None,
-                    seed: int = 0, jobs: int = 1, cache_dir=None,
-                    executor=None) -> List[Tuple[float, float]]:
+                    seed: int = 0, executor=None) -> List[Tuple[float, float]]:
     """The bandwidth-vs-drop-rate curve (Figs 6-9): one independent
     fixed-rate run per point.  Returns (offered_gbps, drop_rate) pairs.
 
-    Points route through a :class:`~repro.harness.parallel.SweepExecutor`
-    (``jobs=1`` by default — the serial reference path), so ``jobs``/
-    ``cache_dir`` fan the sweep out across processes and replay cached
-    points for free.
+    Points route through ``executor`` (a
+    :class:`~repro.harness.parallel.SweepExecutor`; by default a serial
+    one, the reference path), so a parallel or caching executor fans
+    the sweep out across processes and replays cached points for free.
     """
     from repro.harness.parallel import SweepExecutor
     points = sweep_points(config, app_name, packet_size, rates_gbps,
                           n_packets=n_packets, app_options=app_options,
                           seed=seed)
-    ex = executor or SweepExecutor(jobs=jobs, cache_dir=cache_dir)
+    ex = executor or SweepExecutor()
     results = ex.run(points)
     return [(r.offered_gbps, r.drop_rate) for r in results]

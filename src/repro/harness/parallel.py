@@ -27,22 +27,17 @@ Three pieces:
 
 :class:`SweepExecutor`
     The scheduler.  ``jobs=1`` executes in-process (the reference serial
-    path); ``jobs>1`` runs up to ``jobs`` *persistent* worker processes.
-    Workers fork once — after the parent has prewarmed any shared
-    warm-up checkpoints, so every worker inherits the parsed snapshots
-    through copy-on-write memory — and then loop over batches of points
-    dispatched through per-worker task queues.  Each point is announced
-    with a tiny start marker (the parent's per-point timeout clock);
-    outcomes are reported once per batch, amortising result
-    serialisation.  A worker that dies without reporting (crash,
-    OOM-kill) may take the shared result queue's write lock with it, so
-    the executor charges the in-flight point with the crash and rebuilds
-    the pool around a fresh queue: the victim is retried on a fresh
-    worker, every other unreported point is requeued at its current
-    attempt, uncharged.  Once retries are exhausted a crashed point falls back to
-    in-process serial execution; exhausted timeouts raise
-    :class:`SweepTimeoutError` — a hanging simulation would hang the
-    serial fallback too.
+    path); ``jobs>1`` forks one child process per point, at most ``jobs``
+    alive at once.  Children fork after the parent has prewarmed any
+    shared warm-up checkpoints, so each inherits the parsed snapshots
+    through copy-on-write memory.  Each child sends its one outcome over
+    its own pipe, so a failure costs only its own point: a pipe that
+    closes with no outcome is that point's crash, and an expired
+    per-point deadline terminates that child alone.  Crashed and
+    timed-out points are retried; once retries are exhausted a crashed
+    point falls back to in-process serial execution, and a timed-out one
+    raises :class:`SweepTimeoutError` — a hanging simulation would hang
+    the serial fallback too.
 
 Determinism guarantee: for the same list of points, the executor returns
 the same results whether ``jobs`` is 1 or N, whether results came from
@@ -50,7 +45,7 @@ workers or the cache, and across runs — each simulation is hermetic in
 ``(config, effective seed)``.
 
 Point kinds dispatch through ``_KIND_HANDLERS``; the failure-path tests
-install their own kinds there before the executor forks its workers.
+install their own kinds there before the executor forks its children.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import queue as queue_lib
 import shutil
 import tempfile
 import time
@@ -394,8 +388,8 @@ class ResultCache:
 # ----------------------------------------------------------------------
 
 class SweepPointError(RuntimeError):
-    """A sweep point failed permanently (worker error and the serial
-    fallback failed too, or the worker raised)."""
+    """A sweep point failed permanently (its child crashed and the
+    serial fallback failed too, or the point raised)."""
 
     def __init__(self, point: SweepPoint, detail: str) -> None:
         super().__init__(f"sweep point failed: {point.describe()}\n{detail}")
@@ -414,7 +408,7 @@ class SweepInvariantError(SweepPointError):
     simulation produced inconsistent state" (a model bug at exactly this
     configuration/load) apart from infrastructure failures — and so the
     offending point's label travels with the verdict instead of a generic
-    worker traceback."""
+    child traceback."""
 
 
 @dataclass
@@ -436,47 +430,24 @@ class ExecutorStats:
         return dict(asdict(self))
 
 
-def _persistent_worker_main(task_queue, result_queue,
-                            worker_id: int) -> None:
-    """Persistent worker: loop over dispatched batches until poisoned.
+def _child_main(conn, point: SweepPoint) -> None:
+    """One forked child: run one point and send its one outcome.
 
-    Each batch is a list of ``(index, point)`` tasks; ``None`` is the
-    shutdown sentinel.  The worker announces every point with a tiny
-    ``("start", worker_id, index)`` marker — the parent's per-point
-    timeout clock — accumulates outcomes, and reports the whole batch as
-    one ``("batch", worker_id, outcomes)`` message, so the (potentially
-    large) result payloads cross the queue once per batch rather than
-    once per point.  A failing point flushes the outcomes gathered so
-    far immediately and abandons the rest of the batch: the parent
-    aborts the sweep on any error/invariant verdict, so finishing the
-    batch first would only delay it.
+    The outcome is ``("ok", payload)``, ``("invariant", verdict)`` or
+    ``("error", traceback)``.  A child that dies before sending leaves
+    the parent an empty, closed pipe: that is the point's crash.
     """
-    while True:
-        batch = task_queue.get()
-        if batch is None:
-            return
-        outcomes = []
-        failed = False
-        for index, point in batch:
-            result_queue.put(("start", worker_id, index))
-            try:
-                payload = encode_result(execute_point(point))
-            except InvariantViolation as exc:
-                # The simulation itself is inconsistent: carry the
-                # verdict (not a bare traceback) so the driver can name
-                # the offending point.
-                outcomes.append((index, "invariant", str(exc)))
-                failed = True
-            except BaseException as exc:   # report, don't kill the sweep
-                detail = (f"{type(exc).__name__}: {exc}\n"
-                          f"{traceback.format_exc()}")
-                outcomes.append((index, "error", detail))
-                failed = True
-            else:
-                outcomes.append((index, "ok", payload))
-            if failed:
-                break
-        result_queue.put(("batch", worker_id, outcomes))
+    try:
+        outcome = ("ok", encode_result(execute_point(point)))
+    except InvariantViolation as exc:
+        # The simulation itself is inconsistent: carry the verdict (not
+        # a bare traceback) so the driver can name the offending point.
+        outcome = ("invariant", str(exc))
+    except BaseException as exc:   # report, don't kill the sweep
+        outcome = ("error", f"{type(exc).__name__}: {exc}\n"
+                            f"{traceback.format_exc()}")
+    conn.send(outcome)
+    conn.close()
 
 
 def _warm_signature(point: SweepPoint):
@@ -521,37 +492,38 @@ def _default_context():
 
 
 class SweepExecutor:
-    """Runs batches of :class:`SweepPoint` with caching and fan-out.
+    """Runs lists of :class:`SweepPoint` with caching and fan-out.
 
     Parameters
     ----------
     jobs:
-        Worker process count.  ``1`` (default) executes in-process —
-        the reference serial path the parallel results must match.
+        Most child processes alive at once.  ``1`` (default) executes
+        in-process — the reference serial path the parallel results must
+        match.
     cache_dir:
         Directory for the on-disk result cache; ``None`` disables it.
     timeout_s:
-        Per-attempt wall-clock budget for one point in a worker.
+        Per-attempt wall-clock budget for one point in a child.
     max_retries:
-        Extra attempts after the first for crashed or timed-out workers.
+        Extra attempts after the first for a crashed or timed-out point.
     warmup_cache_dir:
         Directory for the shared warm-up checkpoint cache (see
         :mod:`repro.harness.warmup_cache`).  Exported around each
-        :meth:`run` so both the in-process path and worker processes
+        :meth:`run` so both the in-process path and child processes
         (which inherit the environment) pick it up.  ``None`` leaves
         the ``REPRO_WARMUP_CACHE`` environment as-is — except with
         ``jobs > 1``, where (when the environment is also unset) the
         executor provisions an *ephemeral* warm-up cache for the run:
-        warm-up sharing is what lets persistent workers fork after one
-        prewarmed checkpoint instead of each re-simulating it, so the
-        parallel mode carries its own.  The ephemeral directory is
+        warm-up sharing is what lets children fork after one prewarmed
+        checkpoint instead of each re-simulating it, so the parallel
+        mode carries its own.  The ephemeral directory is
         deleted when :meth:`run` returns; restored warm-ups are
         bit-identical to simulated ones, so results are unaffected.
     """
 
     def __init__(self, jobs: int = 1, cache_dir=None,
                  timeout_s: float = 600.0, max_retries: int = 1,
-                 mp_context=None, warmup_cache_dir=None) -> None:
+                 warmup_cache_dir=None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self.jobs = int(jobs)
@@ -560,7 +532,6 @@ class SweepExecutor:
         self.max_retries = int(max_retries)
         self.warmup_cache_dir = (str(warmup_cache_dir)
                                  if warmup_cache_dir else None)
-        self._ctx = mp_context or _default_context()
         self.stats = ExecutorStats()
 
     # -- public API ----------------------------------------------------
@@ -575,9 +546,9 @@ class SweepExecutor:
         ephemeral = None
         if (warm_dir is None and self.jobs > 1
                 and not os.environ.get(WARMUP_CACHE_ENV)):
-            # Parallel mode carries its own warm-up sharing: workers
+            # Parallel mode carries its own warm-up sharing: children
             # fork after the parent prewarms one checkpoint per shared
-            # warm-up state (see _prewarm) instead of each worker
+            # warm-up state (see _prewarm) instead of each child
             # re-simulating it.
             ephemeral = tempfile.mkdtemp(prefix="repro-warm-")
             warm_dir = ephemeral
@@ -670,11 +641,11 @@ class SweepExecutor:
 
         Only warm-up states that more than one pending point restores
         are worth producing here (a one-off warm-up costs the same
-        either way, and in a worker it runs in parallel).  For shared
-        states the parent pays once and every forked worker inherits
+        either way, and in a child it runs in parallel).  For shared
+        states the parent pays once and every forked child inherits
         the parsed snapshot through copy-on-write memory — without
-        this, each worker re-simulates or re-parses the same warm-up.
-        Failures are left for the workers to surface with a proper
+        this, each child re-simulates or re-parses the same warm-up.
+        Failures are left for the children to surface with a proper
         point-naming verdict.
         """
         if not os.environ.get(WARMUP_CACHE_ENV):
@@ -698,198 +669,83 @@ class SweepExecutor:
 
     def _run_parallel(self, indices: List[int],
                       points: List[SweepPoint]) -> Dict[int, dict]:
-        """Persistent-worker scheduler with timeout, retry, fallback.
+        """One forked child per point, at most ``jobs`` alive at once,
+        each forked after :meth:`_prewarm` (see the module docstring)."""
+        # Imported here so that only parallel runs pay for the import.
+        from multiprocessing.connection import wait
 
-        Workers fork after :meth:`_prewarm` and stay alive across
-        points; each dispatch hands a worker a batch of points, and the
-        worker reports one message per batch (plus a tiny start marker
-        per point, which drives the per-point timeout clock).
-        """
         self._prewarm(indices, points)
-        ctx = self._ctx
-        result_queue = ctx.Queue()
+        ctx = _default_context()
         out: Dict[int, dict] = {}
         work = deque((i, 0) for i in indices)           # (index, attempt)
-        # worker id -> [proc, task_q, unreported {index: attempt},
-        #               in-flight index or None, deadline]
-        workers: Dict[int, list] = {}
-        next_wid = [0]
-        batch_size = max(1, len(indices) // (self.jobs * 2))
-
-        def spawn() -> None:
-            wid = next_wid[0]
-            next_wid[0] += 1
-            task_q = ctx.Queue()
-            proc = ctx.Process(target=_persistent_worker_main,
-                               args=(task_q, result_queue, wid),
-                               daemon=True)
-            proc.start()
-            workers[wid] = [proc, task_q, {}, None, 0.0]
-
-        def dispatch(wid: int) -> None:
-            state = workers[wid]
-            batch = []
-            while work and len(batch) < batch_size:
-                index, attempt = work.popleft()
-                if index in out:     # satisfied by a late message
-                    continue
-                state[2][index] = attempt
-                batch.append((index, points[index]))
-            if batch:
-                state[3] = None
-                state[4] = time.monotonic() + self.timeout_s
-                state[1].put(batch)
-
-        def kill(wid: int) -> None:
-            state = workers.pop(wid)
-            proc = state[0]
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5.0)
-
-        def rebuild() -> None:
-            # A worker that dies (or is terminated) mid-``put`` can take
-            # the result queue's shared write lock with it, blocking
-            # every surviving worker's reports forever.  So any abnormal
-            # worker exit treats the queue as poisoned: stop the whole
-            # pool, requeue its unreported work at the current attempts,
-            # and start over with a fresh queue.  Deterministic
-            # simulations make re-execution safe, and crashes are rare
-            # enough that the redone work is noise.
-            nonlocal result_queue
-            for state in workers.values():
-                if state[0].is_alive():
-                    state[0].terminate()
-            for state in workers.values():
-                state[0].join(timeout=5.0)
-            self._drain(result_queue, handle_message)
-            for state in workers.values():
-                requeue_survivors(state)
-            workers.clear()
-            result_queue = ctx.Queue()
-
-        def handle_message(kind: str, wid: int, payload: Any) -> None:
-            state = workers.get(wid)   # None for late/killed workers
-            if kind == "start":
-                if state is not None:
-                    state[3] = payload
-                    state[4] = time.monotonic() + self.timeout_s
-                return
-            for index, status, data in payload:
-                if state is not None:
-                    state[2].pop(index, None)
-                if status == "ok":
-                    out[index] = data
-                elif status == "invariant":
-                    raise SweepInvariantError(points[index], data)
-                else:
-                    raise SweepPointError(points[index], data)
-            if state is not None:
-                state[3] = None
-
-        def requeue_survivors(state: list) -> None:
-            for index, attempt in state[2].items():
-                if index not in out:
-                    work.append((index, attempt))
-
-        def pop_victim(state: list):
-            """The task the failure is charged to: the in-flight point
-            if known, else the batch's first unreported task."""
-            victim = state[3] if state[3] in state[2] \
-                else next(iter(state[2]))
-            return victim, state[2].pop(victim)
-
-        def shutdown() -> None:
-            for state in workers.values():
-                try:
-                    state[1].put_nowait(None)
-                except Exception:
-                    pass
-            for state in workers.values():
-                state[0].join(timeout=0.5)
-                if state[0].is_alive():
-                    state[0].terminate()
-            for state in workers.values():
-                state[0].join(timeout=5.0)
-            workers.clear()
-
+        # receive end -> (child, index, attempt, deadline)
+        running: Dict[Any, tuple] = {}
         try:
-            while work or any(state[2] for state in workers.values()):
-                while work and len(workers) < self.jobs:
-                    spawn()
-                for wid in list(workers):
-                    if work and not workers[wid][2]:
-                        dispatch(wid)
+            while work or running:
+                while work and len(running) < self.jobs:
+                    index, attempt = work.popleft()
+                    receiver, sender = ctx.Pipe(duplex=False)
+                    child = ctx.Process(target=_child_main,
+                                        args=(sender, points[index]),
+                                        daemon=True)
+                    child.start()
+                    # Only the child holds the send end now, so its exit
+                    # closes the pipe: that EOF is how a crash shows.
+                    sender.close()
+                    running[receiver] = (child, index, attempt,
+                                         time.monotonic() + self.timeout_s)
 
-                try:
-                    kind, wid, payload = result_queue.get(timeout=0.05)
-                except queue_lib.Empty:
-                    pass
-                else:
-                    handle_message(kind, wid, payload)
-                    continue
-
-                now = time.monotonic()
-                for wid in list(workers):
-                    state = workers[wid]
-                    if not state[2]:
-                        continue       # idle, nothing to account for
-                    if not state[0].is_alive():
-                        # Dead mid-batch without reporting: give any
-                        # buffered message one chance to drain, then
-                        # treat what remains as a crash.
-                        time.sleep(0.05)
-                        self._drain(result_queue, handle_message)
-                        if not state[2]:
-                            kill(wid)  # it reported everything first
-                            continue
-                        victim, attempt = pop_victim(state)
+                next_deadline = min(entry[3] for entry in running.values())
+                ready = wait(list(running), timeout=max(
+                    0.0, next_deadline - time.monotonic()))
+                for receiver in ready:
+                    child, index, attempt, _deadline = running.pop(receiver)
+                    try:
+                        status, data = receiver.recv()
+                    except EOFError:
+                        status, data = "crash", None
+                    finally:
+                        receiver.close()
+                        child.join()
+                    if status == "ok":
+                        out[index] = data
+                    elif status == "invariant":
+                        raise SweepInvariantError(points[index], data)
+                    elif status == "error":
+                        raise SweepPointError(points[index], data)
+                    else:
                         self.stats.crashes += 1
-                        rebuild()
                         if attempt < self.max_retries:
                             self.stats.retries += 1
-                            work.append((victim, attempt + 1))
+                            work.append((index, attempt + 1))
                         else:
-                            # Graceful fallback: the pool environment
+                            # Graceful fallback: the child environment
                             # may be the problem; run the point here.
                             self.stats.serial_fallbacks += 1
-                            out[victim] = self._execute_in_process(
-                                points[victim])
-                        break          # pool rebuilt; rescan fresh
-                    elif now > state[4]:
-                        victim, attempt = pop_victim(state)
-                        self.stats.timeouts += 1
-                        rebuild()
-                        if attempt < self.max_retries:
-                            self.stats.retries += 1
-                            work.append((victim, attempt + 1))
-                        else:
-                            raise SweepTimeoutError(
-                                points[victim],
-                                f"no result within {self.timeout_s:.1f}s "
-                                f"after {attempt + 1} attempt(s)")
-                        break          # pool rebuilt; rescan fresh
+                            out[index] = self._execute_in_process(
+                                points[index])
+
+                now = time.monotonic()
+                for receiver, entry in list(running.items()):
+                    child, index, attempt, deadline = entry
+                    if now < deadline or receiver.poll():
+                        continue   # an outcome already sent is never charged
+                    del running[receiver]
+                    child.terminate()
+                    child.join()
+                    receiver.close()
+                    self.stats.timeouts += 1
+                    if attempt >= self.max_retries:
+                        raise SweepTimeoutError(
+                            points[index],
+                            f"no result within {self.timeout_s:.1f}s "
+                            f"after {attempt + 1} attempt(s)")
+                    self.stats.retries += 1
+                    work.append((index, attempt + 1))
         finally:
-            shutdown()
+            for child, *_rest in running.values():
+                child.terminate()
+            for receiver, (child, *_rest) in running.items():
+                child.join()
+                receiver.close()
         return out
-
-    def _drain(self, result_queue, handle_message) -> None:
-        """Deliver any queued messages without blocking."""
-        while True:
-            try:
-                kind, wid, payload = result_queue.get_nowait()
-            except queue_lib.Empty:
-                return
-            handle_message(kind, wid, payload)
-
-
-
-
-def run_points(points: Sequence[SweepPoint], jobs: int = 1,
-               cache_dir=None, warmup_cache_dir=None,
-               executor: Optional[SweepExecutor] = None) -> List[Any]:
-    """Convenience wrapper: run points through ``executor`` or a fresh
-    one built from ``jobs``/``cache_dir``/``warmup_cache_dir``."""
-    ex = executor or SweepExecutor(jobs=jobs, cache_dir=cache_dir,
-                                   warmup_cache_dir=warmup_cache_dir)
-    return ex.run(points)

@@ -87,11 +87,11 @@ class WarmupCache:
     warm-up snapshot is parsed (and digest-verified) from disk at most
     once.  Only a *validated disk read* populates the memo — a plain
     :meth:`put` does not — so corruption injected into the file before
-    the first read is still detected.  The persistent-worker sweep
-    executor leans on the memo: the parent *prewarms* it before forking
-    workers, so every worker inherits the already-loaded snapshots
-    through copy-on-write fork memory instead of re-reading (and
-    re-verifying) them per sweep point.
+    the first read is still detected.  The parallel sweep executor
+    leans on the memo: the parent *prewarms* it before forking one
+    child per point, so every child inherits the already-loaded
+    snapshots through copy-on-write fork memory instead of re-reading
+    (and re-verifying) them.
 
     Checkpoint documents are treated as immutable once sealed; restore
     paths only read them, so sharing one dict across runs is safe.

@@ -39,6 +39,21 @@ def _poison_child_crash(point):
     return {"ok": True, "via": "serial-fallback", "seed": point.seed}
 
 
+def _poison_logged_sleep(point):
+    with open(point.app_options["log"], "a") as log:
+        log.write(f"{os.getpid()}\n")
+    time.sleep(point.app_options["sleep"])
+    return {"ok": True, "via": "logged", "seed": point.seed}
+
+
+def _poison_crash_after(point):
+    after = Path(point.app_options["after"])
+    deadline = time.monotonic() + 30.0
+    while not after.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return _poison_child_crash(point)
+
+
 def _poison_invariant(point):
     raise InvariantViolation(
         ["poisoned: injected conservation failure"], tick=42)
@@ -50,6 +65,8 @@ POISON_KINDS = {
     "_poison_hang_once": _poison_hang_once,
     "_poison_crash": _poison_crash,
     "_poison_child_crash": _poison_child_crash,
+    "_poison_logged_sleep": _poison_logged_sleep,
+    "_poison_crash_after": _poison_crash_after,
     "_poison_invariant": _poison_invariant,
 }
 
@@ -59,7 +76,7 @@ def poison_kinds(monkeypatch):
     """Install the ``_poison_*`` sweep point kinds, which inject worker
     misbehaviour without running a simulation (each is described in
     ``test_parallel_failures.py``; ``_poison_invariant`` raises an
-    invariant verdict).  The executor forks its workers after this
+    invariant verdict).  The executor forks its children after this
     fixture runs, so they inherit the kinds too."""
     for kind, handler in POISON_KINDS.items():
         monkeypatch.setitem(parallel._KIND_HANDLERS, kind, handler)

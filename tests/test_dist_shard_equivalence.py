@@ -80,6 +80,21 @@ def test_sharded_run_is_bit_identical(preset, stack, pattern, shards):
     assert sharded.drop_rate == single.drop_rate
 
 
+@pytest.mark.parametrize("preset,pattern", [("fat-tree-k4", "incast"),
+                                            ("leaf-spine", "hotspot")])
+def test_sharded_run_under_strict_invariants(monkeypatch, preset, pattern):
+    """Strict checking runs the per-event invariants inside every shard
+    process too, and changes no result: the two-shard flow digest equals
+    the single-process strict run."""
+    # Set before the shards fork, so each shard inherits the mode.
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "strict")
+    kwargs = dict(pattern=pattern, load=0.5, n_flows=100, seed=0)
+    single = run_fabric(gem5_default(), preset, "dpdk", **kwargs)
+    sharded = run_fabric_sharded(gem5_default(), preset, "dpdk", shards=2,
+                                 **kwargs)
+    assert sharded.flow_digest == single.flow_digest
+
+
 def test_sharded_run_is_deterministic_across_reruns():
     load, n_flows = PATTERN_POINTS["hotspot"]
     first = run_fabric_sharded(gem5_default(), "fat-tree-k4", "dpdk",

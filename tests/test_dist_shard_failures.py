@@ -10,13 +10,14 @@ conservation law can see it.
 
 import itertools
 import multiprocessing
+import os
 import time
 
 import pytest
 
 from repro.dist import ShardCrashError
 from repro.dist.shard import run_fabric_sharded
-from repro.sim.channel import ChannelHalf
+from repro.sim.channel import ChannelGroup, ChannelHalf
 from repro.sim.invariants import InvariantViolation
 from repro.system.presets import gem5_default
 
@@ -33,16 +34,32 @@ def _assert_no_shard_children():
     assert alive == []
 
 
-def _run_with_crash(crash, shards=2):
+def _crash_shard(monkeypatch, shard_id, epoch):
+    """Make shard ``shard_id`` die without a word as it begins sync
+    epoch ``epoch``, with its peers waiting on its batch."""
+    begin_epoch = ChannelGroup.begin_epoch
+
+    def crashing_begin_epoch(group, horizon):
+        name = multiprocessing.current_process().name
+        if name == f"repro-shard-{shard_id}" and group.epoch == epoch:
+            os._exit(23)
+        return begin_epoch(group, horizon)
+
+    # Patched before the shards fork, so every shard inherits it.
+    monkeypatch.setattr(ChannelGroup, "begin_epoch", crashing_begin_epoch)
+
+
+def _run(shards=2):
     return run_fabric_sharded(
         gem5_default(), "fat-tree-k4", "dpdk", pattern="uniform",
-        load=0.35, n_flows=100, seed=0, shards=shards, _crash=crash)
+        load=0.35, n_flows=100, seed=0, shards=shards)
 
 
-def test_crash_mid_epoch_raises_named_error_without_orphans():
+def test_crash_mid_epoch_raises_named_error_without_orphans(monkeypatch):
+    _crash_shard(monkeypatch, 1, 5)
     t0 = time.monotonic()
     with pytest.raises(ShardCrashError) as excinfo:
-        _run_with_crash(crash=(1, 5))
+        _run()
     elapsed = time.monotonic() - t0
 
     # The error identifies the shard that died, not just "a failure".
@@ -58,15 +75,16 @@ def test_crash_mid_epoch_raises_named_error_without_orphans():
     _assert_no_shard_children()
 
 
-def test_crash_in_first_epoch_of_four_shards():
+def test_crash_in_first_epoch_of_four_shards(monkeypatch):
+    _crash_shard(monkeypatch, 3, 0)
     with pytest.raises(ShardCrashError) as excinfo:
-        _run_with_crash(crash=(3, 0), shards=4)
+        _run(shards=4)
     assert excinfo.value.shard_id == 3
     _assert_no_shard_children()
 
 
 def test_clean_run_leaves_no_processes_behind():
-    result = _run_with_crash(crash=None)
+    result = _run()
     assert result.flows_completed > 0
     _assert_no_shard_children()
 
@@ -87,4 +105,4 @@ def test_frame_lost_between_shards_fails_the_run(monkeypatch):
     # Patched before the shards fork, so every shard inherits it.
     monkeypatch.setattr(ChannelHalf, "inject", lossy_inject)
     with pytest.raises(InvariantViolation, match="dist.shard: .*channel"):
-        _run_with_crash(crash=None)
+        _run()

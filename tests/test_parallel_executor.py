@@ -3,7 +3,7 @@
 Covers the point constructors, the label-derived per-point seeding, the
 cache key, result encode/decode round-trips, dedupe of identical points,
 and the serial execution path across all three point kinds.  Failure
-injection and the worker pool live in test_parallel_failures.py; the
+injection and the parallel path live in test_parallel_failures.py; the
 serial-vs-parallel determinism property in test_parallel_determinism.py.
 """
 
@@ -25,7 +25,6 @@ from repro.harness.parallel import (
     fixed_load_point,
     memcached_point,
     msb_point,
-    run_points,
 )
 from repro.harness.runner import FixedLoadResult, MemcachedRunResult
 from repro.system.presets import altra, gem5_default
@@ -191,12 +190,6 @@ class TestSerialExecution:
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError, match="unknown sweep point kind"):
             execute_point(SweepPoint(kind="nonsense"))
-
-    def test_run_points_convenience(self):
-        results = run_points(
-            [fixed_load_point(gem5_default(), "testpmd", 256, 5.0,
-                              n_packets=200)])
-        assert isinstance(results[0], FixedLoadResult)
 
     def test_empty_input(self):
         assert SweepExecutor(jobs=4).run([]) == []

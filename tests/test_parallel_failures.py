@@ -13,17 +13,22 @@ any simulation:
                           in-process (crash -> retry -> serial fallback)
 - ``_poison_crash``       hard ``os._exit`` in a worker AND raises
                           in-process (the unrecoverable point)
+- ``_poison_logged_sleep`` appends a line to ``app_options["log"]``,
+                          then sleeps ``app_options["sleep"]`` seconds
+                          (a healthy neighbour that counts its runs)
+- ``_poison_crash_after`` waits for the file ``app_options["after"]``,
+                          then behaves like ``_poison_child_crash``
 
 Cache behaviour (hit / miss / corrupted entry) is covered here too since
-it is the other recovery path, as are the persistent-worker batch paths:
-a crash mid-batch must requeue the unreported batch-mates, a warm-up
-checkpoint that fails to restore *inside a worker* must be discarded and
-rebuilt there, and no failure mode may ever leave a torn or wrong entry
-in the result cache.
+it is the other recovery path.  A crash or timeout costs only its own
+point, a warm-up checkpoint that fails to restore *inside a child* is
+discarded and rebuilt there, and no failure may leave a torn or wrong
+result-cache entry or a child process behind.
 """
 
 import dataclasses
 import json
+import multiprocessing
 
 import pytest
 
@@ -48,6 +53,16 @@ def _poison(kind: str, n: int = 1):
     return [SweepPoint(kind=kind, app=f"p{i}") for i in range(n)]
 
 
+def _logged(app: str, log, sleep: float) -> SweepPoint:
+    return SweepPoint(kind="_poison_logged_sleep", app=app,
+                      app_options={"log": str(log), "sleep": sleep})
+
+
+def _runs(log) -> int:
+    """How many times the logged point behind ``log`` started."""
+    return len(log.read_text().splitlines())
+
+
 def _sim_points(n: int, n_packets: int = 200):
     config = gem5_default()
     return [fixed_load_point(config, "testpmd", 256, 5.0 + 2.0 * i,
@@ -59,11 +74,13 @@ class TestWorkerExceptions:
         ex = SweepExecutor(jobs=2, timeout_s=30.0)
         with pytest.raises(SweepPointError, match="injected exception"):
             ex.run(_poison("_poison_raise", 2))
+        assert multiprocessing.active_children() == []
 
     def test_serial_exception_propagates(self):
         ex = SweepExecutor(jobs=1)
         with pytest.raises(SweepPointError, match="injected exception"):
             ex.run(_poison("_poison_raise", 1))
+        assert multiprocessing.active_children() == []
 
 
 class TestTimeouts:
@@ -75,6 +92,7 @@ class TestTimeouts:
         # so at least two timeouts and one retry must have been counted.
         assert ex.stats.timeouts >= 2
         assert ex.stats.retries >= 1
+        assert multiprocessing.active_children() == []
 
     def test_timeout_does_not_leak_workers(self):
         ex = SweepExecutor(jobs=2, timeout_s=0.3, max_retries=0)
@@ -85,6 +103,7 @@ class TestTimeouts:
         ex.timeout_s = 120.0
         results = ex.run(_sim_points(2))
         assert len(results) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestCrashes:
@@ -97,12 +116,14 @@ class TestCrashes:
         assert ex.stats.crashes == 4
         assert ex.stats.retries == 2
         assert ex.stats.serial_fallbacks == 2
+        assert multiprocessing.active_children() == []
 
     def test_unrecoverable_crash_raises(self):
         ex = SweepExecutor(jobs=2, timeout_s=30.0, max_retries=1)
         with pytest.raises(SweepPointError, match="crashes everywhere"):
             ex.run(_poison("_poison_crash", 1) + _poison(
                 "_poison_child_crash", 1))
+        assert multiprocessing.active_children() == []
 
     def test_healthy_points_survive_a_poisoned_neighbour(self):
         points = _sim_points(2) + _poison("_poison_child_crash", 1)
@@ -112,6 +133,7 @@ class TestCrashes:
         for got, want in zip(results[:2], serial):
             assert dataclasses.asdict(got) == dataclasses.asdict(want)
         assert results[2]["via"] == "serial-fallback"
+        assert multiprocessing.active_children() == []
 
 
 class TestCache:
@@ -180,16 +202,16 @@ class TestCache:
 
 
 class TestPersistentWorkerBatches:
-    """Eight unique points at ``jobs=2`` gives ``batch_size=2``, so a
-    worker death mid-batch has an unreported batch-mate to account for:
-    the in-flight point is charged with the crash, the batch-mate is
-    merely requeued at its current attempt and re-executed elsewhere."""
+    """A crash amid a longer sweep: eight unique points at ``jobs=2``,
+    one of which kills its child.  Only the poisoned point is charged
+    with the crash; every healthy point before and after it still runs
+    to a result that matches the serial reference bit-for-bit."""
 
     def test_crash_mid_batch_requeues_batch_mates(self):
         sims = _sim_points(7, n_packets=120)
-        # Index 4 heads the third dispatched batch [4, 5]: the worker
-        # announces it, dies, and point 5 (undispatched outcome) must
-        # survive via requeue — not inherit the crash.
+        # The crashing point sits mid-sweep, with healthy points queued
+        # behind it and one running beside it: none may inherit the
+        # crash.
         points = sims[:4] + _poison("_poison_child_crash", 1) + sims[4:]
         ex = SweepExecutor(jobs=2, timeout_s=120.0, max_retries=0)
         results = ex.run(points)
@@ -198,18 +220,19 @@ class TestPersistentWorkerBatches:
         for got, want in zip(results[:4] + results[5:], serial):
             assert dataclasses.asdict(got) == dataclasses.asdict(want)
         assert results[4]["via"] == "serial-fallback"
-        # Exactly one crash, charged to the poisoned point; its
-        # batch-mate was requeued without burning a retry or fallback.
+        # Exactly one crash, charged to the poisoned point; no healthy
+        # point burned a retry or a fallback.
         assert ex.stats.crashes == 1
         assert ex.stats.retries == 0
         assert ex.stats.serial_fallbacks == 1
         assert ex.stats.executed == len(points)
+        assert multiprocessing.active_children() == []
 
     def test_crash_mid_fabric_batch_requeues_batch_mates(self):
-        """Same batch-mate guarantee with fabric points in the batches:
-        a worker dying mid-fabric-batch costs exactly the poisoned
-        point, and every fabric result still matches the serial
-        reference bit-for-bit."""
+        """Same guarantee with fabric points around the crash: a child
+        dying mid-sweep costs exactly the poisoned point, and every
+        fabric result still matches the serial reference
+        bit-for-bit."""
         from repro.harness.parallel import fabric_point
 
         config = gem5_default()
@@ -229,15 +252,15 @@ class TestPersistentWorkerBatches:
         assert ex.stats.retries == 0
         assert ex.stats.serial_fallbacks == 1
         assert ex.stats.executed == len(points)
+        assert multiprocessing.active_children() == []
 
 
 class TestTimeoutRetry:
     def test_timeout_then_clean_retry_succeeds(self, tmp_path):
-        """A point that hangs once times out, the pool is rebuilt, and
-        the retry on a fresh worker completes — the sweep succeeds with
-        the timeout and retry counted, no fallback, no error.  The
-        second hanging point rides the rebuild: requeued uncharged, it
-        finds its flag already stamped and just succeeds."""
+        """Two points that hang once each time out in their own
+        children, and each retry on a fresh child completes — the sweep
+        succeeds with both timeouts and both retries counted, no
+        fallback, no error."""
         points = [
             SweepPoint(kind="_poison_hang_once", app=f"h{i}",
                        app_options={"flag": str(tmp_path / f"flag{i}")})
@@ -246,17 +269,62 @@ class TestTimeoutRetry:
         ex = SweepExecutor(jobs=2, timeout_s=1.0, max_retries=1)
         results = ex.run(points)
         assert [r["via"] for r in results] == ["retry", "retry"]
-        assert ex.stats.timeouts == 1
-        assert ex.stats.retries == 1
+        assert ex.stats.timeouts == 2
+        assert ex.stats.retries == 2
         assert ex.stats.crashes == 0
         assert ex.stats.serial_fallbacks == 0
+        assert multiprocessing.active_children() == []
+
+
+class TestFailureCostsOnlyItsOwnPoint:
+    """A crash or timeout charges and re-runs only its own point: a
+    healthy neighbour that is mid-run when it happens runs exactly
+    once."""
+
+    def test_crash_leaves_a_running_neighbour_alone(self, tmp_path):
+        log = tmp_path / "logged.log"
+        points = [
+            _logged("logged", log, 1.5),
+            # Crashes only once the logged point is running beside it.
+            SweepPoint(kind="_poison_crash_after", app="crash",
+                       app_options={"after": str(log)}),
+        ]
+        ex = SweepExecutor(jobs=2, timeout_s=30.0, max_retries=1)
+        results = ex.run(points)
+        assert results[0]["via"] == "logged"
+        assert results[1]["via"] == "serial-fallback"
+        assert _runs(log) == 1
+        assert ex.stats.crashes == 2
+        assert ex.stats.retries == 1
+        assert ex.stats.serial_fallbacks == 1
+        assert multiprocessing.active_children() == []
+
+    def test_timeout_leaves_a_running_neighbour_alone(self, tmp_path):
+        """The long point starts when the short one ends, before the
+        hang's deadline, and ends after that deadline yet within its
+        own budget."""
+        short_log, long_log = tmp_path / "short.log", tmp_path / "long.log"
+        points = [
+            SweepPoint(kind="_poison_hang_once", app="hang",
+                       app_options={"flag": str(tmp_path / "flag")}),
+            _logged("short", short_log, 1.0),
+            _logged("long", long_log, 2.5),
+        ]
+        ex = SweepExecutor(jobs=2, timeout_s=3.0, max_retries=1)
+        results = ex.run(points)
+        assert [r["via"] for r in results] == ["retry", "logged", "logged"]
+        assert _runs(short_log) == 1
+        assert _runs(long_log) == 1
+        assert ex.stats.timeouts == 1
+        assert ex.stats.retries == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestWorkerWarmRestore:
     def test_restore_failure_in_worker_recovers(self, tmp_path):
         """A digest-valid warm-up entry whose payload cannot restore
         (schema drift from another code version) is discarded *inside a
-        worker*: the worker re-warms from scratch, replaces the entry,
+        child*: the child re-warms from scratch, replaces the entry,
         and the sweep's results stay bit-identical to a no-cache run."""
         config = gem5_default()
         points = [fixed_load_point(config, "testpmd", 256, rate,
@@ -283,8 +351,9 @@ class TestWorkerWarmRestore:
             assert dataclasses.asdict(got) == dataclasses.asdict(want)
         assert ex.stats.crashes == 0
         assert ex.stats.serial_fallbacks == 0
+        assert multiprocessing.active_children() == []
 
-        # The workers rebuilt the entry: the on-disk snapshot now
+        # The children rebuilt the entry: the on-disk snapshot now
         # belongs to the right application.
         doc = json.loads(cache.path_for(key).read_text())
         assert doc["meta"]["app"] != impostor_app
@@ -296,7 +365,7 @@ class TestWorkerWarmRestore:
 
 class TestCacheIntegrityUnderFailure:
     def test_cache_never_poisoned_by_worker_failures(self, tmp_path):
-        """Worker crashes (and the serial fallback they trigger) must
+        """Child crashes (and the serial fallback they trigger) must
         never leave a torn, stale, or undecodable result-cache entry:
         every file decodes, no temp files survive, and a warm replay is
         pure cache hits, bit-identical to the first run."""
@@ -308,6 +377,7 @@ class TestCacheIntegrityUnderFailure:
         first = ex.run(points)
         assert ex.stats.crashes == 1
         assert ex.stats.serial_fallbacks == 1
+        assert multiprocessing.active_children() == []
 
         entries = sorted(cache_dir.glob("*.json"))
         assert len(entries) == len(points)
