@@ -12,74 +12,65 @@ module is that composition for the reproduction's switch fabrics:
   :class:`~repro.sim.channel.ChannelHalf` ends — see
   :meth:`repro.net.fabric.Fabric._link`) and runs its own
   :class:`~repro.sim.event_queue.EventQueue`;
-- a coordinator in the parent drives the same warm-up / measure / drain
-  phase structure as :func:`repro.harness.fabric.run_fabric`, while the
-  shards exchange per-epoch frame batches over multiprocessing queues
-  under the conservative quantum bound (quantum <= min link latency);
-- per-shard results merge into one :class:`FabricRunResult` whose flow
-  digest is **bit-identical** to the single-process run — the
-  equivalence the cross-process suite pins for the whole 12-case
-  scenario matrix.
+- each shard then runs what :func:`repro.harness.fabric.run_fabric`
+  runs — warm-up, measured phase, final invariant check — on its
+  slice.  The shards drive themselves: ``Fabric.run_us`` exchanges
+  per-epoch frame batches with the channel neighbours under the
+  conservative quantum bound (quantum <= min link latency), and
+  ``Fabric.everywhere`` ANDs each phase decision over all shards;
+- the parent only forks the shards and merges their tallies into one
+  :class:`FabricRunResult` whose flow digest is **bit-identical** to
+  the single-process run — the equivalence the cross-process suite pins
+  for the whole 12-case scenario matrix.
 
 Determinism argument (docs/sharding.md has the long form): every shard
 runs a full replica of the flow generator — same seed, same fork
 labels, same RNG draws — and injects only the flows whose source host
-it owns.  Phase boundaries are evaluated at the same absolute ticks as
-the single-process chunk loop, channel delivery ticks reproduce
+it owns.  ``run(until)`` ends every chunk at its target and all shards
+take each phase decision from the same AND, so phases start and stop at
+the single-process ticks; channel delivery ticks reproduce
 :class:`~repro.nic.phy.EtherLink` arithmetic exactly, and epoch
 injection is sorted ``(deliver_at, channel, seq)``, so each shard's
 event sequence is the exact projection of the single-process one.
 
-Failure semantics: a shard that dies mid-epoch is detected by the
-coordinator's liveness poll (and, as a backstop, by its peers' bounded
-channel-receive timeout); everything is torn down — terminate, join
-with timeout, kill stragglers — and a :class:`ShardCrashError` naming
-the shard is raised.  No deadlocked peers, no orphan processes.
+Failure semantics: each shard sends one outcome over its own pipe.  A
+shard that raises sends its error; a shard that dies leaves the pipe
+closed and empty.  Either way the parent raises a
+:class:`ShardCrashError` naming the shard and tears every shard down —
+terminate, bounded join, kill stragglers.  A shard stuck between epochs
+is named by its peers' bounded receive timeout.  No deadlocked peers,
+no orphan processes.
 """
 
 from __future__ import annotations
 
 import queue as queue_lib
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.harness.fabric import (
     FabricRunResult,
-    FabricWarmupPlan,
     _check_fabric_sanity,
     _fabric_result,
-    _fabric_tally,
-    _finalize_run,
-    _run_phase,
-    _warm_gen_config,
+    _measure,
     build_fabric_rig,
     fabric_config_for,
+    fabric_warm_start,
     run_fabric,
 )
 from repro.harness.parallel import _default_context
-from repro.loadgen.flowgen import (
-    FlowGenConfig,
-    FlowRecord,
-    fct_summary_from,
-    resolve_size_cdf,
-)
+from repro.loadgen.flowgen import FlowGenConfig, FlowRecord, fct_summary_from
 from repro.net.fabric import FabricConfig
 from repro.sim.channel import ChannelError, ChannelGroup
-from repro.sim.ticks import us_to_ticks
 from repro.system.config import SystemConfig
 
-#: How long a shard waits for a peer's epoch batch before declaring the
-#: peer dead (backstop — the coordinator's liveness poll usually fires
-#: first).
+#: How long a shard waits for a peer's epoch batch or status flag before
+#: naming that peer as dead or stuck.
 _PEER_TIMEOUT_S = 60.0
-#: How long the coordinator waits for one command response from a live
-#: shard before giving up on it.
-_CMD_TIMEOUT_S = 300.0
 
 
 class ShardCrashError(RuntimeError):
-    """A shard process died (or stopped responding) mid-run."""
+    """A shard process died, raised, or stopped responding mid-run."""
 
     def __init__(self, shard_id: int, message: str) -> None:
         super().__init__(message)
@@ -159,194 +150,146 @@ def plan_fabric_shards(config: FabricConfig, n_shards: int) -> ShardPlan:
     return ShardPlan(n_shards=n_shards, hosts=hosts, switches=switches)
 
 
-def _status(fabric) -> dict:
-    return {
-        "now": fabric.sim.now,
-        "active": bool(fabric.generator.active),
-        "quiescent": fabric.quiescent(),
-        "ready": fabric._checkpoint_ready(),
-    }
+class _ShardSync:
+    """One shard's link to its peers, installed as ``Fabric.sync``.
+
+    Epoch batches go to channel neighbours only (:meth:`exchange`, the
+    :meth:`ChannelGroup.advance` callback).  Status flags go to every
+    peer over the full mesh of queues (:meth:`all_true`): two shards
+    that share no channel must still take each phase decision together.
+    Each message carries its epoch index or the ``"status"`` tag; a
+    mismatch is a :class:`ChannelError`.
+    """
+
+    def __init__(self, shard_id: int, group: ChannelGroup,
+                 send_qs: Dict[int, object],
+                 recv_qs: Dict[int, object]) -> None:
+        self.shard_id = shard_id
+        self.group = group
+        self.neighbors = group.neighbors()
+        self.send_qs = send_qs
+        self.recv_qs = recv_qs
+
+    def _recv(self, peer: int, tag):
+        try:
+            got, payload = self.recv_qs[peer].get(timeout=_PEER_TIMEOUT_S)
+        except queue_lib.Empty:
+            raise ShardCrashError(
+                peer, f"shard {self.shard_id}: nothing tagged {tag!r} from "
+                      f"peer shard {peer} within "
+                      f"{_PEER_TIMEOUT_S:.0f}s") from None
+        if got != tag:
+            raise ChannelError(
+                f"shard {self.shard_id}: expected {tag!r} from shard "
+                f"{peer}, got {got!r} (sync skew)")
+        return payload
+
+    def exchange(self, epoch: int, horizon: int, outgoing) -> list:
+        for peer in self.neighbors:
+            self.send_qs[peer].put((epoch, outgoing.get(peer, [])))
+        incoming = []
+        for peer in self.neighbors:
+            incoming.extend(self._recv(peer, epoch))
+        return incoming
+
+    def all_true(self, flag: bool) -> bool:
+        for send_q in self.send_qs.values():
+            send_q.put(("status", flag))
+        # Hear every peer even once the answer is known, so each queue
+        # stays in step.
+        flags = [self._recv(peer, "status") for peer in self.recv_qs]
+        return flag and all(flags)
 
 
-def _shard_worker(shard_id: int, plan: ShardPlan, config: SystemConfig,
-                  preset: str, stack: str, seed: int,
-                  cmd_q, resp_q, send_qs: Dict[int, object],
-                  recv_qs: Dict[int, object]) -> None:
-    """One shard process: build the slice, serve coordinator commands,
-    exchange epoch batches with peer shards."""
+def _shard_main(shard_id: int, plan: ShardPlan, config: SystemConfig,
+                preset: str, stack: str, seed: int, gen_cfg: FlowGenConfig,
+                conn, send_qs: Dict[int, object],
+                recv_qs: Dict[int, object]) -> None:
+    """One shard process: build the slice, run :func:`run_fabric`'s
+    warm-up and measured phase on it, send the tally or the error.
+
+    Returns normally after sending, so process-exit finalizers run.
+    """
     try:
         fabric = build_fabric_rig(config, preset, stack, seed=seed,
                                   shard_plan=plan, shard_id=shard_id)
-        group = ChannelGroup(fabric.sim, fabric.channels)
-        neighbors = group.neighbors()
-
-        def exchange(epoch: int, horizon: int, outgoing):
-            for peer in neighbors:
-                send_qs[peer].put((epoch, shard_id, outgoing.get(peer, [])))
-            incoming = []
-            for peer in neighbors:
-                deadline = time.monotonic() + _PEER_TIMEOUT_S
-                while True:
-                    try:
-                        msg = recv_qs[peer].get(timeout=0.2)
-                        break
-                    except queue_lib.Empty:
-                        if time.monotonic() > deadline:
-                            raise ShardCrashError(
-                                peer,
-                                f"shard {shard_id}: no epoch-{epoch} "
-                                f"batch from peer shard {peer} within "
-                                f"{_PEER_TIMEOUT_S:.0f}s") from None
-                got_epoch, src, batches = msg
-                if got_epoch != epoch:
-                    raise ChannelError(
-                        f"shard {shard_id}: expected epoch {epoch} from "
-                        f"shard {src}, got {got_epoch} (sync skew)")
-                incoming.extend(batches)
-            return incoming
-
-        while True:
-            cmd = cmd_q.get()
-            op = cmd[0]
-            if op == "advance":
-                group.advance(cmd[1], exchange)
-                resp_q.put(("ok", shard_id, _status(fabric)))
-            elif op == "start":
-                # Realign the idle clock first: run(until) freezes `now`
-                # at the last local event, and the schedule about to be
-                # synthesized is stamped with the current tick.
-                fabric.sim.events.advance_to(cmd[2])
-                fabric.generator.start(FlowGenConfig(**cmd[1]))
-                resp_q.put(("ok", shard_id, _status(fabric)))
-            elif op == "reset":
-                fabric.reset_measurement()
-                resp_q.put(("ok", shard_id, _status(fabric)))
-            elif op == "finalize":
-                _finalize_run(fabric)
-                resp_q.put(("ok", shard_id, _fabric_tally(fabric)))
-            elif op == "stop":
-                return
-            else:
-                raise RuntimeError(f"unknown shard command {op!r}")
-    except BaseException as exc:  # report, then die quietly
-        try:
-            resp_q.put(("error", shard_id,
-                        f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
+        fabric.sync = _ShardSync(
+            shard_id, ChannelGroup(fabric.sim, fabric.channels),
+            send_qs, recv_qs)
+        # The warm-up itself, not warm_start: a cache would store this
+        # slice under the single-process key.
+        fabric_warm_start(config, preset, stack, seed).warm(fabric)
+        outcome = ("ok", _measure(fabric, gen_cfg)[0])
+    except Exception as exc:   # report, then return quietly
+        blamed = (exc.shard_id if isinstance(exc, ShardCrashError)
+                  else shard_id)
+        outcome = ("error", (blamed, f"{type(exc).__name__}: {exc}"))
+    conn.send(outcome)
+    conn.close()
 
 
-class _ShardCoordinator:
-    """The parent side: owns the worker processes and the queues, and
-    runs the single-process phase loop over the shards' merged status."""
+def _run_shards(plan: ShardPlan, config: SystemConfig, preset: str,
+                stack: str, seed: int,
+                gen_cfg: FlowGenConfig) -> List[dict]:
+    """Fork one process per shard and return their tallies in shard
+    order; raise :class:`ShardCrashError` on the first failure."""
+    # Imported here so that only sharded runs pay for the import.
+    from multiprocessing.connection import wait
 
-    def __init__(self, plan: ShardPlan, config: SystemConfig, preset: str,
-                 stack: str, seed: int) -> None:
-        self.plan = plan
-        self.now = 0
-        self.warm_plan = FabricWarmupPlan()
-        self.statuses: List[dict] = []
-        ctx = _default_context()
-        n = plan.n_shards
-        self.cmd_qs = [ctx.Queue() for _ in range(n)]
-        self.resp_qs = [ctx.Queue() for _ in range(n)]
-        self.data_qs = {(i, j): ctx.Queue()
-                        for i in range(n) for j in range(n) if i != j}
-        self.procs = []
+    ctx = _default_context()
+    n = plan.n_shards
+    queues = {(i, j): ctx.Queue()
+              for i in range(n) for j in range(n) if i != j}
+    procs = []
+    pending = {}                     # result pipe -> shard id
+    tallies: List[dict] = [{}] * n
+    try:
         for i in range(n):
-            send_qs = {j: self.data_qs[(i, j)] for j in range(n) if j != i}
-            recv_qs = {j: self.data_qs[(j, i)] for j in range(n) if j != i}
+            receiver, sender = ctx.Pipe(duplex=False)
             proc = ctx.Process(
-                target=_shard_worker, name=f"repro-shard-{i}", daemon=True,
-                args=(i, plan, config, preset, stack, seed,
-                      self.cmd_qs[i], self.resp_qs[i], send_qs, recv_qs))
+                target=_shard_main, name=f"repro-shard-{i}", daemon=True,
+                args=(i, plan, config, preset, stack, seed, gen_cfg, sender,
+                      {j: queues[(i, j)] for j in range(n) if j != i},
+                      {j: queues[(j, i)] for j in range(n) if j != i}))
             proc.start()
-            self.procs.append(proc)
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _collect(self, shard_id: int) -> dict:
-        deadline = time.monotonic() + _CMD_TIMEOUT_S
-        while True:
-            try:
-                kind, sid, payload = self.resp_qs[shard_id].get(timeout=0.05)
-            except queue_lib.Empty:
-                for j, proc in enumerate(self.procs):
-                    if not proc.is_alive():
-                        raise ShardCrashError(
-                            j, f"shard {j} (pid {proc.pid}) died mid-run "
-                               f"with exit code {proc.exitcode}") from None
-                if time.monotonic() > deadline:
-                    raise ShardCrashError(
-                        shard_id,
-                        f"shard {shard_id} sent no response within "
-                        f"{_CMD_TIMEOUT_S:.0f}s") from None
-                continue
-            if kind == "error":
-                raise ShardCrashError(sid, f"shard {sid} failed: {payload}")
-            return payload
-
-    def broadcast(self, cmd: tuple) -> List[dict]:
-        for q in self.cmd_qs:
-            q.put(cmd)
-        return [self._collect(i) for i in range(self.plan.n_shards)]
-
-    def run_us(self, microseconds: float) -> None:
-        statuses = self.broadcast(
-            ("advance", self.now + us_to_ticks(microseconds)))
-        # max() over shard clocks reproduces the single queue's `now`: a
-        # shard whose queue drained mid-chunk froze early, exactly like
-        # run(until) on the one global queue would have.
-        self.now = max(self.now, max(s["now"] for s in statuses))
-        self.statuses = statuses
-
-    # -- the run shape of run_fabric, spread over the shards -----------------
-
-    def run_phase(self, gen_cfg: FlowGenConfig, label: str) -> None:
-        self.statuses = self.broadcast(("start", asdict(gen_cfg), self.now))
-        _run_phase(
-            self.run_us,
-            lambda: all(not s["active"] and s["quiescent"]
-                        for s in self.statuses),
-            lambda: all(s["ready"] for s in self.statuses),
-            self.warm_plan, f"sharded fabric {label}")
-
-    def reset_measurement(self) -> None:
-        self.broadcast(("reset",))
-
-    def finalize(self) -> List[dict]:
-        return self.broadcast(("finalize",))
-
-    def shutdown(self) -> None:
-        """Best-effort orderly stop, then guaranteed teardown."""
-        for i, proc in enumerate(self.procs):
-            if proc.is_alive():
+            # Only the shard holds the send end now, so its exit closes
+            # the pipe: that EOF is how a crash shows.
+            sender.close()
+            procs.append(proc)
+            pending[receiver] = i
+        while pending:
+            for receiver in wait(list(pending)):
+                shard_id = pending.pop(receiver)
                 try:
-                    self.cmd_qs[i].put(("stop",))
-                except Exception:
-                    pass
-        for q in self.cmd_qs:
-            q.cancel_join_thread()
-        for proc in self.procs:
-            # Short first join: a shard blocked waiting on a dead peer's
-            # epoch batch never sees the stop command; terminate it.
-            proc.join(timeout=1.0)
-        for proc in self.procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self.procs:
+                    status, payload = receiver.recv()
+                except EOFError:
+                    proc = procs[shard_id]
+                    proc.join(timeout=1.0)
+                    raise ShardCrashError(
+                        shard_id, f"shard {shard_id} (pid {proc.pid}) died "
+                                  f"mid-run with exit code "
+                                  f"{proc.exitcode}") from None
+                finally:
+                    receiver.close()
+                if status == "error":
+                    blamed, message = payload
+                    raise ShardCrashError(
+                        blamed, f"shard {shard_id} failed: {message}")
+                tallies[shard_id] = payload
+    except BaseException:
+        # The failed shard's peers may be waiting on it: stop them all.
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for receiver in pending:
+            receiver.close()
+        for proc in procs:
             proc.join(timeout=5.0)
-        for proc in self.procs:
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout=5.0)
-        all_queues = (list(self.cmd_qs) + list(self.resp_qs)
-                      + list(self.data_qs.values()))
-        for q in all_queues:
-            try:
-                q.close()
-            except Exception:
-                pass
+    return tallies
 
 
 def run_fabric_sharded(config: SystemConfig, preset: str, stack: str,
@@ -357,7 +300,7 @@ def run_fabric_sharded(config: SystemConfig, preset: str, stack: str,
     """Run one fabric flow phase split over ``shards`` processes.
 
     Same contract as :func:`repro.harness.fabric.run_fabric` — same
-    warm-up plan, same phase shape, bit-identical flow digest — with the
+    warm-up plan, same phase loop, bit-identical flow digest — with the
     simulation partitioned per :func:`plan_fabric_shards`.  The warm-up
     checkpoint cache is not used in sharded mode (warm-up is simulated
     in the shards every run); ``warmup_cache`` only applies to the
@@ -367,26 +310,16 @@ def run_fabric_sharded(config: SystemConfig, preset: str, stack: str,
         return run_fabric(config, preset, stack, pattern=pattern, load=load,
                           n_flows=n_flows, size_cdf=size_cdf, seed=seed,
                           warmup_cache=warmup_cache)
-    fab_cfg = fabric_config_for(config, preset, stack)
-    plan = plan_fabric_shards(fab_cfg, shards)
-    resolve_size_cdf(size_cdf)   # fail fast on unknown names
-    coordinator = _ShardCoordinator(plan, config, preset, stack, seed)
-    try:
-        coordinator.run_phase(_warm_gen_config(coordinator.warm_plan),
-                              "warm-up")
-        coordinator.reset_measurement()
-        coordinator.run_phase(
-            FlowGenConfig(pattern=pattern, load=load, n_flows=n_flows,
-                          size_cdf=size_cdf),
-            "measured")
-        payloads = coordinator.finalize()
-    finally:
-        coordinator.shutdown()
+    plan = plan_fabric_shards(fabric_config_for(config, preset, stack),
+                              shards)
+    gen_cfg = FlowGenConfig(pattern=pattern, load=load, n_flows=n_flows,
+                            size_cdf=size_cdf)
+    tallies = _run_shards(plan, config, preset, stack, seed, gen_cfg)
     # The merged records reproduce the live generator's FCT summary.
-    records = [FlowRecord(*r) for p in payloads for r in p["records"]]
-    result = _fabric_result(payloads, config, preset, stack, pattern, load,
-                            n_flows, fct_summary_from(records))
+    records = [FlowRecord(*r) for t in tallies for r in t["records"]]
+    result = _fabric_result(tallies, config, preset, stack, gen_cfg,
+                            fct_summary_from(records))
     # Checked in every invariant mode: the shards' own laws cannot see a
     # frame lost between them.
-    _check_fabric_sanity(result, payloads, coordinator.now, "dist.shard")
+    _check_fabric_sanity(result, tallies, "dist.shard")
     return result

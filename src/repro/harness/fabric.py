@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.harness.runner import _finalize_run
 from repro.harness.warmup_cache import (
@@ -25,7 +25,6 @@ from repro.loadgen.flowgen import (
     FlowGenConfig,
     FlowTrafficGenerator,
     flow_digest_from,
-    resolve_size_cdf,
 )
 from repro.net.fabric import Fabric, FabricConfig, build_fabric
 from repro.sim.checkpoint import CheckpointError
@@ -154,36 +153,32 @@ def build_fabric_rig(config: SystemConfig, preset: str, stack: str,
     return fabric
 
 
-def _run_phase(run_us: Callable[[float], object], idle: Callable[[], bool],
-               ready: Callable[[], bool], plan: FabricWarmupPlan,
-               label: str, chunk_us: float = 50.0,
-               max_chunks: int = 4000) -> None:
+def _run_phase(fabric: Fabric, plan: FabricWarmupPlan,
+               chunk_us: float = 50.0, max_chunks: int = 4000) -> None:
     """Advance in fixed chunks until every flow is injected and no frame
-    is in flight (``idle``), then in drain chunks until the fabric is
-    checkpoint-ready (``ready``).  The one loop of the single-process run
-    and the shard coordinator, so both test at the same absolute ticks.
+    is in flight, then in drain chunks until the fabric is
+    checkpoint-ready.  The one phase loop of the single-process run and
+    of every shard: each decision goes through
+    :meth:`~repro.net.fabric.Fabric.everywhere`, so all shards stop
+    together, and ``run(until)`` ends every chunk exactly at its target,
+    so they stop at the single-process tick.
     """
     for _ in range(max_chunks):
-        if idle():
+        if fabric.everywhere(not fabric.generator.active
+                             and fabric.quiescent()):
             break
-        run_us(chunk_us)
+        fabric.run_us(chunk_us)
     else:
         raise CheckpointError(
-            f"{label}: flow phase failed to drain after "
+            f"{fabric.label}: flow phase failed to drain after "
             f"{max_chunks} chunks of {chunk_us}us")
     for _ in range(plan.max_drain_chunks):
-        if ready():
+        if fabric.everywhere(fabric._checkpoint_ready()):
             return
-        run_us(plan.drain_chunk_us)
+        fabric.run_us(plan.drain_chunk_us)
     raise CheckpointError(
-        f"{label}: fabric failed to reach quiescence after "
+        f"{fabric.label}: fabric failed to reach quiescence after "
         f"{plan.max_drain_chunks} drain chunks of {plan.drain_chunk_us}us")
-
-
-def _run_fabric_phase(fabric: Fabric, plan: FabricWarmupPlan) -> None:
-    _run_phase(fabric.run_us,
-               lambda: not fabric.generator.active and fabric.quiescent(),
-               fabric._checkpoint_ready, plan, fabric.label)
 
 
 def _warm_gen_config(plan: FabricWarmupPlan) -> FlowGenConfig:
@@ -209,7 +204,7 @@ def fabric_warm_start(config: SystemConfig, preset: str, stack: str,
 
     def warm(fabric: Fabric) -> None:
         fabric.generator.start(_warm_gen_config(plan))
-        _run_fabric_phase(fabric, plan)
+        _run_phase(fabric, plan)
         fabric.reset_measurement()
 
     return WarmStart(build, key, warm, {"phase": "warmup"})
@@ -229,25 +224,27 @@ def run_fabric(config: SystemConfig, preset: str, stack: str,
     with the same key — bit-identical to warming up from scratch, and
     shared across patterns and loads.
     """
+    # Built first: a bad pattern or size CDF fails before any warm-up.
+    gen_cfg = FlowGenConfig(pattern=pattern, load=load, n_flows=n_flows,
+                            size_cdf=size_cdf)
     fabric = warm_start(fabric_warm_start(config, preset, stack, seed),
                         warmup_cache)
-
-    # Measured phase — identical code whether the warm-up was simulated
-    # or restored from a checkpoint.
-    generator = fabric.generator
-    resolve_size_cdf(size_cdf)   # fail fast on unknown names
-    generator.start(FlowGenConfig(pattern=pattern, load=load,
-                                  n_flows=n_flows, size_cdf=size_cdf))
-    _run_fabric_phase(fabric, FabricWarmupPlan())
-    trace_digest = _finalize_run(fabric)
-
-    tallies = [_fabric_tally(fabric)]
-    result = _fabric_result(tallies, config, preset, stack, pattern, load,
-                            n_flows, generator.fct_summary(), trace_digest)
+    tally, trace_digest = _measure(fabric, gen_cfg)
+    result = _fabric_result([tally], config, preset, stack, gen_cfg,
+                            fabric.generator.fct_summary(), trace_digest)
     if fabric.sim.invariants.mode != "off":
-        _check_fabric_sanity(result, tallies, fabric.sim.now,
-                             "harness.fabric")
+        _check_fabric_sanity(result, [tally], "harness.fabric")
     return result
+
+
+def _measure(fabric: Fabric, gen_cfg: FlowGenConfig) -> Tuple[dict, str]:
+    """The measured phase of a warmed-up fabric, or of one shard's slice
+    of it: offer ``gen_cfg``'s flows, run until drained, assert the
+    invariants.  Returns the :func:`_fabric_tally` and trace digest."""
+    fabric.generator.start(gen_cfg)
+    _run_phase(fabric, FabricWarmupPlan())
+    trace_digest = _finalize_run(fabric)
+    return _fabric_tally(fabric), trace_digest
 
 
 def _fabric_tally(fabric: Fabric) -> dict:
@@ -263,11 +260,12 @@ def _fabric_tally(fabric: Fabric) -> dict:
         "per_switch_drops": fabric.per_switch_drops(),
         "channel_out": sum(half.frames_out for half in fabric.channels),
         "channel_in": sum(half.frames_in for half in fabric.channels),
+        "now": fabric.sim.now,
     }
 
 
 def _fabric_result(tallies: List[dict], config: SystemConfig, preset: str,
-                   stack: str, pattern: str, load: float, n_flows: int,
+                   stack: str, gen_cfg: FlowGenConfig,
                    fct_us: Dict[str, float],
                    trace_digest: str = "") -> FabricRunResult:
     """Fold :func:`_fabric_tally` outputs — one per shard, or one for a
@@ -288,9 +286,9 @@ def _fabric_result(tallies: List[dict], config: SystemConfig, preset: str,
         label=config.label,
         preset=preset,
         stack=stack,
-        pattern=pattern,
-        offered_load=load,
-        n_flows=n_flows,
+        pattern=gen_cfg.pattern,
+        offered_load=gen_cfg.load,
+        n_flows=gen_cfg.n_flows,
         flows_started=started,
         flows_completed=len(record_tuples),
         frames_sent=sent,
@@ -305,7 +303,7 @@ def _fabric_result(tallies: List[dict], config: SystemConfig, preset: str,
 
 
 def _check_fabric_sanity(result: FabricRunResult, tallies: List[dict],
-                         tick: int, source: str) -> None:
+                         source: str) -> None:
     """Harness-level cross-checks on the reported numbers.  Internal
     conservation is the invariant registry's job, but a shard's laws
     close over its own channel counters: only the merged tallies can
@@ -332,7 +330,8 @@ def _check_fabric_sanity(result: FabricRunResult, tallies: List[dict],
                      f"channel but {channel_in} arrived at the peer")
     if fails:
         raise InvariantViolation([f"{source}: {msg}" for msg in fails],
-                                 tick=tick, phase="harness")
+                                 tick=max(t["now"] for t in tallies),
+                                 phase="harness")
 
 
 def run_fabric_sharded(config: SystemConfig, preset: str, stack: str,

@@ -227,6 +227,7 @@ class FlowGenConfig:
             raise ValueError("n_flows must be positive")
         if not 0.0 <= self.intra_group_fraction <= 1.0:
             raise ValueError("intra_group_fraction must be in [0, 1]")
+        resolve_size_cdf(self.size_cdf)
 
 
 def pick_endpoints(rng: DeterministicRng, groups: Sequence[int],

@@ -13,10 +13,11 @@ evaluation needs many hosts behind a switch fabric.  This module adds:
 - declarative :func:`build_fat_tree` / :func:`build_leaf_spine`
   builders on top of :class:`~repro.system.topology.Topology`, wired
   entirely through typed ports and :class:`~repro.nic.phy.EtherLink`;
-- :class:`Fabric`: the container with drain / checkpoint / restore
-  mirroring :class:`repro.system.node._BaseNode`, so the warm-up cache
-  and the sweep executor treat a 20-switch fat-tree exactly like a
-  single node.
+- :class:`Fabric`: the container with a single node's run / reset /
+  checkpoint / restore surface — checkpoints go through the same
+  :mod:`repro.sim.checkpoint` functions as a node's — so the warm-up
+  cache and the sweep executor treat a 20-switch fat-tree exactly like
+  a single node.
 
 Timing model: a frame that arrives on an input port is forwarded after
 ``forward_latency_ns``, then serialized onto the chosen output at port
@@ -43,7 +44,7 @@ from repro.net.packet import (
 )
 from repro.nic.phy import EtherLink, EtherPort
 from repro.sim.channel import ChannelHalf
-from repro.sim.checkpoint import CheckpointError, seal, verify
+from repro.sim.checkpoint import CheckpointError, restore_snapshot, snapshot
 from repro.sim.event_queue import EventPool, batching_enabled
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.ticks import ns_to_ticks, us_to_ticks
@@ -596,10 +597,12 @@ class _RemoteSwitchStub:
 class Fabric:
     """A built fabric: hosts + switches + links + the wiring graph.
 
-    Mirrors the :class:`repro.system.node._BaseNode` control surface —
-    ``run_us`` / ``reset_measurement`` / ``checkpoint`` / ``restore`` —
-    so the warm-up cache, the sweep executor and the CLI drive a fabric
-    exactly like a single node.
+    Has a single node's control surface — ``run_us`` /
+    ``reset_measurement`` / ``checkpoint`` / ``restore``, the last two
+    through :func:`~repro.sim.checkpoint.snapshot` and
+    :func:`~repro.sim.checkpoint.restore_snapshot` — so the warm-up
+    cache, the sweep executor and the CLI drive a fabric exactly like a
+    single node.
 
     With a ``shard_plan`` (see :mod:`repro.dist.shard`) the builders
     construct only this shard's slice of the topology: remote hosts and
@@ -609,7 +612,9 @@ class Fabric:
     the same link name — the SimBricks-style boundary the shard runner
     synchronizes over.  ``hosts`` / ``switches`` keep full-topology
     indexing (stubs included); ``local_hosts`` / ``local_switches`` are
-    the simulated subset every aggregate below reads.
+    the simulated subset every aggregate below reads.  The shard runner
+    then sets ``sync``: :meth:`run_us` advances in epochs with the peer
+    shards, and :meth:`everywhere` ANDs a phase decision over all shards.
     """
 
     def __init__(self, sim: Simulation, config: FabricConfig,
@@ -628,6 +633,9 @@ class Fabric:
         self.links: List[EtherLink] = []
         self.channels: List[ChannelHalf] = []
         self.generator: Optional[FlowTrafficGenerator] = None
+        #: The shard's link to its peers (``repro.dist.shard``); None
+        #: when the whole fabric runs in this process.
+        self.sync = None
 
     # -- construction helpers (used by the builders) -------------------------
 
@@ -783,7 +791,16 @@ class Fabric:
     # -- simulation control --------------------------------------------------
 
     def run_us(self, microseconds: float) -> int:
-        return self.sim.run(until=self.sim.now + us_to_ticks(microseconds))
+        target = self.sim.now + us_to_ticks(microseconds)
+        if self.sync is None:
+            return self.sim.run(until=target)
+        self.sync.group.advance(target, self.sync.exchange)
+        return self.sim.now
+
+    def everywhere(self, flag: bool) -> bool:
+        """``flag`` ANDed over every shard of the run (just ``flag``
+        unsharded), so all shards take each phase decision together."""
+        return flag if self.sync is None else self.sync.all_true(flag)
 
     def _checkpoint_ready(self) -> bool:
         if not self.quiescent():
@@ -812,58 +829,17 @@ class Fabric:
             raise CheckpointError(
                 f"{self.label}: fabric is not checkpoint-ready "
                 f"({'; '.join(detail) or 'generator still active'})")
-        labels = [label for label, _comp in self.topology.components()]
-        meta = {
-            "label": self.label,
-            "app": "fabric",
-            "seed": self.sim.rng.seed,
-            "components": labels,
-        }
-        if extra_meta:
-            meta.update(extra_meta)
-        objects = {}
-        for label, component in self.topology.components():
-            try:
-                objects[label] = component.serialize_state()
-            except CheckpointError:
-                raise
-            except Exception as exc:
-                raise CheckpointError(
-                    f"{self.label}: serializing {label!r} failed: "
-                    f"{exc}") from exc
-        return seal({
-            "meta": meta,
-            "sim": self.sim.serialize_state(),
-            "objects": objects,
-        })
+        return snapshot(self.sim, self.topology,
+                        {**self._identity(), **(extra_meta or {})})
 
     def restore(self, doc: dict) -> None:
         """Restore into a freshly built, never-run fabric."""
-        doc = verify(doc)
-        meta = doc["meta"]
-        if meta["label"] != self.label:
-            raise CheckpointError(
-                f"checkpoint is for fabric {meta['label']!r}, "
-                f"not {self.label!r}")
-        labels = [label for label, _comp in self.topology.components()]
-        if meta["components"] != labels:
-            raise CheckpointError(
-                f"topology mismatch: checkpoint has {meta['components']}, "
-                f"fabric has {labels}")
-        if meta["seed"] != self.sim.rng.seed:
-            raise CheckpointError(
-                f"checkpoint was taken with seed {meta['seed']}, "
-                f"fabric was built with seed {self.sim.rng.seed}")
-        for label, component in self.topology.components():
-            try:
-                component.deserialize_state(doc["objects"][label])
-            except CheckpointError:
-                raise
-            except Exception as exc:
-                raise CheckpointError(
-                    f"{self.label}: restoring {label!r} failed: "
-                    f"{exc}") from exc
-        self.sim.deserialize_state(doc["sim"])
+        restore_snapshot(self.sim, self.topology, doc, self._identity())
+
+    def _identity(self) -> dict:
+        """What a checkpoint of this fabric records, and restore checks."""
+        return {"label": self.label, "app": "fabric",
+                "seed": self.sim.rng.seed}
 
 
 def _switch_config(config: FabricConfig, radix: int) -> SwitchConfig:

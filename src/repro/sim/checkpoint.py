@@ -115,6 +115,61 @@ def verify(document: Any) -> Dict[str, Any]:
     return document
 
 
+def snapshot(sim: Any, topology: Any, meta: Dict[str, Any]) -> Dict[str, Any]:
+    """Seal ``sim`` and every component of ``topology`` into a document.
+
+    The one place a checkpoint is written: a node or fabric checks its
+    own readiness (drained, sources idle) and passes its identity plus
+    any extra provenance as ``meta``; the component label list is added
+    as ``meta["components"]``.
+    """
+    labels = []
+    objects = {}
+    for label, component in topology.components():
+        labels.append(label)
+        try:
+            objects[label] = component.serialize_state()
+        except CheckpointError:
+            raise
+        except Exception as exc:
+            raise CheckpointError(
+                f"{topology.name}: serializing {label!r} failed: "
+                f"{exc}") from exc
+    return seal({
+        "meta": {"components": labels, **meta},
+        "sim": sim.serialize_state(),
+        "objects": objects,
+    })
+
+
+def restore_snapshot(sim: Any, topology: Any, doc: Any,
+                     expect: Dict[str, Any]) -> None:
+    """Restore a :func:`snapshot` document into a freshly built,
+    never-run ``sim`` and ``topology`` — the one place it is read.
+
+    ``expect`` is the identity this build must match (``label``,
+    ``app``, ``seed``); the component label list must match too.
+    """
+    doc = verify(doc)
+    meta = doc["meta"]
+    labels = [label for label, _comp in topology.components()]
+    for key, want in dict(expect, components=labels).items():
+        if meta.get(key) != want:
+            raise CheckpointError(
+                f"{topology.name}: checkpoint was taken with {key} "
+                f"{meta.get(key)!r}, this build has {want!r}")
+    for label, component in topology.components():
+        try:
+            component.deserialize_state(doc["objects"][label])
+        except CheckpointError:
+            raise
+        except Exception as exc:
+            raise CheckpointError(
+                f"{topology.name}: restoring {label!r} failed: "
+                f"{exc}") from exc
+    sim.deserialize_state(doc["sim"])
+
+
 def save_checkpoint(document: Dict[str, Any], path: str) -> None:
     """Write a sealed checkpoint to ``path`` atomically.
 

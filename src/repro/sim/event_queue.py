@@ -247,26 +247,6 @@ class EventQueue:
         head = self._head()
         return head[0] if head is not None else None
 
-    def advance_to(self, tick: int) -> int:
-        """Advance an idle clock to ``tick`` without running anything.
-
-        ``run(until=h)`` freezes ``now`` at the last fired event when the
-        queue drains mid-horizon, so two event queues that drained at
-        different ticks disagree on "now" even after running to the same
-        horizon.  Cross-process shard synchronization needs them
-        realigned before a phase starts (a flow generator stamps its
-        schedule with the current tick).  No-op when already at or past
-        ``tick``; refuses to jump over a live pending event.
-        """
-        head = self._head()
-        if head is not None and head[0] < tick:
-            raise RuntimeError(
-                f"cannot advance the clock to {tick}: a live event is "
-                f"pending at {head[0]}")
-        if tick > self._now:
-            self._now = tick
-        return self._now
-
     def step(self) -> bool:
         """Execute the next event.  Returns False if the queue is empty."""
         fired = self._fired
@@ -278,8 +258,10 @@ class EventQueue:
         ``max_events`` have fired.  Returns the current tick.
 
         ``until`` is inclusive: events scheduled exactly at ``until`` run.
-        When the horizon is reached with events still pending, ``now`` is
-        advanced to ``until`` so repeated bounded runs make progress.
+        When the horizon is reached, with events still pending or with
+        the queue drained early, ``now`` is advanced to ``until``: bounded
+        runs make progress, and queues run to one horizon agree on the
+        time.
         """
         budget = max_events if max_events is not None else -1
         fifo, heap = self._fifo, self._heap

@@ -19,7 +19,6 @@ from repro.dpdk.mempool import Mempool
 from repro.dpdk.pmd import E1000Pmd
 from repro.kernelstack.driver import InterruptNicDriver
 from repro.kernelstack.stack import KernelStackModel
-from repro.kvstore.store import KvStore
 from repro.loadgen.ether_load_gen import (
     DEFAULT_DST_MAC,
     DEFAULT_SRC_MAC,
@@ -31,7 +30,7 @@ from repro.nic.i8254x import E1000_DEVICE_ID, INTEL_VENDOR_ID
 from repro.nic.phy import EtherLink
 from repro.pci.bus import PciBus
 from repro.pci.uio import UioBindError, UioPciGeneric
-from repro.sim.checkpoint import CheckpointError, seal, verify
+from repro.sim.checkpoint import CheckpointError, restore_snapshot, snapshot
 from repro.sim.simobject import Simulation
 from repro.sim.ticks import us_to_ticks
 from repro.system.config import SystemConfig
@@ -335,30 +334,8 @@ class _BaseNode:
             raise CheckpointError(
                 f"{self.config.label}: node is not checkpoint-ready "
                 f"({'; '.join(detail) or 'traffic source still active'})")
-        labels = [label for label, _comp in self.topology.components()]
-        meta = {
-            "label": self.config.label,
-            "app": type(self.app).__name__ if self.app is not None else None,
-            "seed": self.sim.rng.seed,
-            "components": labels,
-        }
-        if extra_meta:
-            meta.update(extra_meta)
-        objects = {}
-        for label, component in self.topology.components():
-            try:
-                objects[label] = component.serialize_state()
-            except CheckpointError:
-                raise
-            except Exception as exc:
-                raise CheckpointError(
-                    f"{self.config.label}: serializing {label!r} failed: "
-                    f"{exc}") from exc
-        return seal({
-            "meta": meta,
-            "sim": self.sim.serialize_state(),
-            "objects": objects,
-        })
+        return snapshot(self.sim, self.topology,
+                        {**self._identity(), **(extra_meta or {})})
 
     def restore(self, doc: dict) -> None:
         """Restore a checkpoint into this (freshly built, never started)
@@ -370,36 +347,15 @@ class _BaseNode:
         on a restored node: the event queue is reconstructed exactly,
         including the application's poll/NAPI events.
         """
-        doc = verify(doc)
-        meta = doc["meta"]
-        if meta["label"] != self.config.label:
-            raise CheckpointError(
-                f"checkpoint is for config {meta['label']!r}, "
-                f"not {self.config.label!r}")
-        labels = [label for label, _comp in self.topology.components()]
-        if meta["components"] != labels:
-            raise CheckpointError(
-                f"topology mismatch: checkpoint has {meta['components']}, "
-                f"node has {labels}")
-        app_name = type(self.app).__name__ if self.app is not None else None
-        if meta["app"] != app_name:
-            raise CheckpointError(
-                f"checkpoint is for application {meta['app']!r}, "
-                f"node runs {app_name!r}")
-        if meta["seed"] != self.sim.rng.seed:
-            raise CheckpointError(
-                f"checkpoint was taken with seed {meta['seed']}, "
-                f"node was built with seed {self.sim.rng.seed}")
-        for label, component in self.topology.components():
-            try:
-                component.deserialize_state(doc["objects"][label])
-            except CheckpointError:
-                raise
-            except Exception as exc:
-                raise CheckpointError(
-                    f"{self.config.label}: restoring {label!r} failed: "
-                    f"{exc}") from exc
-        self.sim.deserialize_state(doc["sim"])
+        restore_snapshot(self.sim, self.topology, doc, self._identity())
+
+    def _identity(self) -> dict:
+        """What a checkpoint of this node records, and restore checks."""
+        return {
+            "label": self.config.label,
+            "app": type(self.app).__name__ if self.app is not None else None,
+            "seed": self.sim.rng.seed,
+        }
 
 
 class DpdkNode(_BaseNode):
@@ -520,8 +476,3 @@ class KernelNode(_BaseNode):
 
     def start(self, when: int = 0) -> None:
         """Kernel apps are interrupt-driven; nothing to schedule."""
-
-
-def make_kvstore(node: _BaseNode, n_buckets: int = 4096) -> KvStore:
-    """A KV store in the node's address space."""
-    return KvStore(node.address_space, n_buckets=n_buckets)

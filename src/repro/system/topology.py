@@ -130,10 +130,7 @@ class Topology:
         Each edge appears once as ``(label_a, port_a, label_b, port_b,
         metadata)`` in creation order.  Bindings whose peer component is
         not registered here are skipped (they belong to another
-        topology — or another shard).  The shard partitioner's tests use
-        this to prove a sharded build has no direct binding between
-        components owned by different shards: every cut edge must go
-        through a channel half instead.
+        topology — or another shard).
         """
         label_of = {id(comp): label
                     for label, comp in self._components.items()}
@@ -188,8 +185,6 @@ class Topology:
 
     def to_dot(self) -> str:
         """The wiring graph in Graphviz DOT form (deterministic)."""
-        label_of = {id(comp): label
-                    for label, comp in self._components.items()}
         lines = [f'digraph "{self.name}" {{',
                  "  rankdir=LR;",
                  '  node [shape=box, fontname="monospace", fontsize=10];',
@@ -197,22 +192,13 @@ class Topology:
         for label, component in self._components.items():
             kind = type(component).__name__
             lines.append(f'  "{label}" [label="{label}\\n({kind})"];')
-        seen = set()
-        for label, port in self.ports():
-            for peer, meta in zip(port.peers, port.bind_metadata):
-                peer_label = label_of.get(id(peer.owner))
-                if peer_label is None:
-                    continue   # peer outside this topology
-                key = frozenset((id(port), id(peer)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                # Draw request -> response; peers draw in insertion order.
-                src, dst = ((label, peer_label)
-                            if port.role != "response"
-                            else (peer_label, label))
-                lines.append(f'  "{src}" -> "{dst}" '
-                             f'[label="{self._edge_label(port, meta)}"];')
+        for label, port, peer_label, _peer, meta in self.edges():
+            # Draw request -> response; peers draw in insertion order.
+            src, dst = ((label, peer_label)
+                        if port.role != "response"
+                        else (peer_label, label))
+            lines.append(f'  "{src}" -> "{dst}" '
+                         f'[label="{self._edge_label(port, meta)}"];')
         lines.append("}")
         return "\n".join(lines)
 

@@ -95,6 +95,20 @@ def test_sharded_run_under_strict_invariants(monkeypatch, preset, pattern):
     assert sharded.flow_digest == single.flow_digest
 
 
+def test_phase_decisions_reach_shards_that_share_no_channel():
+    """At 4 shards, leaf-spine shards 2 and 3 share no channel.  Sparse
+    flows leave chunk boundaries where one shard still has flows to
+    inject while the others are idle, so each phase decision must hear
+    every shard; one gathered from channel neighbours only fails this
+    case with a sync-skew error."""
+    kwargs = dict(pattern="uniform", load=0.0005, n_flows=20, seed=1)
+    single = run_fabric(gem5_default(), "leaf-spine", "dpdk", **kwargs)
+    sharded = run_fabric_sharded(gem5_default(), "leaf-spine", "dpdk",
+                                 shards=4, **kwargs)
+    assert sharded.flow_digest == single.flow_digest
+    assert sharded.fct_us == single.fct_us
+
+
 def test_sharded_run_is_deterministic_across_reruns():
     load, n_flows = PATTERN_POINTS["hotspot"]
     first = run_fabric_sharded(gem5_default(), "fat-tree-k4", "dpdk",

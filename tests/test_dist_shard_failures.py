@@ -1,9 +1,10 @@
 """Failure semantics of the multiprocess shard runner.
 
-A shard that dies mid-epoch must surface as a :class:`ShardCrashError`
-naming the dead shard — promptly (the coordinator polls liveness while
-waiting on responses, it does not sit out a full command timeout) — and
-teardown must leave neither deadlocked peers nor orphan processes.  A
+A shard that dies mid-epoch or raises must surface as a
+:class:`ShardCrashError` naming that shard — promptly (the parent sees
+the dead shard's result pipe close, or reads the raised error from it;
+it does not sit out the peers' 60 s receive backstop) — and teardown
+must leave neither deadlocked peers nor orphan processes.  A
 frame lost *between* shards must fail the run: no shard's own
 conservation law can see it.
 """
@@ -17,6 +18,7 @@ import pytest
 
 from repro.dist import ShardCrashError
 from repro.dist.shard import run_fabric_sharded
+from repro.loadgen.flowgen import FlowTrafficGenerator
 from repro.sim.channel import ChannelGroup, ChannelHalf
 from repro.sim.invariants import InvariantViolation
 from repro.system.presets import gem5_default
@@ -66,8 +68,8 @@ def test_crash_mid_epoch_raises_named_error_without_orphans(monkeypatch):
     assert excinfo.value.shard_id == 1
     assert "shard 1" in str(excinfo.value)
 
-    # Bounded: liveness polling catches the death within seconds; the
-    # surviving peer is torn down without waiting out its 60s
+    # Bounded: the dead shard's closed result pipe shows the death at
+    # once; the surviving peer is torn down without waiting out its 60s
     # peer-receive backstop.
     assert elapsed < 30.0, f"crash detection took {elapsed:.1f}s"
 
@@ -80,6 +82,25 @@ def test_crash_in_first_epoch_of_four_shards(monkeypatch):
     with pytest.raises(ShardCrashError) as excinfo:
         _run(shards=4)
     assert excinfo.value.shard_id == 3
+    _assert_no_shard_children()
+
+
+def test_exception_in_a_shard_is_named_with_its_message(monkeypatch):
+    start = FlowTrafficGenerator.start
+
+    def exploding_start(generator, config):
+        if multiprocessing.current_process().name == "repro-shard-1":
+            raise RuntimeError("flow schedule exploded")
+        return start(generator, config)
+
+    # Patched before the shards fork, so every shard inherits it.
+    monkeypatch.setattr(FlowTrafficGenerator, "start", exploding_start)
+    t0 = time.monotonic()
+    with pytest.raises(ShardCrashError) as excinfo:
+        _run()
+    assert time.monotonic() - t0 < 30.0
+    assert excinfo.value.shard_id == 1
+    assert "RuntimeError: flow schedule exploded" in str(excinfo.value)
     _assert_no_shard_children()
 
 

@@ -148,6 +148,17 @@ def test_kernel_stack_is_slower_than_dpdk(warm_cache):
     assert kernel.fct_us["mean"] > dpdk.fct_us["mean"]
 
 
+def test_bad_measured_inputs_fail_before_the_warm_up(tmp_path):
+    """An unknown pattern or size CDF is refused before any warm-up is
+    simulated, so no snapshot lands in the warm-up cache."""
+    cache = WarmupCache(tmp_path)
+    for bad in ({"pattern": "nope"}, {"size_cdf": "nope"}):
+        with pytest.raises(ValueError, match="nope"):
+            run_fabric(gem5_default(), "leaf-spine", "dpdk", n_flows=20,
+                       warmup_cache=cache, **bad)
+        assert list(tmp_path.iterdir()) == []
+
+
 # ----------------------------------------------------------------------
 # Golden regression fixture: one small fat-tree run, pinned.
 # ----------------------------------------------------------------------

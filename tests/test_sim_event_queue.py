@@ -106,6 +106,14 @@ def test_run_until_advances_time_without_events(queue):
     assert queue.now == 12345
 
 
+def test_run_until_ends_at_until_after_the_queue_drains(queue):
+    """Shards rely on this: each chunk ends at its target tick in every
+    shard, whether or not that shard ran out of events first."""
+    queue.schedule(Event(lambda: None), 10)
+    queue.run(until=100)
+    assert queue.now == 100
+
+
 def test_run_max_events(queue):
     fired = []
     for i in range(10):
