@@ -30,7 +30,7 @@ from repro.kernelstack.stack import KernelStackModel
 from repro.mem.address import AddressSpace
 from repro.net.packet import Packet
 from repro.sim.checkpoint import CheckpointError
-from repro.sim.event_queue import EventPool, batching_enabled
+from repro.sim.event_queue import EventPool
 from repro.sim.ports import KIND_APP, RequestPort
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.ticks import ns_to_ticks
@@ -60,7 +60,6 @@ class DpdkApp(SimObject):
         # Pooled burst-completion event: at most one in flight (the loop
         # is run-to-completion), so the pool never grows past one event,
         # but each burst skips an Event + closure + f-string allocation.
-        self._event_pools = batching_enabled()
         self._finish_pool = EventPool(self._finish_burst,
                                       f"{name}.finish_burst")
         self._idle = True
@@ -163,13 +162,8 @@ class DpdkApp(SimObject):
         if self.sim.tracer.enabled:
             self.trace("app", "burst", harvested=len(frames),
                        outgoing=len(outgoing), ns=round(total_ns, 3))
-        if self._event_pools:
-            self._finish_pool.schedule_at(
-                self.sim.events, self.now + ns_to_ticks(total_ns), outgoing)
-        else:
-            self.call_after(ns_to_ticks(total_ns),
-                            lambda out=outgoing: self._finish_burst(out),
-                            name="finish_burst")
+        self._finish_pool.schedule_at(
+            self.sim.events, self.now + ns_to_ticks(total_ns), outgoing)
 
     def _pmd_work(self, frame: RxMbuf) -> Work:
         """Driver-side footprint: descriptor read, mbuf metadata write
@@ -260,8 +254,7 @@ class KernelNetApp(SimObject):
         self.core = core
         self.costs = costs
         self._napi_event = self.make_event(self._napi, "napi")
-        self._event_pools = batching_enabled()
-        self._napi_pool = EventPool(self._napi_pooled, f"{name}.napi_next")
+        self._napi_pool = EventPool(self._napi, f"{name}.napi_next")
         self._processing = False
         self.packets_processed = 0
         self.interrupts = 0
@@ -308,7 +301,7 @@ class KernelNetApp(SimObject):
         if not self._napi_event.scheduled:
             self.schedule(self._napi_event, self.now)
 
-    def _napi(self) -> None:
+    def _napi(self, _payload=None) -> None:
         descs = self.driver.harvest(self.napi_budget)
         if not descs:
             self._processing = False
@@ -333,15 +326,8 @@ class KernelNetApp(SimObject):
         if self.sim.tracer.enabled:
             self.trace("app", "napi", harvested=batch,
                        ns=round(total_ns, 3))
-        if self._event_pools:
-            self._napi_pool.schedule_at(
-                self.sim.events, self.now + ns_to_ticks(total_ns))
-        else:
-            self.call_after(ns_to_ticks(total_ns), self._napi,
-                            name="napi_next")
-
-    def _napi_pooled(self, _payload) -> None:
-        self._napi()
+        self._napi_pool.schedule_at(
+            self.sim.events, self.now + ns_to_ticks(total_ns))
 
     # -- subclass hook -----------------------------------------------------------
 

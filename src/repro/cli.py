@@ -103,6 +103,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _float_list(text: str) -> List[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _apply_diagnostics_env(args) -> None:
     """Translate the diagnostics flags into the environment variables the
     simulation layer reads.  Going through the environment (rather than
@@ -176,10 +184,9 @@ def _cmd_msb(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rates = [float(r) for r in args.rates.split(",")]
     ex = _executor_from(args)
     points = bandwidth_sweep(
-        _platform(args.platform), args.app, args.size, rates_gbps=rates,
+        _platform(args.platform), args.app, args.size, rates_gbps=args.rates,
         n_packets=args.packets, app_options=_app_options(args),
         seed=args.seed, executor=ex)
     print(format_table(
@@ -341,7 +348,14 @@ def _cmd_fabric_run(args) -> int:
             print("--trace is not available with --shards > 1: each shard "
                   "traces its own slice only", file=sys.stderr)
             return 2
-        from repro.harness.fabric import run_fabric_sharded
+        from repro.dist.shard import plan_fabric_shards
+        from repro.harness.fabric import fabric_config_for, run_fabric_sharded
+        fab_cfg = fabric_config_for(point.config, args.preset, args.stack)
+        try:
+            plan_fabric_shards(fab_cfg, args.shards)
+        except ValueError as exc:
+            print(f"--shards: {exc}", file=sys.stderr)
+            return 2
         # Run with the same forked per-point seed the executor path
         # uses, so --shards N reproduces the --shards 1 digest exactly.
         result = run_fabric_sharded(
@@ -384,12 +398,11 @@ def _cmd_fabric_run(args) -> int:
 
 
 def _cmd_fabric_sweep(args) -> int:
-    loads = [float(x) for x in args.loads.split(",")]
     ex = _executor_from(args)
     points = [fabric_point(
         _platform(args.platform), args.preset, args.stack,
         pattern=args.pattern, load=load, n_flows=args.flows,
-        size_cdf=args.size_cdf, seed=args.seed) for load in loads]
+        size_cdf=args.size_cdf, seed=args.seed) for load in args.loads]
     results = ex.run(points)
     print(format_table(
         f"{args.preset}/{args.stack} {args.pattern} FCT vs load "
@@ -543,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="bandwidth vs drop curve")
     common(p_sweep)
-    p_sweep.add_argument("--rates", default="5,15,25,35,45,55,65",
+    p_sweep.add_argument("--rates", type=_float_list,
+                         default="5,15,25,35,45,55,65",
                          help="comma-separated offered rates in Gbps")
     p_sweep.add_argument("--packets", type=int, default=1500)
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -647,7 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="FCT/drop curve over offered loads")
     fabric_common(p_fsweep)
     common(p_fsweep, with_app=False)
-    p_fsweep.add_argument("--loads", default="0.2,0.4,0.6,0.8",
+    p_fsweep.add_argument("--loads", type=_float_list,
+                          default="0.2,0.4,0.6,0.8",
                           help="comma-separated offered load fractions")
     p_fsweep.set_defaults(func=_cmd_fabric_sweep)
 

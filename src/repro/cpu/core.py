@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.mem.hierarchy import LEVEL_L1, MemoryHierarchy
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.ports import KIND_CLOCK, KIND_MEM, RequestPort
 
 
@@ -165,15 +165,6 @@ class CoreModel:
 
     def _time_work(self, work: Work, now_ns: float) -> float:
         raise NotImplementedError
-
-    def _probe(self, addr: int, now_ns: float, is_instr: bool = False,
-               is_write: bool = False) -> float:
-        """Access latency in ns; tracks L1 hit counts for the subclasses."""
-        result = self.hierarchy.core_access(
-            addr, now_ns, is_instr=is_instr, is_write=is_write)
-        if result.level == LEVEL_L1:
-            self.l1_hits += 1
-        return result.cycles * self.config.period_ns + result.dram_ns
 
     def reset_counters(self) -> None:
         """Zero the measurement counters."""

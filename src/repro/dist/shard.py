@@ -7,10 +7,11 @@ module is that composition for the reproduction's switch fabrics:
 - :func:`plan_fabric_shards` partitions a :class:`FabricConfig`'s
   topology into ``n`` shards (pods or leaves stay whole; cores and
   spines stripe round-robin);
-- each shard process builds only its slice of the fabric (remote
-  components become stubs, boundary links become
-  :class:`~repro.sim.channel.ChannelHalf` ends — see
-  :meth:`repro.net.fabric.Fabric._link`) and runs its own
+- each shard process builds the whole fabric from the real components
+  and wires only the links it owns an end of, a boundary link as a
+  :class:`~repro.sim.channel.ChannelHalf` end (see
+  :meth:`repro.net.fabric.Fabric._link`); the components other shards
+  own stay idle.  Each shard runs its own
   :class:`~repro.sim.event_queue.EventQueue`;
 - each shard then runs what :func:`repro.harness.fabric.run_fabric`
   runs — warm-up, measured phase, final invariant check — on its
@@ -295,21 +296,19 @@ def _run_shards(plan: ShardPlan, config: SystemConfig, preset: str,
 def run_fabric_sharded(config: SystemConfig, preset: str, stack: str,
                        pattern: str = "uniform", load: float = 0.3,
                        n_flows: int = 200, size_cdf: str = "smoke",
-                       seed: int = 0, shards: int = 2,
-                       warmup_cache=None) -> FabricRunResult:
+                       seed: int = 0, shards: int = 2) -> FabricRunResult:
     """Run one fabric flow phase split over ``shards`` processes.
 
     Same contract as :func:`repro.harness.fabric.run_fabric` — same
     warm-up plan, same phase loop, bit-identical flow digest — with the
     simulation partitioned per :func:`plan_fabric_shards`.  The warm-up
     checkpoint cache is not used in sharded mode (warm-up is simulated
-    in the shards every run); ``warmup_cache`` only applies to the
-    ``shards <= 1`` fallback, which delegates to :func:`run_fabric`.
+    in the shards every run); the ``shards <= 1`` fallback delegates to
+    :func:`run_fabric`.
     """
     if shards <= 1:
         return run_fabric(config, preset, stack, pattern=pattern, load=load,
-                          n_flows=n_flows, size_cdf=size_cdf, seed=seed,
-                          warmup_cache=warmup_cache)
+                          n_flows=n_flows, size_cdf=size_cdf, seed=seed)
     plan = plan_fabric_shards(fabric_config_for(config, preset, stack),
                               shards)
     gen_cfg = FlowGenConfig(pattern=pattern, load=load, n_flows=n_flows,

@@ -148,10 +148,6 @@ class E1000Pmd:
         self.tx_packets += sent
         return sent
 
-    def tx_desc_addr(self, index: int) -> int:
-        """Memory address of TX descriptor ``index``."""
-        return self.nic.tx_ring.desc_addr(index)
-
     def free(self, frame: RxMbuf) -> None:
         """Drop a packet without transmitting (rte_pktmbuf_free)."""
         frame.packet.meta.pop("mbuf", None)

@@ -130,9 +130,9 @@ def build_fabric_rig(config: SystemConfig, preset: str, stack: str,
                      shard_id: int = 0) -> Fabric:
     """Build a fabric plus its attached flow generator, validated.
 
-    With a ``shard_plan`` (:class:`repro.dist.shard.ShardPlan`), only the
-    components owned by ``shard_id`` are instantiated — remote ones
-    become stubs, boundary links become channel halves — and the flow
+    With a ``shard_plan`` (:class:`repro.dist.shard.ShardPlan`), every
+    host and switch is still built, but only the links with an end owned
+    by ``shard_id`` — boundary links as channel halves — and the flow
     generator, which still synthesizes the complete deterministic
     schedule, injects only the flows whose source host is local.
     """
@@ -337,9 +337,7 @@ def _check_fabric_sanity(result: FabricRunResult, tallies: List[dict],
 def run_fabric_sharded(config: SystemConfig, preset: str, stack: str,
                        pattern: str = "uniform", load: float = 0.3,
                        n_flows: int = 200, size_cdf: str = "smoke",
-                       seed: int = 0, shards: int = 2,
-                       warmup_cache: Optional[WarmupCache] = None
-                       ) -> FabricRunResult:
+                       seed: int = 0, shards: int = 2) -> FabricRunResult:
     """Same contract as :func:`run_fabric`, simulated across ``shards``
     processes — see :mod:`repro.dist.shard`.  The flow digest is
     bit-identical to the single-process run.  Imported lazily because
@@ -348,4 +346,4 @@ def run_fabric_sharded(config: SystemConfig, preset: str, stack: str,
     from repro.dist.shard import run_fabric_sharded as _impl
     return _impl(config, preset, stack, pattern=pattern, load=load,
                  n_flows=n_flows, size_cdf=size_cdf, seed=seed,
-                 shards=shards, warmup_cache=warmup_cache)
+                 shards=shards)

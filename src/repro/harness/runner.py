@@ -349,11 +349,6 @@ class MemcachedRunResult:
         """Mean round-trip latency in microseconds."""
         return self.latency_us.get("mean", 0.0)
 
-    @property
-    def delivered_rps(self) -> float:
-        """Offered rate scaled by the delivered fraction."""
-        return self.offered_rps * (1.0 - self.drop_rate)
-
 
 #: Canonical memcached warm-up: a fixed comfortable request rate,
 #: independent of the measured offered rate (see CANONICAL_WARM_GBPS).

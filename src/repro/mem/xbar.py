@@ -55,10 +55,6 @@ class BandwidthServer:
         self.transfers += 1
         return start, start + busy + self.latency_ticks
 
-    def next_free(self, now: int) -> int:
-        """Earliest tick a new transfer could start."""
-        return max(now, self._free_at)
-
     def backlog_ticks(self, now: int) -> int:
         """How far the busy horizon extends beyond ``now``."""
         return max(0, self._free_at - now)

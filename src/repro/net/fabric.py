@@ -41,11 +41,12 @@ from repro.net.packet import (
     ETHERTYPE_EXPERIMENTAL,
     MacAddress,
     Packet,
+    serialization_ticks,
 )
 from repro.nic.phy import EtherLink, EtherPort
 from repro.sim.channel import ChannelHalf
 from repro.sim.checkpoint import CheckpointError, restore_snapshot, snapshot
-from repro.sim.event_queue import EventPool, batching_enabled
+from repro.sim.event_queue import EventPool
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.ticks import ns_to_ticks, us_to_ticks
 
@@ -157,8 +158,7 @@ class OutputQueuedSwitch(SimObject):
         }
         self.stat_queue_peak = self.stats.counter(
             "queue_peak", "deepest output FIFO occupancy seen")
-        self._event_pools = batching_enabled()
-        self._depart_pool = EventPool(self._depart_pooled, f"{name}.depart")
+        self._depart_pool = EventPool(self._depart, f"{name}.depart")
         self._register_invariants()
 
     def _receiver(self, index: int) -> Callable[[Packet], None]:
@@ -217,10 +217,6 @@ class OutputQueuedSwitch(SimObject):
 
     # -- datapath ------------------------------------------------------------
 
-    def serialization_ticks(self, packet: Packet) -> int:
-        wire_bits = (packet.wire_len + 20) * 8
-        return round(wire_bits * 1e12 / self.config.bandwidth_bits_per_sec)
-
     def _on_receive(self, in_port: int, packet: Packet) -> None:
         self._rx += 1
         self.stat_rx.inc()
@@ -237,23 +233,13 @@ class OutputQueuedSwitch(SimObject):
                 self._queued[out] - self.stat_queue_peak.value)
         start = max(self.now + self.forward_latency_ticks,
                     self._free_at[out])
-        finish = start + self.serialization_ticks(packet)
+        finish = start + serialization_ticks(
+            packet.wire_len, self.config.bandwidth_bits_per_sec)
         self._free_at[out] = finish
-        if self._event_pools:
-            self._depart_pool.schedule_at(self.sim.events, finish,
-                                          (out, packet))
-            return
+        self._depart_pool.schedule_at(self.sim.events, finish, (out, packet))
 
-        def _depart(o=out, p=packet):
-            self._depart(o, p)
-
-        self.sim.events.call_at(finish, _depart, name=f"{self.name}.depart")
-
-    def _depart_pooled(self, payload) -> None:
+    def _depart(self, payload) -> None:
         out, packet = payload
-        self._depart(out, packet)
-
-    def _depart(self, out: int, packet: Packet) -> None:
         self._queued[out] -= 1
         self._tx += 1
         self.stat_tx.inc()
@@ -351,9 +337,7 @@ class FabricHost(SimObject):
             "processed", "frames fully serviced by the stack")
         self.stat_drop_queue = self.stats.counter(
             "drop.queue_full", "frames dropped: host RX queue overrun")
-        self._event_pools = batching_enabled()
-        self._service_pool = EventPool(self._service_pooled,
-                                       f"{name}.service")
+        self._service_pool = EventPool(self._service, f"{name}.service")
         self._register_invariants()
 
     def _register_invariants(self) -> None:
@@ -427,17 +411,7 @@ class FabricHost(SimObject):
         start = max(self.now, self._svc_free_at)
         finish = start + self.service_ticks
         self._svc_free_at = finish
-        if self._event_pools:
-            self._service_pool.schedule_at(self.sim.events, finish, packet)
-            return
-
-        def _service(p=packet):
-            self._service(p)
-
-        self.sim.events.call_at(finish, _service, name=f"{self.name}.service")
-
-    def _service_pooled(self, packet: Packet) -> None:
-        self._service(packet)
+        self._service_pool.schedule_at(self.sim.events, finish, packet)
 
     def _service(self, packet: Packet) -> None:
         self._rx_queued -= 1
@@ -542,58 +516,6 @@ class FabricConfig:
         return self.leaves * self.hosts_per_leaf
 
 
-class _RemotePort:
-    """Name-and-owner placeholder for a port that lives in another shard."""
-
-    __slots__ = ("name", "shard")
-
-    def __init__(self, name: str, shard: int) -> None:
-        self.name = name
-        self.shard = shard
-
-
-class _RemoteHostStub:
-    """Placeholder for a host owned by another shard.
-
-    Keeps host indexing, group membership and MAC resolution identical
-    to the single-process build (the replicated flow generator and the
-    routing tables need all of those), while costing nothing to
-    simulate: it owns no SimObject, no ports, no events.
-    """
-
-    def __init__(self, name: str, host_id: int, group: int,
-                 shard: int) -> None:
-        self.name = name
-        self.host_id = host_id
-        self.group = group
-        self.shard = shard
-        self.mac = host_mac(host_id)
-        self.port = _RemotePort(f"{name}.port", shard)
-        self.on_flow_complete = None
-
-    def set_peers(self, macs: Sequence[MacAddress]) -> None:
-        pass
-
-
-class _RemoteSwitchStub:
-    """Placeholder for a switch owned by another shard.
-
-    Exposes just enough surface for the builders to wire and route
-    around it — a ports list and no-op route installation."""
-
-    def __init__(self, name: str, radix: int, shard: int) -> None:
-        self.name = name
-        self.shard = shard
-        self.ports = [_RemotePort(f"{name}.p{i}", shard)
-                      for i in range(radix)]
-
-    def add_route(self, dst: MacAddress, out_ports: Sequence[int]) -> None:
-        pass
-
-    def set_default_route(self, out_ports: Sequence[int]) -> None:
-        pass
-
-
 class Fabric:
     """A built fabric: hosts + switches + links + the wiring graph.
 
@@ -604,17 +526,18 @@ class Fabric:
     cache, the sweep executor and the CLI drive a fabric exactly like a
     single node.
 
-    With a ``shard_plan`` (see :mod:`repro.dist.shard`) the builders
-    construct only this shard's slice of the topology: remote hosts and
-    switches become lightweight stubs (indexing and routing stay
-    byte-identical to the full build), and every link whose far endpoint
-    is remote becomes a :class:`~repro.sim.channel.ChannelHalf` under
-    the same link name — the SimBricks-style boundary the shard runner
-    synchronizes over.  ``hosts`` / ``switches`` keep full-topology
-    indexing (stubs included); ``local_hosts`` / ``local_switches`` are
-    the simulated subset every aggregate below reads.  The shard runner
-    then sets ``sync``: :meth:`run_us` advances in epochs with the peer
-    shards, and :meth:`everywhere` ANDs a phase decision over all shards.
+    With a ``shard_plan`` (see :mod:`repro.dist.shard`) every shard
+    still builds every host and switch; only :meth:`_link` consults the
+    plan.  A link whose two ends this shard owns is an
+    :class:`EtherLink`, a link with one owned end becomes a
+    :class:`~repro.sim.channel.ChannelHalf` under the same link name —
+    the SimBricks-style boundary the shard runner synchronizes over —
+    and a link between two other shards' components is not built.  The
+    components other shards own stay idle: they receive no frame and
+    inject no flow, so every aggregate below reads zero for them.  The
+    shard runner then sets ``sync``: :meth:`run_us` advances in epochs
+    with the peer shards, and :meth:`everywhere` ANDs a phase decision
+    over all shards.
     """
 
     def __init__(self, sim: Simulation, config: FabricConfig,
@@ -628,8 +551,6 @@ class Fabric:
         self.topology = Topology(label)
         self.hosts: List[FabricHost] = []
         self.switches: List[OutputQueuedSwitch] = []
-        self.local_hosts: List[FabricHost] = []
-        self.local_switches: List[OutputQueuedSwitch] = []
         self.links: List[EtherLink] = []
         self.channels: List[ChannelHalf] = []
         self.generator: Optional[FlowTrafficGenerator] = None
@@ -639,65 +560,57 @@ class Fabric:
 
     # -- construction helpers (used by the builders) -------------------------
 
-    def _host_owner(self, host_id: int) -> int:
-        if self.shard_plan is None:
-            return self.shard_id
-        return self.shard_plan.host_shard(host_id)
-
-    def _switch_owner(self, full_name: str) -> int:
-        if self.shard_plan is None:
-            return self.shard_id
-        logical = full_name[len(self.label) + 1:]
-        return self.shard_plan.switch_shard(logical)
-
-    def _add_host(self, host: FabricHost) -> FabricHost:
+    def _host(self, host_id: int, group: int) -> FabricHost:
+        config = self.config
+        host = FabricHost(
+            self.sim, f"{self.label}.h{host_id}", host_id, group,
+            service_ticks=ns_to_ticks(config.host_service_ns or 1.0),
+            queue_capacity=config.host_queue_capacity,
+            mtu_bytes=config.mtu_bytes)
         self.hosts.append(host)
-        self.local_hosts.append(host)
         self.topology.add(host.name, host)
         return host
 
-    def _add_switch(self, switch: OutputQueuedSwitch) -> OutputQueuedSwitch:
+    def _switch(self, name: str, radix: int) -> OutputQueuedSwitch:
+        switch = OutputQueuedSwitch(self.sim, name,
+                                    _switch_config(self.config, radix))
         self.switches.append(switch)
-        self.local_switches.append(switch)
-        self.topology.add(switch.name, switch)
+        self.topology.add(name, switch)
         return switch
 
-    def _switch(self, name: str, radix: int):
-        """Build a switch — real when this shard owns it, stub otherwise."""
-        owner = self._switch_owner(name)
-        if owner != self.shard_id:
-            stub = _RemoteSwitchStub(name, radix, owner)
-            self.switches.append(stub)
-            return stub
-        return self._add_switch(OutputQueuedSwitch(
-            self.sim, name, _switch_config(self.config, radix)))
+    def _owner(self, component) -> int:
+        """The shard that simulates ``component`` (this one unsharded)."""
+        plan = self.shard_plan
+        if plan is None:
+            return self.shard_id
+        if isinstance(component, FabricHost):
+            return plan.host_shard(component.host_id)
+        return plan.switch_shard(component.name[len(self.label) + 1:])
 
-    def _link(self, name: str, a: EtherPort, b: EtherPort):
-        """Wire two ports: an :class:`EtherLink` when both endpoints are
-        local, a :class:`ChannelHalf` when exactly one is, nothing when
-        the link lies entirely in other shards."""
-        a_remote = isinstance(a, _RemotePort)
-        b_remote = isinstance(b, _RemotePort)
-        if a_remote and b_remote:
-            return None
-        if not a_remote and not b_remote:
-            link = EtherLink(
-                self.sim, name,
-                bandwidth_bits_per_sec=self.config.link_bandwidth_bps,
-                delay_ticks=ns_to_ticks(self.config.link_delay_ns))
+    def _link(self, name: str, a: EtherPort, b: EtherPort) -> None:
+        """Wire two ports: an :class:`EtherLink` when this shard owns
+        both ends, a :class:`ChannelHalf` when it owns one, nothing when
+        it owns neither."""
+        owner_a, owner_b = self._owner(a.owner), self._owner(b.owner)
+        if self.shard_id not in (owner_a, owner_b):
+            return
+        bandwidth = self.config.link_bandwidth_bps
+        delay_ticks = ns_to_ticks(self.config.link_delay_ns)
+        if owner_a == owner_b:
+            link = EtherLink(self.sim, name,
+                             bandwidth_bits_per_sec=bandwidth,
+                             delay_ticks=delay_ticks)
             link.connect(a, b)
             self.links.append(link)
-            self.topology.add(name, link)
-            return link
-        local_port, remote_port = (b, a) if a_remote else (a, b)
-        half = ChannelHalf(
-            self.sim, name, peer_shard=remote_port.shard,
-            bandwidth_bits_per_sec=self.config.link_bandwidth_bps,
-            delay_ticks=ns_to_ticks(self.config.link_delay_ns))
-        half.attach(local_port)
-        self.channels.append(half)
-        self.topology.add(name, half)
-        return half
+        else:
+            local, peer = ((a, owner_b) if owner_a == self.shard_id
+                           else (b, owner_a))
+            link = ChannelHalf(self.sim, name, peer_shard=peer,
+                               bandwidth_bits_per_sec=bandwidth,
+                               delay_ticks=delay_ticks)
+            link.attach(local)
+            self.channels.append(link)
+        self.topology.add(name, link)
 
     def _finish_build(self) -> None:
         macs = [h.mac for h in self.hosts]
@@ -716,11 +629,11 @@ class Fabric:
             # it (serviced + dropped + channel egress).
             if not final or not fabric.quiescent():
                 return None
-            sent = sum(h._tx_frames for h in fabric.local_hosts)
-            processed = sum(h._processed for h in fabric.local_hosts)
-            host_drops = sum(h._dropped for h in fabric.local_hosts)
+            sent = sum(h._tx_frames for h in fabric.hosts)
+            processed = sum(h._processed for h in fabric.hosts)
+            host_drops = sum(h._dropped for h in fabric.hosts)
             switch_drops = sum(sum(s._drops.values())
-                               for s in fabric.local_switches)
+                               for s in fabric.switches)
             ch_in = sum(c.frames_in for c in fabric.channels)
             ch_out = sum(c.frames_out for c in fabric.channels)
             if sent + ch_in != processed + host_drops + switch_drops + ch_out:
@@ -738,7 +651,7 @@ class Fabric:
             raise RuntimeError(f"{self.label} already has a generator")
         self.generator = generator
         self.topology.add("flowgen", generator)
-        for host in self.local_hosts:
+        for host in self.hosts:
             host.on_flow_complete = generator.flow_completed
 
     # -- introspection -------------------------------------------------------
@@ -755,8 +668,8 @@ class Fabric:
     def quiescent(self) -> bool:
         """No frame anywhere: switch FIFOs, host RX queues, wires, and
         (sharded) the channel boundary this shard is responsible for."""
-        return (all(s.occupancy == 0 for s in self.local_switches)
-                and all(h.quiescent() for h in self.local_hosts)
+        return (all(s.occupancy == 0 for s in self.switches)
+                and all(h.quiescent() for h in self.hosts)
                 and all(count == 0
                         for link in self.links
                         for count in link._in_flight.values())
@@ -765,7 +678,7 @@ class Fabric:
     def per_switch_drops(self) -> Dict[str, Dict[str, int]]:
         """Window drop counts by switch name and cause (nonzero only)."""
         out = {}
-        for s in self.local_switches:
+        for s in self.switches:
             counts = s.drop_counts()
             if counts:
                 out[s.name] = counts
@@ -774,19 +687,19 @@ class Fabric:
     def drop_breakdown(self) -> Dict[str, int]:
         """Window drop counts aggregated by cause across the fabric."""
         totals: Dict[str, int] = {}
-        for s in self.local_switches:
+        for s in self.switches:
             for cause, n in s.drop_counts().items():
                 totals[cause] = totals.get(cause, 0) + n
-        for h in self.local_hosts:
+        for h in self.hosts:
             for cause, n in h.drop_counts().items():
                 totals[cause] = totals.get(cause, 0) + n
         return totals
 
     def frames_sent(self) -> int:
-        return sum(h.stat_tx.value for h in self.local_hosts)
+        return sum(h.stat_tx.value for h in self.hosts)
 
     def frames_delivered(self) -> int:
-        return sum(h.stat_processed.value for h in self.local_hosts)
+        return sum(h.stat_processed.value for h in self.hosts)
 
     # -- simulation control --------------------------------------------------
 
@@ -850,21 +763,6 @@ def _switch_config(config: FabricConfig, radix: int) -> SwitchConfig:
         bandwidth_bits_per_sec=config.link_bandwidth_bps)
 
 
-def _make_host(fabric: Fabric, sim: Simulation, config: FabricConfig,
-               name: str, host_id: int, group: int):
-    owner = fabric._host_owner(host_id)
-    if owner != fabric.shard_id:
-        stub = _RemoteHostStub(name, host_id, group, owner)
-        fabric.hosts.append(stub)
-        return stub
-    service_ticks = ns_to_ticks(config.host_service_ns or 1.0)
-    return fabric._add_host(FabricHost(
-        sim, name, host_id, group,
-        service_ticks=service_ticks,
-        queue_capacity=config.host_queue_capacity,
-        mtu_bytes=config.mtu_bytes))
-
-
 def build_fat_tree(sim: Simulation, config: FabricConfig,
                    name: str = "fabric", shard_plan=None,
                    shard_id: int = 0) -> Fabric:
@@ -890,11 +788,8 @@ def build_fat_tree(sim: Simulation, config: FabricConfig,
     cores = [fabric._switch(f"{name}.core{c}", k)
              for c in range(half * half)]
 
-    hosts = []
-    for h in range(config.n_hosts):
-        pod = h // hosts_per_pod
-        hosts.append(_make_host(fabric, sim, config,
-                                f"{name}.h{h}", h, group=pod))
+    hosts = [fabric._host(h, group=h // hosts_per_pod)
+             for h in range(config.n_hosts)]
 
     # Host <-> edge links.
     for h, host in enumerate(hosts):
@@ -963,10 +858,8 @@ def build_leaf_spine(sim: Simulation, config: FabricConfig,
     spines = [fabric._switch(f"{name}.spine{s}", leaves_n)
               for s in range(spines_n)]
 
-    hosts = []
-    for h in range(leaves_n * per_leaf):
-        hosts.append(_make_host(fabric, sim, config,
-                                f"{name}.h{h}", h, group=h // per_leaf))
+    hosts = [fabric._host(h, group=h // per_leaf)
+             for h in range(leaves_n * per_leaf)]
 
     for h, host in enumerate(hosts):
         leaf = leaves[h // per_leaf]
@@ -997,8 +890,9 @@ def build_fabric(sim: Simulation, config: FabricConfig,
     """Builder dispatch on :attr:`FabricConfig.topology`.
 
     ``shard_plan`` / ``shard_id`` (see
-    :func:`repro.dist.shard.plan_fabric_shards`) build only one shard's
-    slice, with cross-shard links as channel halves."""
+    :func:`repro.dist.shard.plan_fabric_shards`) build the whole fabric
+    for one shard: only the links it owns an end of, with cross-shard
+    links as channel halves (see :class:`Fabric`)."""
     if config.topology == "fat_tree":
         return build_fat_tree(sim, config, name=name,
                               shard_plan=shard_plan, shard_id=shard_id)

@@ -29,6 +29,16 @@ ETHERTYPE_EXPERIMENTAL = 0x88B5   # used for synthetic loadgen frames
 _packet_ids = itertools.count()
 
 
+def serialization_ticks(wire_len: int, bandwidth_bits_per_sec: float) -> int:
+    """Wire time of one frame at line rate, in ticks.
+
+    The one formula every wire model uses (local links, cut links and
+    switch outputs), so a frame's timing cannot depend on which of them
+    carries it.  Wire bits include the 8B preamble + 12B inter-frame gap.
+    """
+    return round((wire_len + 20) * 8 * 1e12 / bandwidth_bits_per_sec)
+
+
 @dataclass(frozen=True)
 class MacAddress:
     """A 48-bit MAC address."""

@@ -88,11 +88,6 @@ class DmaEngine:
         self.desc_lines_written = 0
 
     @property
-    def busy_until(self) -> int:
-        """When the engine could accept new work in *either* direction."""
-        return min(self._rx_busy_until, self._tx_busy_until)
-
-    @property
     def rx_busy_until(self) -> int:
         """Tick the inbound DMA direction frees up."""
         return self._rx_busy_until

@@ -30,7 +30,7 @@ from repro.nic.phy import EtherPort
 from repro.net.packet import Packet
 from repro.pci.config_space import PciQuirks
 from repro.pci.device import PciDevice
-from repro.sim.event_queue import EventPool, batching_enabled
+from repro.sim.event_queue import EventPool
 from repro.sim.ports import KIND_DMA, KIND_DRIVER, RequestPort, ResponsePort
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.ticks import us_to_ticks
@@ -163,9 +163,8 @@ class I8254xNic(SimObject, PciDevice):
         # Recycled events with precomputed names replace a fresh
         # Event + closure + f-string allocation per packet; scheduling
         # still goes through EventQueue.schedule, so firing order (and
-        # trace digests) is identical to the unpooled reference path
-        # (REPRO_EVENT_BATCH=0).
-        self._event_pools = batching_enabled()
+        # trace digests) is identical to the pool's non-recycling
+        # reference path (REPRO_EVENT_BATCH=0).
         self._rx_done_pool = EventPool(self._after_rx_dma,
                                        f"{name}.rx_dma_done")
         self._tx_done_pool = EventPool(self._after_tx_dma,
@@ -420,11 +419,7 @@ class I8254xNic(SimObject, PciDevice):
             self.trace("dma", "rx_write", bytes=packet.wire_len,
                        addr=buffer_addr, finish=finish)
         # Writeback decision is evaluated once the data DMA lands.
-        if self._event_pools:
-            self._rx_done_pool.schedule_at(self.sim.events, finish)
-        else:
-            self.sim.events.call_at(finish, self._after_rx_dma,
-                                    name=f"{self.name}.rx_dma_done")
+        self._rx_done_pool.schedule_at(self.sim.events, finish)
         self._kick_rx()
 
     def _after_rx_dma(self, _payload=None) -> None:
@@ -451,13 +446,7 @@ class I8254xNic(SimObject, PciDevice):
         if self.sim.tracer.enabled:
             self.trace("nic", "writeback", count=len(batch), finish=finish)
         if self.rx_notify is not None:
-            count = len(batch)
-            if self._event_pools:
-                self._rx_wb_pool.schedule_at(self.sim.events, finish, count)
-            else:
-                self.sim.events.call_at(
-                    finish, lambda c=count: self._notify_rx(c),
-                    name=f"{self.name}.rx_writeback")
+            self._rx_wb_pool.schedule_at(self.sim.events, finish, len(batch))
 
     def _notify_rx(self, count: int) -> None:
         if self._itr_ticks:
@@ -495,12 +484,7 @@ class I8254xNic(SimObject, PciDevice):
         if self.sim.tracer.enabled:
             self.trace("dma", "tx_read", bytes=packet.wire_len,
                        addr=buffer_addr, finish=finish)
-        if self._event_pools:
-            self._tx_done_pool.schedule_at(self.sim.events, finish, packet)
-        else:
-            self.sim.events.call_at(
-                finish, lambda p=packet: self._after_tx_dma(p),
-                name=f"{self.name}.tx_dma_done")
+        self._tx_done_pool.schedule_at(self.sim.events, finish, packet)
         self._kick_tx()
 
     def _after_tx_dma(self, packet: Packet) -> None:

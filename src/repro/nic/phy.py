@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.net.packet import Packet
+from repro.net.packet import Packet, serialization_ticks
 from repro.sim.checkpoint import CheckpointError
-from repro.sim.event_queue import EventPool, batching_enabled
+from repro.sim.event_queue import EventPool
 from repro.sim.ports import PacketPort
 from repro.sim.simobject import SimObject, Simulation
 
@@ -81,10 +81,8 @@ class EtherLink(SimObject):
         self.stat_frames = self.stats.counter("frames", "frames carried")
         self.stat_bytes = self.stats.counter("bytes", "bytes carried")
         # Pooled per-frame delivery events (see EventPool): same firing
-        # order as the closure-per-frame reference path, no allocation.
-        self._event_pools = batching_enabled()
-        self._deliver_pool = EventPool(self._deliver_pooled,
-                                       f"{name}.deliver")
+        # order as a fresh event per frame, no allocation.
+        self._deliver_pool = EventPool(self._deliver, f"{name}.deliver")
 
     def connect(self, port_a: EtherPort, port_b: EtherPort) -> None:
         """Attach the two endpoint ports to this link.
@@ -143,12 +141,6 @@ class EtherLink(SimObject):
         self.sim.invariants.register(
             f"{self.name}.frame-conservation", conservation, strict=True)
 
-    def serialization_ticks(self, packet: Packet) -> int:
-        # Wire bits include 8B preamble + 12B inter-frame gap.
-        """Wire time of one frame at line rate."""
-        wire_bits = (packet.wire_len + 20) * 8
-        return round(wire_bits * 1e12 / self.bandwidth_bits_per_sec)
-
     def transmit(self, src_port: EtherPort, packet: Packet) -> None:
         """Serialize the frame at line rate, then deliver after the
         propagation delay."""
@@ -161,28 +153,18 @@ class EtherLink(SimObject):
         if dst is None:
             raise RuntimeError(f"{self.name} has a dangling end")
         start = max(self.now, self._tx_free_at[direction])
-        finish = start + self.serialization_ticks(packet)
+        finish = start + serialization_ticks(packet.wire_len,
+                                             self.bandwidth_bits_per_sec)
         self._tx_free_at[direction] = finish
         self.stat_frames.inc()
         self.stat_bytes.inc(packet.wire_len)
         self._sent[direction] += 1
         self._in_flight[direction] += 1
-        deliver_at = finish + self.delay_ticks
+        self._deliver_pool.schedule_at(self.sim.events,
+                                       finish + self.delay_ticks,
+                                       (packet, dst, direction))
 
-        if self._event_pools:
-            self._deliver_pool.schedule_at(self.sim.events, deliver_at,
-                                           (packet, dst, direction))
-            return
-
-        def _deliver(p=packet, d=dst, direc=direction):
-            self._in_flight[direc] -= 1
-            self._delivered[direc] += 1
-            d.deliver(p)
-
-        self.sim.events.call_at(deliver_at, _deliver,
-                                name=f"{self.name}.deliver")
-
-    def _deliver_pooled(self, payload) -> None:
+    def _deliver(self, payload) -> None:
         packet, dst, direction = payload
         self._in_flight[direction] -= 1
         self._delivered[direction] += 1

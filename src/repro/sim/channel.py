@@ -40,9 +40,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.net.packet import MacAddress, Packet
+from repro.net.packet import MacAddress, Packet, serialization_ticks
 from repro.sim.checkpoint import CheckpointError
-from repro.sim.event_queue import EventPool, batching_enabled
+from repro.sim.event_queue import EventPool
 from repro.sim.ports import PacketPort
 from repro.sim.simobject import SimObject, Simulation
 
@@ -117,9 +117,7 @@ class ChannelHalf(SimObject):
                                            "frames sent to the peer shard")
         self.stat_in = self.stats.counter("rx_frames",
                                           "frames received from the peer")
-        self._event_pools = batching_enabled()
-        self._deliver_pool = EventPool(self._deliver_pooled,
-                                       f"{name}.deliver")
+        self._deliver_pool = EventPool(self._deliver, f"{name}.deliver")
         self._register_invariants()
 
     def _register_invariants(self) -> None:
@@ -153,19 +151,17 @@ class ChannelHalf(SimObject):
 
     # -- transmit side (EtherLink-compatible surface) ------------------------
 
-    def serialization_ticks(self, packet: Packet) -> int:
-        wire_bits = (packet.wire_len + 20) * 8
-        return round(wire_bits * 1e12 / self.bandwidth_bits_per_sec)
-
     def transmit(self, src_port, packet: Packet) -> None:
         """Serialize at line rate, then post to the epoch outbox.
 
-        Identical timing arithmetic to :meth:`EtherLink.transmit`: the
+        The same timing arithmetic as :meth:`EtherLink.transmit`, through
+        the one :func:`~repro.net.packet.serialization_ticks`: the
         delivery tick of a frame does not depend on whether the link was
         cut at a shard boundary.
         """
         start = max(self.now, self._tx_free_at)
-        finish = start + self.serialization_ticks(packet)
+        finish = start + serialization_ticks(packet.wire_len,
+                                             self.bandwidth_bits_per_sec)
         self._tx_free_at = finish
         deliver_at = finish + self.delay_ticks
         self._outbox.append((deliver_at, self._out_seq,
@@ -201,20 +197,8 @@ class ChannelHalf(SimObject):
                 f"{self.name}: peer frame delivers at {deliver_at} but "
                 f"this shard is already at {self.now} (epoch skew)")
         self._pending_in += 1
-        packet = decode_frame(frame)
-        if self._event_pools:
-            self._deliver_pool.schedule_at(self.sim.events, deliver_at,
-                                           packet)
-            return
-
-        def _deliver(p=packet):
-            self._deliver(p)
-
-        self.sim.events.call_at(deliver_at, _deliver,
-                                name=f"{self.name}.deliver")
-
-    def _deliver_pooled(self, packet: Packet) -> None:
-        self._deliver(packet)
+        self._deliver_pool.schedule_at(self.sim.events, deliver_at,
+                                       decode_frame(frame))
 
     def _deliver(self, packet: Packet) -> None:
         if self.port is None:

@@ -13,15 +13,18 @@ Two hot-path mechanisms keep the queue cheap without changing that order:
   append keeps the FIFO sorted by the global (tick, priority, seq) key and
   the run loop only has to compare the two queue heads.
 - :class:`EventPool`: a free-list of reusable one-shot events sharing one
-  precomputed name and dispatch callback, replacing per-packet ``call_at``
-  allocations.  Sequence numbers are assigned at ``schedule()`` time, so a
+  precomputed name and dispatch callback, replacing a fresh event per
+  packet.  Sequence numbers are assigned at ``schedule()`` time, so a
   pooled event scheduled at the same call site sorts identically to a
   freshly constructed one — firing order (and hence trace digests) is
   bit-identical either way.
 
 Setting ``REPRO_EVENT_BATCH=0`` disables both and restores the reference
-one-fresh-event-per-packet pure-heap path; the equivalence suite in
-``tests/perf`` checks the two paths produce identical results.
+one-fresh-event-per-packet pure-heap path.  This module is the only
+reader of that switch: components always schedule their per-packet
+events through an :class:`EventPool`, and the pool alone decides whether
+to recycle.  The equivalence suite in ``tests/perf`` checks the two
+paths produce identical results.
 """
 
 from __future__ import annotations
@@ -29,16 +32,18 @@ from __future__ import annotations
 import heapq
 import os
 from collections import deque
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.sim.checkpoint import CheckpointError
 
 
 def batching_enabled() -> bool:
-    """Whether the batched hot path (same-tick FIFO + event pools) is on.
+    """Whether the batched hot path (same-tick FIFO + event recycling) is
+    on.
 
-    Read once per component at construction time so a single simulation
-    never mixes the two paths mid-run.
+    Read once per queue and per pool at construction time so a single
+    simulation never mixes the two paths mid-run.
     """
     return os.environ.get("REPRO_EVENT_BATCH", "1") != "0"
 
@@ -112,21 +117,27 @@ class _PooledEvent(Event):
 class EventPool:
     """A free-list of one-shot events sharing a dispatch callback and name.
 
-    Hot paths that used to allocate ``Event`` + closure + f-string name per
-    packet instead call :meth:`schedule_at` with the per-firing state as a
-    payload.  Recycled events are rescheduled through the normal
+    Hot paths call :meth:`schedule_at` with the per-firing state as a
+    payload instead of allocating ``Event`` + closure + f-string name per
+    packet.  Recycled events are rescheduled through the normal
     ``EventQueue.schedule`` path, so ordering is identical to fresh events.
+    With ``REPRO_EVENT_BATCH=0`` the pool recycles nothing: each firing
+    gets a fresh :class:`Event` under the pool's name (the reference path).
     """
 
-    __slots__ = ("_free", "dispatch", "name")
+    __slots__ = ("_free", "_recycle", "dispatch", "name")
 
     def __init__(self, dispatch: Callable, name: str) -> None:
         self._free: List[_PooledEvent] = []
+        self._recycle = batching_enabled()
         self.dispatch = dispatch   # called as dispatch(payload)
         self.name = name
 
     def schedule_at(self, queue: "EventQueue", when: int,
                     payload=None) -> Event:
+        if not self._recycle:
+            return queue.schedule(
+                Event(partial(self.dispatch, payload), name=self.name), when)
         free = self._free
         event = free.pop() if free else _PooledEvent(self)
         event.payload = payload

@@ -43,7 +43,7 @@ uses to place connection-scoped invariants.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.sim.ticks import TICKS_PER_NS
 
@@ -61,15 +61,6 @@ KIND_STACK = "stack"
 
 KINDS = (KIND_PACKET, KIND_MEM, KIND_DMA, KIND_BUS, KIND_DRIVER,
          KIND_APP, KIND_BUFFER, KIND_CLOCK, KIND_STACK)
-
-#: Trace categories each port kind's traffic shows up under (see
-#: docs/tracing_and_invariants.md) — the wiring graph can name the trace
-#: categories a topology will emit without running it.
-KIND_TRACE_CATEGORIES: Dict[str, Tuple[str, ...]] = {
-    KIND_PACKET: ("loadgen", "nic"),
-    KIND_DMA: ("dma",),
-    KIND_APP: ("app",),
-}
 
 # -- roles -------------------------------------------------------------------
 
@@ -146,10 +137,6 @@ class Port:
     def peer(self) -> Optional["Port"]:
         """The bound peer (first one, for ``multi`` ports)."""
         return self.peers[0] if self.peers else None
-
-    def trace_categories(self) -> Tuple[str, ...]:
-        """Trace categories traffic over this port appears under."""
-        return KIND_TRACE_CATEGORIES.get(self.kind, ())
 
     # -- binding -----------------------------------------------------------
 

@@ -130,7 +130,7 @@ class Topology:
         Each edge appears once as ``(label_a, port_a, label_b, port_b,
         metadata)`` in creation order.  Bindings whose peer component is
         not registered here are skipped (they belong to another
-        topology — or another shard).
+        topology).
         """
         label_of = {id(comp): label
                     for label, comp in self._components.items()}

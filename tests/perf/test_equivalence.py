@@ -9,9 +9,11 @@ the full ordered event stream of the run.
 
 Hypothesis drives the comparison across all the paper's applications
 (DPDK: testpmd / touchfwd / touchdrop / rxptx / memcached_dpdk; kernel:
-iperf / memcached_kernel), packet sizes, loads and seeds.  The flag is
-read at component construction time, so flipping the environment between
-two fresh runs in one process is sufficient — no subprocesses needed.
+iperf / memcached_kernel), packet sizes, loads and seeds, and across the
+fabric components (switches, fabric hosts and, sharded, channel halves).
+The flag is read when the event queue and each event pool are
+constructed, so flipping the environment between two fresh runs in one
+process is sufficient; forked shards inherit it.
 """
 
 import dataclasses
@@ -21,10 +23,14 @@ from contextlib import contextmanager
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.harness.fabric import run_fabric_sharded
 from repro.harness.runner import run_fixed_load, run_memcached
 from repro.system.presets import gem5_default
 
 FIXED_LOAD_APPS = ["testpmd", "touchfwd", "touchdrop", "rxptx", "iperf"]
+#: (offered load, flows) per fabric pattern: incast overflows switch
+#: queues, so the drop path is compared too.
+FABRIC_POINTS = {"uniform": (0.35, 40), "incast": (0.7, 60)}
 
 
 @contextmanager
@@ -81,4 +87,25 @@ def test_memcached_batched_path_is_bit_identical(kernel, rate_rps, seed):
     with _batching(False):
         reference = run_memcached(config, kernel, rate_rps,
                                   n_requests=250, seed=seed)
+    _assert_identical(fast, reference)
+
+
+@settings(max_examples=4, deadline=None)
+@given(preset=st.sampled_from(["fat-tree-k4", "leaf-spine"]),
+       stack=st.sampled_from(["dpdk", "kernel"]),
+       pattern=st.sampled_from(sorted(FABRIC_POINTS)),
+       shards=st.sampled_from([1, 2]))
+def test_fabric_batched_path_is_bit_identical(preset, stack, pattern,
+                                              shards):
+    config = gem5_default()
+    load, n_flows = FABRIC_POINTS[pattern]
+    with _batching(True):
+        fast = run_fabric_sharded(config, preset, stack, pattern=pattern,
+                                  load=load, n_flows=n_flows, seed=1,
+                                  shards=shards)
+    with _batching(False):
+        reference = run_fabric_sharded(config, preset, stack,
+                                       pattern=pattern, load=load,
+                                       n_flows=n_flows, seed=1,
+                                       shards=shards)
     _assert_identical(fast, reference)

@@ -156,3 +156,22 @@ class TestCheckpointCommands:
     def test_profile_rejects_unknown_preset(self):
         with pytest.raises(SystemExit):
             main(["profile", "firesim"])
+
+
+class TestBadInput:
+    """Malformed arguments are usage errors (exit 2), not tracebacks."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "testpmd", "--rates", "5,,10"],
+        ["fabric", "sweep", "leaf-spine", "--loads", "0.2,x"],
+    ])
+    def test_bad_number_list_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "comma-separated numbers" in capsys.readouterr().err
+
+    def test_shard_count_that_does_not_divide_is_a_usage_error(self,
+                                                               capsys):
+        assert main(["fabric", "run", "fat-tree-k4", "--shards", "3"]) == 2
+        assert "must divide" in capsys.readouterr().err

@@ -173,8 +173,11 @@ def test_sharded_build_cuts_no_edge_without_a_channel(shards):
                                   shard_id=shard_id)
         assert fabric.channels, "interior shard must have cut links"
         total_channels += len(fabric.channels)
-        local = ({id(h) for h in fabric.local_hosts}
-                 | {id(s) for s in fabric.local_switches})
+        local = ({id(h) for h in fabric.hosts
+                  if plan.host_shard(h.host_id) == shard_id}
+                 | {id(s) for s in fabric.switches
+                    if plan.switch_shard(s.name[len(fabric.label) + 1:])
+                    == shard_id})
         for _la, pa, _lb, pb, _meta in fabric.topology.edges():
             for port in (pa, pb):
                 owner = port.owner
