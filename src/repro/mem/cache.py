@@ -87,7 +87,7 @@ class SetAssocCache:
 
     # -- probes -------------------------------------------------------------
 
-    def lookup(self, addr: int, update_lru: bool = True) -> bool:
+    def lookup(self, addr: int) -> bool:
         """Probe for ``addr``; updates hit/miss counters and LRU order.
 
         ``_index_tag`` is inlined here: this is the hottest function in a
@@ -99,17 +99,15 @@ class SetAssocCache:
         cset = self._core_sets[index]
         if tag in cset:
             self.hits += 1
-            if update_lru:
-                del cset[tag]
-                cset[tag] = None
+            del cset[tag]
+            cset[tag] = None
             return True
         if self._io_sets is not None:
             ioset = self._io_sets[index]
             if tag in ioset:
                 self.hits += 1
-                if update_lru:
-                    del ioset[tag]
-                    ioset[tag] = None
+                del ioset[tag]
+                ioset[tag] = None
                 return True
         self.misses += 1
         return False
@@ -126,7 +124,8 @@ class SetAssocCache:
         """Insert the line holding ``addr``; returns the evicted line address
         (or None).  Inserting a line already present refreshes its LRU slot.
         """
-        index, tag = self._index_tag(addr)
+        tag = addr >> self._line_shift
+        index = tag % self._num_sets
         if partition == IO_PARTITION and self._io_sets is not None:
             target, capacity = self._io_sets[index], self._io_ways
             # A line cannot live in both partitions.
@@ -151,8 +150,8 @@ class SetAssocCache:
     def invalidate(self, addr: int) -> bool:
         """Drop the line holding ``addr`` if present; True if it was.
 
-        Like ``lookup``, inlines ``_index_tag`` — DMA writes invalidate
-        every inner level per line, so this runs per DMA'd cache line.
+        Like ``lookup``, inlines ``_index_tag``: every L2 eviction on the
+        core miss path back-invalidates both L1s.
         """
         tag = addr >> self._line_shift
         index = tag % self._num_sets
@@ -166,6 +165,71 @@ class SetAssocCache:
                 del ioset[tag]
                 return True
         return False
+
+    # -- line ranges ----------------------------------------------------------
+    #
+    # A DMA transfer covers ``n_lines`` consecutive lines.  Each range
+    # method applies its single-line counterpart to those lines in address
+    # order, so the cache ends in the same state, with the same counters,
+    # as after the per-line calls.
+
+    def invalidate_lines(self, first_addr: int, n_lines: int) -> None:
+        """``invalidate`` each of the ``n_lines`` lines from ``first_addr``."""
+        core_sets, io_sets = self._core_sets, self._io_sets
+        num_sets = self._num_sets
+        first = first_addr >> self._line_shift
+        for tag in range(first, first + n_lines):
+            index = tag % num_sets
+            cset = core_sets[index]
+            if tag in cset:
+                del cset[tag]
+            elif io_sets is not None:
+                io_sets[index].pop(tag, None)
+
+    def stash_lines(self, first_addr: int, n_lines: int) -> List[int]:
+        """``insert(addr, IO_PARTITION)`` each of the ``n_lines`` lines from
+        ``first_addr`` (a DCA stash; the cache must reserve io ways);
+        returns the evicted line addresses in eviction order."""
+        io_sets, core_sets = self._io_sets, self._core_sets
+        capacity = self._io_ways
+        shift, num_sets = self._line_shift, self._num_sets
+        evicted: List[int] = []
+        first = first_addr >> shift
+        for tag in range(first, first + n_lines):
+            index = tag % num_sets
+            core_sets[index].pop(tag, None)
+            target = io_sets[index]
+            if tag in target:
+                del target[tag]
+            elif len(target) >= capacity:
+                victim = next(iter(target))
+                del target[victim]
+                evicted.append(victim << shift)
+            target[tag] = None
+        self.evictions += len(evicted)
+        return evicted
+
+    def refresh_lines(self, first_addr: int, n_lines: int) -> List[bool]:
+        """Per line from ``first_addr``: when resident, ``lookup`` it (a
+        hit, and an LRU refresh); when not, touch nothing, not even the
+        miss counter.  Returns whether each line was resident."""
+        core_sets, io_sets = self._core_sets, self._io_sets
+        num_sets = self._num_sets
+        resident: List[bool] = []
+        first = first_addr >> self._line_shift
+        for tag in range(first, first + n_lines):
+            index = tag % num_sets
+            cset = core_sets[index]
+            if tag not in cset and io_sets is not None:
+                cset = io_sets[index]
+            if tag in cset:
+                del cset[tag]
+                cset[tag] = None
+                resident.append(True)
+            else:
+                resident.append(False)
+        self.hits += resident.count(True)
+        return resident
 
     def flush(self) -> None:
         """Empty the cache (keeps counters)."""

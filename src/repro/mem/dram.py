@@ -33,8 +33,18 @@ class DramConfig:
             raise ValueError("need at least one channel")
         if self.banks_per_channel < 1:
             raise ValueError("need at least one bank")
+        if self.line_size <= 0:
+            raise ValueError(f"line_size must be positive, got {self.line_size}")
         if self.row_size < self.line_size:
             raise ValueError("row must hold at least one line")
+        if self.channel_bw_bytes_per_ns <= 0:
+            raise ValueError(
+                f"channel_bw_bytes_per_ns must be positive, got "
+                f"{self.channel_bw_bytes_per_ns}")
+        for label in ("t_cas_ns", "t_row_miss_ns", "queue_depth"):
+            if getattr(self, label) < 0:
+                raise ValueError(
+                    f"{label} cannot be negative, got {getattr(self, label)}")
 
 
 class DramModel:
@@ -53,6 +63,12 @@ class DramModel:
         self._open_rows: List[List[int]] = [
             [-1] * config.banks_per_channel for _ in range(config.channels)]
         self._channel_free_at: List[float] = [0.0] * config.channels
+        self._lines_per_row = config.row_size // config.line_size
+        self._transfer_ns = config.line_size / config.channel_bw_bytes_per_ns
+        # Bound the modelled backlog: a real controller back-pressures the
+        # requester once its queue fills rather than growing without limit.
+        self._max_queue_ns = config.queue_depth * (
+            config.t_cas_ns + self._transfer_ns)
         self.row_hits = 0
         self.row_misses = 0
         self.reads = 0
@@ -64,38 +80,30 @@ class DramModel:
         cfg = self.config
         line = addr // cfg.line_size
         channel = line % cfg.channels
-        channel_line = line // cfg.channels
-        lines_per_row = cfg.row_size // cfg.line_size
-        row = channel_line // lines_per_row
-        bank = row % cfg.banks_per_channel
-        return channel, bank, row
+        row = line // cfg.channels // self._lines_per_row
+        return channel, row % cfg.banks_per_channel, row
 
     def access(self, addr: int, now_ns: float, is_write: bool = False) -> float:
         """Service one line access; returns its latency in nanoseconds."""
-        cfg = self.config
         channel, bank, row = self._map(addr)
         if is_write:
             self.writes += 1
         else:
             self.reads += 1
 
-        if self._open_rows[channel][bank] == row:
+        open_rows = self._open_rows[channel]
+        if open_rows[bank] == row:
             self.row_hits += 1
-            access_ns = cfg.t_cas_ns
+            access_ns = self.config.t_cas_ns
         else:
             self.row_misses += 1
-            access_ns = cfg.t_row_miss_ns
-            self._open_rows[channel][bank] = row
+            access_ns = self.config.t_row_miss_ns
+            open_rows[bank] = row
 
-        transfer_ns = cfg.line_size / cfg.channel_bw_bytes_per_ns
+        transfer_ns = self._transfer_ns
         start = max(now_ns, self._channel_free_at[channel])
-        queue_ns = start - now_ns
-        # Bound the modelled backlog: a real controller back-pressures the
-        # requester once its queue fills rather than growing without limit.
-        max_queue_ns = cfg.queue_depth * (cfg.t_cas_ns + transfer_ns)
-        queue_ns = min(queue_ns, max_queue_ns)
-        finish = max(now_ns, self._channel_free_at[channel]) + transfer_ns
-        self._channel_free_at[channel] = finish
+        queue_ns = min(start - now_ns, self._max_queue_ns)
+        self._channel_free_at[channel] = start + transfer_ns
         self.busy_ns += transfer_ns
         return queue_ns + access_ns + transfer_ns
 

@@ -17,12 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.mem.cache import (
-    CacheConfig,
-    CORE_PARTITION,
-    IO_PARTITION,
-    SetAssocCache,
-)
+from repro.mem.cache import CacheConfig, SetAssocCache
 from repro.mem.dram import DramConfig, DramModel
 from repro.sim.ports import KIND_MEM, ResponsePort
 
@@ -82,6 +77,18 @@ class HierarchyConfig:
     # whole packets and do not pay it per line.
     core_dram_extra_ns: float = 45.0
 
+    def __post_init__(self) -> None:
+        for label in ("llc_ns_for_dma", "core_dram_extra_ns"):
+            if getattr(self, label) < 0:
+                raise ValueError(
+                    f"{label} cannot be negative, got {getattr(self, label)}")
+        # The DMA range operations walk every level with one line size.
+        for cache in (self.l1i, self.l1d, self.l2, self.llc):
+            if cache.line_size != self.dram.line_size:
+                raise ValueError(
+                    f"{cache.name}: line_size {cache.line_size} differs from "
+                    f"dram line_size {self.dram.line_size}")
+
     @property
     def dca_enabled(self) -> bool:
         """DCA (cache stashing) is on when LLC ways are reserved for I/O."""
@@ -136,85 +143,100 @@ class MemoryHierarchy:
     def core_access(self, addr: int, now_ns: float = 0.0,
                     is_instr: bool = False,
                     is_write: bool = False) -> AccessResult:
-        """One core load/store/fetch of the line containing ``addr``."""
-        cfg = self.config
+        """One core load/store/fetch of the line containing ``addr``.
+
+        A miss fills every level it missed, outermost first.  The L2 is
+        inclusive of both L1s (paper §VII.C), so an L2 eviction
+        back-invalidates them.  The LLC is non-inclusive (as ARM
+        system-level caches are): an LLC eviction does not invalidate inner
+        copies, so a large L2 is useful even when it exceeds the LLC's core
+        partition.
+        """
         l1 = self.l1i if is_instr else self.l1d
         if l1.lookup(addr):
             return self._hit_l1i if is_instr else self._hit_l1d
-        if self.l2.lookup(addr):
-            self._fill_l1(l1, addr)
+        l2 = self.l2
+        if l2.lookup(addr):
+            l1.insert(addr)
             return self._hit_l2[is_instr]
         if self.llc.lookup(addr):
-            self._fill_l2(addr)
-            self._fill_l1(l1, addr)
-            return self._hit_llc[is_instr]
-        cycles = (l1.config.latency_cycles + cfg.l2.latency_cycles
-                  + cfg.llc.latency_cycles)
-        dram_ns = (self.dram.access(addr, now_ns, is_write=is_write)
-                   + cfg.core_dram_extra_ns)
-        self._fill_llc(addr)
-        self._fill_l2(addr)
-        self._fill_l1(l1, addr)
-        return AccessResult(LEVEL_DRAM, cycles, dram_ns)
-
-    # ------------------------------------------------------------------
-    # Fills with inclusion maintenance
-    # ------------------------------------------------------------------
-
-    def _fill_l1(self, l1: SetAssocCache, addr: int) -> None:
-        l1.insert(addr)
-
-    def _fill_l2(self, addr: int) -> None:
-        evicted = self.l2.insert(addr)
+            result = self._hit_llc[is_instr]
+        else:
+            dram_ns = (self.dram.access(addr, now_ns, is_write=is_write)
+                       + self.config.core_dram_extra_ns)
+            self.llc.insert(addr)
+            result = AccessResult(LEVEL_DRAM, self._hit_llc[is_instr].cycles,
+                                  dram_ns)
+        evicted = l2.insert(addr)
         if evicted is not None:
-            # L2 is inclusive of both L1s (paper §VII.C): back-invalidate.
             self.l1i.invalidate(evicted)
             self.l1d.invalidate(evicted)
-
-    def _fill_llc(self, addr: int) -> None:
-        # The LLC is non-inclusive (as ARM system-level caches are): an
-        # LLC eviction does not invalidate inner copies, so a large L2 is
-        # useful even when it exceeds the LLC's core partition.
-        self.llc.insert(addr, partition=CORE_PARTITION)
+        l1.insert(addr)
+        return result
 
     # ------------------------------------------------------------------
     # DMA-side accesses (NIC <-> memory)
+    #
+    # One call moves a packet's ``n_lines`` consecutive lines (a
+    # descriptor writeback moves one).  Each level gets the per-line
+    # operations in line order, and latencies are summed in line order, so
+    # states, counters and returned floats are those of one call per line.
     # ------------------------------------------------------------------
 
-    def dma_write_line(self, addr: int, now_ns: float = 0.0) -> float:
-        """NIC writes one line of packet data toward memory.
+    def dma_write_lines(self, first_addr: int, n_lines: int,
+                        now_ns: float = 0.0) -> float:
+        """NIC writes ``n_lines`` lines from ``first_addr`` toward memory.
 
-        With DCA the line is stashed into the LLC's io partition; the inner
-        caches' stale copies are invalidated.  Without DCA the line goes to
-        DRAM and every cached copy is invalidated.  Returns nanoseconds of
-        memory-side latency (the I/O bus cost is charged by the DMA engine).
+        With DCA the lines are stashed into the LLC's io partition; the
+        inner caches' stale copies are invalidated.  Without DCA the lines
+        go to DRAM and every cached copy is invalidated.  Returns the sum of
+        the lines' memory-side latencies in nanoseconds (the I/O bus cost is
+        charged by the DMA engine).
         """
-        self.dma_lines_written += 1
-        self.l1d.invalidate(addr)
-        self.l1i.invalidate(addr)
+        self.dma_lines_written += n_lines
+        self.l1d.invalidate_lines(first_addr, n_lines)
+        self.l1i.invalidate_lines(first_addr, n_lines)
+        self.l2.invalidate_lines(first_addr, n_lines)
+        dram = self.dram
+        total = 0.0
         if self.config.dca_enabled:
-            self.l2.invalidate(addr)
-            evicted = self.llc.insert(addr, partition=IO_PARTITION)
-            if evicted is not None:
-                # An unconsumed DMA line fell out of the partition: the core
-                # will now have to fetch it from DRAM (a "DMA leak").
-                self.dma_leaked_lines += 1
-                # Writing the victim back consumes DRAM bandwidth.
-                self.dram.access(evicted, now_ns, is_write=True)
-            return self.config.llc_ns_for_dma
-        self.l2.invalidate(addr)
-        self.llc.invalidate(addr)
-        return self.dram.access(addr, now_ns, is_write=True)
+            # A victim is an unconsumed DMA line that fell out of the
+            # partition: the core will now have to fetch it from DRAM (a
+            # "DMA leak"), and writing it back consumes DRAM bandwidth.
+            leaked = self.llc.stash_lines(first_addr, n_lines)
+            self.dma_leaked_lines += len(leaked)
+            for victim in leaked:
+                dram.access(victim, now_ns, is_write=True)
+            llc_ns = self.config.llc_ns_for_dma
+            for _ in range(n_lines):
+                total += llc_ns
+            return total
+        self.llc.invalidate_lines(first_addr, n_lines)
+        step = self.config.dram.line_size
+        for addr in range(first_addr, first_addr + n_lines * step, step):
+            total += dram.access(addr, now_ns, is_write=True)
+        return total
 
-    def dma_read_line(self, addr: int, now_ns: float = 0.0) -> float:
-        """NIC reads one line of TX packet data from memory."""
-        self.dma_lines_read += 1
-        if self.llc.contains(addr):
-            self.dma_llc_hits += 1
-            # Refresh LRU so hot TX buffers stay resident.
-            self.llc.lookup(addr)
-            return self.config.llc_ns_for_dma
-        return self.dram.access(addr, now_ns, is_write=False)
+    def dma_read_lines(self, first_addr: int, n_lines: int,
+                       now_ns: float = 0.0) -> float:
+        """NIC reads ``n_lines`` lines of TX packet data from memory; a line
+        resident in the LLC is served there (and its LRU slot refreshed, so
+        hot TX buffers stay resident), any other from DRAM."""
+        self.dma_lines_read += n_lines
+        resident = self.llc.refresh_lines(first_addr, n_lines)
+        self.dma_llc_hits += resident.count(True)
+        llc_ns = self.config.llc_ns_for_dma
+        dram = self.dram
+        total = 0.0
+        addr = first_addr
+        step = self.config.dram.line_size
+        for hit in resident:
+            if hit:
+                total += llc_ns
+            else:
+                total += dram.access(addr, now_ns, is_write=False)
+            addr += step
+        return total
 
     # ------------------------------------------------------------------
     # Statistics

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cpu.kernels import LINE_SIZE, lines_covering
+from repro.cpu.kernels import LINE_SIZE
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.xbar import BandwidthServer
 from repro.sim.ports import (
@@ -54,6 +54,11 @@ class DmaEngine:
                  hierarchy: MemoryHierarchy,
                  iobus_tx: BandwidthServer = None,
                  name: str = "dma") -> None:
+        line_size = hierarchy.config.dram.line_size
+        if line_size != LINE_SIZE:
+            raise ValueError(
+                f"{name}: hierarchy line size {line_size} is not the "
+                f"{LINE_SIZE} B line packets are split by")
         self.config = config
         self.name = name
         self.iobus_rx = iobus_rx
@@ -99,17 +104,22 @@ class DmaEngine:
 
     def _memory_ns(self, base_addr: int, nbytes: int, write: bool,
                    now_ns: float) -> float:
-        """Aggregate memory-side time for the packet's lines, overlapped up
-        to ``mem_parallelism`` outstanding transactions."""
-        total = 0.0
-        if write:
-            for line in lines_covering(base_addr, nbytes):
-                total += self.hierarchy.dma_write_line(line, now_ns)
-                self.lines_written += 1
+        """Aggregate memory-side time for the lines covering
+        ``[base_addr, base_addr + nbytes)``, overlapped up to
+        ``mem_parallelism`` outstanding transactions."""
+        if nbytes > 0:
+            first = base_addr // LINE_SIZE
+            n_lines = (base_addr + nbytes - 1) // LINE_SIZE - first + 1
         else:
-            for line in lines_covering(base_addr, nbytes):
-                total += self.hierarchy.dma_read_line(line, now_ns)
-                self.lines_read += 1
+            first = n_lines = 0
+        if write:
+            total = self.hierarchy.dma_write_lines(
+                first * LINE_SIZE, n_lines, now_ns)
+            self.lines_written += n_lines
+        else:
+            total = self.hierarchy.dma_read_lines(
+                first * LINE_SIZE, n_lines, now_ns)
+            self.lines_read += n_lines
         return total / self.config.mem_parallelism
 
     def write_packet(self, now: int, buffer_addr: int, nbytes: int) -> int:
@@ -164,7 +174,7 @@ class DmaEngine:
             line = addr - (addr % LINE_SIZE)
             if line not in lines_seen:
                 lines_seen.add(line)
-                self.hierarchy.dma_write_line(line, now_ns)
+                self.hierarchy.dma_write_lines(line, 1, now_ns)
                 self.desc_lines_written += 1
         nbytes = count * self.config.desc_bytes
         busy_ticks = self.iobus_rx.occupancy_ticks(nbytes)
@@ -230,8 +240,9 @@ class DmaEngine:
             fails.append(
                 f"hierarchy saw {h.dma_lines_read} DMA line reads but "
                 f"engine issued {self.lines_read}")
-        # A packet of N bytes covers between ceil(N/64) and ceil(N/64)+1
-        # cache lines depending on alignment.
+        # A packet of N > 0 bytes covers at least ceil(N/64) lines and, at
+        # the worst alignment, (N + 62) // 64 + 1; summing the floors over
+        # packets stays below the floor of the sum.
         if self.lines_written * LINE_SIZE < self.bytes_written:
             fails.append(
                 f"{self.lines_written} written lines cannot carry "
@@ -240,14 +251,16 @@ class DmaEngine:
             fails.append(
                 f"{self.lines_read} read lines cannot carry "
                 f"{self.bytes_read} packet bytes")
-        if self.lines_written > self.bytes_written // LINE_SIZE \
-                + self.packets_written:
+        slack = LINE_SIZE - 2
+        if self.lines_written > (self.bytes_written
+                                 + slack * self.packets_written) \
+                // LINE_SIZE + self.packets_written:
             fails.append(
                 f"{self.lines_written} written lines exceeds the maximum "
                 f"for {self.packets_written} packets totalling "
                 f"{self.bytes_written}B")
-        if self.lines_read > self.bytes_read // LINE_SIZE \
-                + self.packets_read:
+        if self.lines_read > (self.bytes_read + slack * self.packets_read) \
+                // LINE_SIZE + self.packets_read:
             fails.append(
                 f"{self.lines_read} read lines exceeds the maximum for "
                 f"{self.packets_read} packets totalling {self.bytes_read}B")

@@ -100,16 +100,31 @@ class TestBufferLifetimeMutations:
 
 class TestDmaAccountingMutations:
     def test_double_counted_dma_line_trips(self, monkeypatch):
-        """Mutant: the hierarchy counts each DMA'd line twice — the
-        classic stat bug that doubles reported DMA bandwidth."""
-        orig = MemoryHierarchy.dma_write_line
+        """Mutant: the hierarchy counts one DMA'd line twice per write —
+        the classic stat bug that inflates reported DMA bandwidth."""
+        orig = MemoryHierarchy.dma_write_lines
 
-        def mutant(self, addr, now_ns=0.0):
-            ns = orig(self, addr, now_ns)
+        def mutant(self, first_addr, n_lines, now_ns=0.0):
+            ns = orig(self, first_addr, n_lines, now_ns)
             self.dma_lines_written += 1
             return ns
 
-        monkeypatch.setattr(MemoryHierarchy, "dma_write_line", mutant)
+        monkeypatch.setattr(MemoryHierarchy, "dma_write_lines", mutant)
+        with pytest.raises(InvariantViolation, match="dma"):
+            _run(**LIGHT_LOAD)
+
+    def test_double_counted_dma_read_line_trips(self, monkeypatch):
+        """Mutant: the read-side twin — one TX line counted twice per
+        read, so the hierarchy reports more DMA line reads than the
+        engine made."""
+        orig = MemoryHierarchy.dma_read_lines
+
+        def mutant(self, first_addr, n_lines, now_ns=0.0):
+            ns = orig(self, first_addr, n_lines, now_ns)
+            self.dma_lines_read += 1
+            return ns
+
+        monkeypatch.setattr(MemoryHierarchy, "dma_read_lines", mutant)
         with pytest.raises(InvariantViolation, match="dma"):
             _run(**LIGHT_LOAD)
 

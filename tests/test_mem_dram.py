@@ -109,3 +109,12 @@ def test_config_validation():
         DramConfig(banks_per_channel=0)
     with pytest.raises(ValueError):
         DramConfig(row_size=32, line_size=64)
+    for field, value in (("channel_bw_bytes_per_ns", 0.0),
+                         ("channel_bw_bytes_per_ns", -19.2),
+                         ("line_size", 0),
+                         ("line_size", -64),
+                         ("t_cas_ns", -5.0),
+                         ("t_row_miss_ns", -1.0),
+                         ("queue_depth", -1)):
+        with pytest.raises(ValueError, match=field):
+            DramConfig(**{field: value})

@@ -1,7 +1,12 @@
 """Unit tests for the DMA engine."""
 
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cpu.kernels import lines_covering
+from repro.mem.dram import DramConfig
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.mem.xbar import BandwidthServer
 from repro.nic.dma import DmaConfig, DmaEngine
@@ -11,7 +16,6 @@ from repro.sim.ticks import TICKS_PER_NS
 def make_engine(bw=7.6e9, setup_ns=15.0, dca=True, latency_ticks=0):
     config = HierarchyConfig()
     if not dca:
-        from dataclasses import replace
         config = replace(config, llc=replace(config.llc, reserved_io_ways=0))
     hierarchy = MemoryHierarchy(config)
     bus = BandwidthServer("iobus", bw, latency_ticks)
@@ -98,6 +102,37 @@ def test_writeback_descriptors_touch_memory():
     assert hierarchy.llc.contains(0x5000)
 
 
+@given(dca=st.booleans(),
+       base=st.integers(min_value=0x10000, max_value=0x10000 + 4096),
+       nbytes=st.integers(min_value=0, max_value=3000))
+@settings(max_examples=100, deadline=None)
+def test_line_counts_match_lines_covering(dca, base, nbytes):
+    engine, hierarchy = make_engine(dca=dca)
+    engine.write_packet(0, base, nbytes)
+    engine.read_packet(0, base, nbytes)
+    n_lines = len(lines_covering(base, nbytes))
+    assert engine.lines_written == hierarchy.dma_lines_written == n_lines
+    assert engine.lines_read == hierarchy.dma_lines_read == n_lines
+    assert engine.invariant_failures() == []
+
+
+def test_line_cap_holds_at_worst_alignment():
+    # 63 bytes at offset 2 span two lines: the most a 63-byte packet can.
+    engine, hierarchy = make_engine()
+    engine.write_packet(0, 0x10002, 63)
+    engine.read_packet(0, 0x10002, 63)
+    assert engine.lines_written == engine.lines_read == 2
+    assert engine.invariant_failures() == []
+    # One line more than any alignment allows trips the cap.
+    engine.lines_written += 1
+    hierarchy.dma_lines_written += 1
+    engine.lines_read += 1
+    hierarchy.dma_lines_read += 1
+    fails = engine.invariant_failures()
+    assert len(fails) == 2
+    assert all("exceeds the maximum" in f for f in fails)
+
+
 def test_writeback_zero_count_is_noop():
     engine, _ = make_engine()
     assert engine.writeback_descriptors(1000, 0) == 1000
@@ -120,3 +155,10 @@ def test_config_validation():
         DmaConfig(setup_ns=-1)
     with pytest.raises(ValueError):
         DmaConfig(mem_parallelism=0)
+    wide = HierarchyConfig()
+    wide = replace(wide, dram=DramConfig(line_size=128),
+                   **{name: replace(getattr(wide, name), line_size=128)
+                      for name in ("l1i", "l1d", "l2", "llc")})
+    with pytest.raises(ValueError, match="line size"):
+        DmaEngine(DmaConfig(), BandwidthServer("iobus", 7.6e9, 0),
+                  MemoryHierarchy(wide))
