@@ -29,7 +29,7 @@ from repro.kernelstack.driver import InterruptNicDriver
 from repro.kernelstack.stack import KernelStackModel
 from repro.mem.address import AddressSpace
 from repro.net.packet import Packet
-from repro.sim.checkpoint import CheckpointError
+from repro.sim.checkpoint import CheckpointError, Stateful
 from repro.sim.event_queue import EventPool
 from repro.sim.ports import KIND_APP, RequestPort
 from repro.sim.simobject import SimObject, Simulation
@@ -38,7 +38,7 @@ from repro.sim.ticks import ns_to_ticks
 POLL_REACTION_NS = 25.0   # partial poll iteration when traffic resumes
 
 
-class DpdkApp(SimObject):
+class DpdkApp(Stateful, SimObject):
     """Run-to-completion DPDK application on one core."""
 
     #: rx_burst size; testpmd's default burst is 32 packets.
@@ -209,38 +209,20 @@ class DpdkApp(SimObject):
 
     # -- checkpoint support ------------------------------------------------
 
+    state_fields = ("_idle", "_running", "packets_processed",
+                    "packets_forwarded", "packets_dropped_by_app",
+                    "tx_ring_drops", "bursts", "total_processed",
+                    "total_forwarded", "total_absorbed")
+
     def serialize_state(self) -> dict:
         if self._holding:
             raise CheckpointError(
                 f"{self.name} holds {self._holding} packets mid-burst; "
                 f"checkpoints require a quiescent (drained) node")
-        return {
-            "idle": self._idle,
-            "running": self._running,
-            "packets_processed": self.packets_processed,
-            "packets_forwarded": self.packets_forwarded,
-            "packets_dropped_by_app": self.packets_dropped_by_app,
-            "tx_ring_drops": self.tx_ring_drops,
-            "bursts": self.bursts,
-            "total_processed": self.total_processed,
-            "total_forwarded": self.total_forwarded,
-            "total_absorbed": self.total_absorbed,
-        }
-
-    def deserialize_state(self, state: dict) -> None:
-        self._idle = state["idle"]
-        self._running = state["running"]
-        self.packets_processed = state["packets_processed"]
-        self.packets_forwarded = state["packets_forwarded"]
-        self.packets_dropped_by_app = state["packets_dropped_by_app"]
-        self.tx_ring_drops = state["tx_ring_drops"]
-        self.bursts = state["bursts"]
-        self.total_processed = state["total_processed"]
-        self.total_forwarded = state["total_forwarded"]
-        self.total_absorbed = state["total_absorbed"]
+        return super().serialize_state()
 
 
-class KernelNetApp(SimObject):
+class KernelNetApp(Stateful, SimObject):
     """Interrupt-driven kernel-stack application (NAPI loop)."""
 
     napi_budget = 64
@@ -342,22 +324,12 @@ class KernelNetApp(SimObject):
 
     # -- checkpoint support ------------------------------------------------
 
+    state_fields = ("_processing", "packets_processed", "interrupts",
+                    "total_processed", "total_responses")
+
     def serialize_state(self) -> dict:
         if self._processing:
             raise CheckpointError(
                 f"{self.name} has a NAPI poll round in flight; "
                 f"checkpoints require a quiescent (drained) node")
-        return {
-            "processing": self._processing,
-            "packets_processed": self.packets_processed,
-            "interrupts": self.interrupts,
-            "total_processed": self.total_processed,
-            "total_responses": self.total_responses,
-        }
-
-    def deserialize_state(self, state: dict) -> None:
-        self._processing = state["processing"]
-        self.packets_processed = state["packets_processed"]
-        self.interrupts = state["interrupts"]
-        self.total_processed = state["total_processed"]
-        self.total_responses = state["total_responses"]
+        return super().serialize_state()

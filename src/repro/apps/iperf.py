@@ -65,15 +65,5 @@ class IperfServer(KernelNetApp):
         self.segments = 0
         self.acks_sent = 0
 
-    def serialize_state(self) -> dict:
-        state = super().serialize_state()
-        state["bytes_received"] = self.bytes_received
-        state["segments"] = self.segments
-        state["acks_sent"] = self.acks_sent
-        return state
-
-    def deserialize_state(self, state: dict) -> None:
-        super().deserialize_state(state)
-        self.bytes_received = state["bytes_received"]
-        self.segments = state["segments"]
-        self.acks_sent = state["acks_sent"]
+    state_fields = KernelNetApp.state_fields + (
+        "bytes_received", "segments", "acks_sent")

@@ -90,20 +90,8 @@ class MemcachedDpdk(DpdkApp):
         response.meta.update(request_packet.meta)
         return response
 
-    def serialize_state(self) -> dict:
-        """The store rides along with the app: it is not a topology
-        component of its own, and its contents (warm keys) are the whole
-        point of a warm-up checkpoint."""
-        state = super().serialize_state()
-        state["requests_served"] = self.requests_served
-        state["parse_errors"] = self.parse_errors
-        state["store"] = self.store.serialize_state()
-        return state
-
-    def deserialize_state(self, state: dict) -> None:
-        super().deserialize_state(state)
-        self.requests_served = state["requests_served"]
-        self.parse_errors = state["parse_errors"]
-        self.store.deserialize_state(state["store"])
-        self._pending_response = None
-        self._pending_footprint = None
+    # The store rides along with the app: it is not a topology component
+    # of its own, and its contents (warm keys) are the whole point of a
+    # warm-up checkpoint.
+    state_fields = DpdkApp.state_fields + (
+        "requests_served", "parse_errors", "store")

@@ -87,16 +87,6 @@ class MemcachedKernel(KernelNetApp):
         super().on_stats_reset()
         self.requests_served = 0
 
-    def serialize_state(self) -> dict:
-        """The store rides along with the app (see MemcachedDpdk)."""
-        state = super().serialize_state()
-        state["requests_served"] = self.requests_served
-        state["parse_errors"] = self.parse_errors
-        state["store"] = self.store.serialize_state()
-        return state
-
-    def deserialize_state(self, state: dict) -> None:
-        super().deserialize_state(state)
-        self.requests_served = state["requests_served"]
-        self.parse_errors = state["parse_errors"]
-        self.store.deserialize_state(state["store"])
+    # The store rides along with the app (see MemcachedDpdk).
+    state_fields = KernelNetApp.state_fields + (
+        "requests_served", "parse_errors", "store")

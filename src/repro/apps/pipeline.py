@@ -22,7 +22,7 @@ from repro.cpu.kernels import KernelCosts, touch_lines
 from repro.dpdk.pmd import E1000Pmd, RxMbuf
 from repro.dpdk.ring import RteRing
 from repro.mem.address import AddressSpace
-from repro.sim.checkpoint import CheckpointError
+from repro.sim.checkpoint import CheckpointError, Stateful
 from repro.sim.ports import KIND_APP, RequestPort
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.ticks import ns_to_ticks
@@ -37,7 +37,7 @@ from repro.apps.touchfwd import (
 RING_ENQ_DEQ_CYCLES = 25   # per-packet rte_ring enqueue+dequeue pair
 
 
-class PipelineForwarder(SimObject):
+class PipelineForwarder(Stateful, SimObject):
     """Two-stage pipeline: RX core -> rte_ring -> worker core -> TX.
 
     ``touch_payload`` selects the worker stage's depth: False makes the
@@ -241,38 +241,17 @@ class PipelineForwarder(SimObject):
 
     # -- checkpoint support ------------------------------------------------
 
+    # Both stages' flags/counters plus the inter-core ring (which
+    # enforces its own emptiness — queued frames are live packets).
+    state_fields = ("_running", "_rx_idle", "_worker_idle",
+                    "packets_received", "packets_processed",
+                    "packets_forwarded", "ring_full_drops", "tx_ring_drops",
+                    "total_processed", "total_forwarded", "total_absorbed",
+                    "ring")
+
     def serialize_state(self) -> dict:
-        """Both stages' flags/counters plus the inter-core ring (which
-        enforces its own emptiness — queued frames are live packets)."""
         if self._holding:
             raise CheckpointError(
                 f"{self.name} worker holds {self._holding} packets "
                 f"mid-burst; checkpoints require a quiescent node")
-        return {
-            "running": self._running,
-            "rx_idle": self._rx_idle,
-            "worker_idle": self._worker_idle,
-            "packets_received": self.packets_received,
-            "packets_processed": self.packets_processed,
-            "packets_forwarded": self.packets_forwarded,
-            "ring_full_drops": self.ring_full_drops,
-            "tx_ring_drops": self.tx_ring_drops,
-            "total_processed": self.total_processed,
-            "total_forwarded": self.total_forwarded,
-            "total_absorbed": self.total_absorbed,
-            "ring": self.ring.serialize_state(),
-        }
-
-    def deserialize_state(self, state: dict) -> None:
-        self._running = state["running"]
-        self._rx_idle = state["rx_idle"]
-        self._worker_idle = state["worker_idle"]
-        self.packets_received = state["packets_received"]
-        self.packets_processed = state["packets_processed"]
-        self.packets_forwarded = state["packets_forwarded"]
-        self.ring_full_drops = state["ring_full_drops"]
-        self.tx_ring_drops = state["tx_ring_drops"]
-        self.total_processed = state["total_processed"]
-        self.total_forwarded = state["total_forwarded"]
-        self.total_absorbed = state["total_absorbed"]
-        self.ring.deserialize_state(state["ring"])
+        return super().serialize_state()

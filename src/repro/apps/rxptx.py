@@ -53,11 +53,4 @@ class RxPTx(DpdkApp):
         """Outgoing packet for this frame (None drops it)."""
         return frame.packet.response_to()
 
-    def serialize_state(self) -> dict:
-        state = super().serialize_state()
-        state["burst_pending"] = self._burst_pending
-        return state
-
-    def deserialize_state(self, state: dict) -> None:
-        super().deserialize_state(state)
-        self._burst_pending = state["burst_pending"]
+    state_fields = DpdkApp.state_fields + ("_burst_pending",)

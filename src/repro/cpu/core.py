@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.mem.hierarchy import MemoryHierarchy
+from repro.sim.checkpoint import Stateful
 from repro.sim.ports import KIND_CLOCK, KIND_MEM, RequestPort
 
 
@@ -86,7 +87,7 @@ class Work:
                 + len(self.dependent_reads))
 
 
-class CoreModel:
+class CoreModel(Stateful):
     """Base: owns the hierarchy, counts instructions and busy time."""
 
     #: In a run of consecutive cache lines, the stream prefetcher covers
@@ -176,21 +177,8 @@ class CoreModel:
 
     # -- checkpoint support --------------------------------------------------
 
-    def serialize_state(self) -> dict:
-        return {
-            "busy_ns": self.busy_ns,
-            "work_units": self.work_units,
-            "accesses": self.accesses,
-            "l1_hits": self.l1_hits,
-            "prefetch_covered": self.prefetch_covered,
-        }
-
-    def deserialize_state(self, state: dict) -> None:
-        self.busy_ns = state["busy_ns"]
-        self.work_units = state["work_units"]
-        self.accesses = state["accesses"]
-        self.l1_hits = state["l1_hits"]
-        self.prefetch_covered = state["prefetch_covered"]
+    state_fields = ("busy_ns", "work_units", "accesses", "l1_hits",
+                    "prefetch_covered")
 
     def invariant_failures(self):
         """Core accounting sanity; a list of messages, empty when OK.

@@ -14,6 +14,7 @@ from typing import List, Sequence
 from repro.dpdk.mempool import Mbuf, Mempool
 from repro.net.packet import Packet
 from repro.nic.i8254x import I8254xNic, REG_IMC
+from repro.sim.checkpoint import Stateful
 from repro.sim.ports import (
     KIND_APP,
     KIND_BUFFER,
@@ -46,7 +47,7 @@ class RxMbuf:
                 f"desc_addr={self.desc_addr!r})")
 
 
-class E1000Pmd:
+class E1000Pmd(Stateful):
     """Polling-mode driver bound to one NIC port."""
 
     def __init__(self, nic: I8254xNic, mempool: Mempool) -> None:
@@ -155,20 +156,5 @@ class E1000Pmd:
 
     # -- checkpoint support --------------------------------------------------
 
-    def serialize_state(self) -> dict:
-        return {
-            "rx_bursts": self.rx_bursts,
-            "empty_rx_bursts": self.empty_rx_bursts,
-            "rx_packets": self.rx_packets,
-            "tx_packets": self.tx_packets,
-            "tx_ring_full_events": self.tx_ring_full_events,
-            "harvest_cursor": self._harvest_cursor,
-        }
-
-    def deserialize_state(self, state: dict) -> None:
-        self.rx_bursts = state["rx_bursts"]
-        self.empty_rx_bursts = state["empty_rx_bursts"]
-        self.rx_packets = state["rx_packets"]
-        self.tx_packets = state["tx_packets"]
-        self.tx_ring_full_events = state["tx_ring_full_events"]
-        self._harvest_cursor = state["harvest_cursor"]
+    state_fields = ("rx_bursts", "empty_rx_bursts", "rx_packets", "tx_packets",
+                    "tx_ring_full_events", "_harvest_cursor")

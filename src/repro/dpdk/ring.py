@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.sim.checkpoint import CheckpointError
+from repro.sim.checkpoint import CheckpointError, Stateful
 
 
-class RteRing:
+class RteRing(Stateful):
     """A bounded FIFO with burst operations."""
 
     def __init__(self, name: str, size: int) -> None:
@@ -92,28 +92,18 @@ class RteRing:
 
     # -- checkpoint support --------------------------------------------------
 
+    # Cursors and lifetime counters.  Held items are live packets, so the
+    # ring must be empty (its slots are then all None and the cursors
+    # alone reproduce the state).
+    state_fields = ("_head", "_tail", "enqueued", "dequeued",
+                    "enqueue_failures")
+
     def serialize_state(self) -> dict:
-        """Cursors and lifetime counters.  Held items are live packets,
-        so the ring must be empty (its slots are then all None and the
-        cursors alone reproduce the state)."""
         if self._count:
             raise CheckpointError(
                 f"rte_ring {self.name} holds {self._count} items; "
                 f"checkpoints require a quiescent (drained) node")
-        return {
-            "head": self._head,
-            "tail": self._tail,
-            "enqueued": self.enqueued,
-            "dequeued": self.dequeued,
-            "enqueue_failures": self.enqueue_failures,
-        }
-
-    def deserialize_state(self, state: dict) -> None:
-        self._head = state["head"]
-        self._tail = state["tail"]
-        self.enqueued = state["enqueued"]
-        self.dequeued = state["dequeued"]
-        self.enqueue_failures = state["enqueue_failures"]
+        return super().serialize_state()
 
     def invariant_failures(self):
         """Ring conservation self-checks over lifetime counters; a list

@@ -21,9 +21,10 @@ Three pieces:
 
 :class:`ResultCache`
     An on-disk result store keyed by a stable SHA-256 digest of
-    ``(schema version, kind, SystemConfig, app, load, n_packets,
-    app_options, seed)``.  Re-running an unchanged point is free;
-    corrupted entries are detected, discarded, and recomputed.
+    ``(code fingerprint, kind, SystemConfig, app, load, n_packets,
+    app_options, seed)``.  Re-running an unchanged point is free; any
+    edit to the ``repro`` sources misses; corrupted entries are
+    detected, discarded, and recomputed.
 
 :class:`SweepExecutor`
     The scheduler.  ``jobs=1`` executes in-process (the reference serial
@@ -80,24 +81,14 @@ from repro.harness.runner import (
 from repro.harness.warmup_cache import (
     WARMUP_CACHE_ENV,
     WarmStart,
+    code_fingerprint,
     drop_warmup_cache,
     prewarm,
 )
+from repro.sim.checkpoint import write_atomic
 from repro.sim.invariants import InvariantViolation
 from repro.sim.rng import DeterministicRng
 from repro.system.config import SystemConfig
-
-# Bump when the cached payload's semantics change (new result fields with
-# different meaning, changed seeding scheme, ...): old entries then miss
-# instead of silently replaying stale results.
-# 2: results gained ``trace_digest`` and runs assert invariants at
-#    completion — a pre-checker cached result is no longer equivalent.
-# 3: warm-up methodology changed — runs now warm at a canonical
-#    load-independent rate and drain to full quiescence before the
-#    measurement reset (checkpointable warm-up), and points differing
-#    only in offered load share one RNG stream; all measured results
-#    moved.
-CACHE_VERSION = 3
 
 KIND_FIXED_LOAD = "fixed_load"
 KIND_MEMCACHED = "memcached"
@@ -322,7 +313,7 @@ def decode_result(payload: dict) -> Any:
 def cache_key(point: SweepPoint) -> str:
     """Stable digest of everything the simulation's outcome depends on."""
     payload = {
-        "version": CACHE_VERSION,
+        "code_fingerprint": code_fingerprint(),
         "kind": point.kind,
         "config": (point.config.canonical_dict()
                    if point.config is not None else None),
@@ -361,7 +352,8 @@ class ResultCache:
             return None
         try:
             blob = json.loads(path.read_text())
-            if blob.get("version") != CACHE_VERSION or blob.get("key") != key:
+            if (blob.get("code_fingerprint") != code_fingerprint()
+                    or blob.get("key") != key):
                 raise ValueError("cache entry metadata mismatch")
             payload = blob["result"]
             decode_result(payload)    # validate before trusting
@@ -375,12 +367,11 @@ class ResultCache:
             return None
 
     def put(self, key: str, payload: dict, point: SweepPoint) -> None:
-        """Atomically store one result (write-to-temp then rename)."""
-        blob = {"version": CACHE_VERSION, "key": key,
+        """Atomically store one result (:func:`write_atomic`: writers of
+        the same key never share a temp file)."""
+        blob = {"code_fingerprint": code_fingerprint(), "key": key,
                 "point": point.describe(), "result": payload}
-        tmp = self.path_for(key).with_suffix(".tmp")
-        tmp.write_text(json.dumps(blob, sort_keys=True))
-        os.replace(tmp, self.path_for(key))
+        write_atomic(str(self.path_for(key)), json.dumps(blob, sort_keys=True))
 
 
 # ----------------------------------------------------------------------

@@ -10,14 +10,16 @@ warm-up machine state.  This cache stores that state once, as a sealed
 restores it instead of re-simulating the warm-up.
 
 Keying: a SHA-256 digest over everything the post-warm-up state depends
-on — the result-cache schema version, the checkpoint format, the full
-canonical :class:`~repro.system.config.SystemConfig`, the application
-and its options, the packet size, the :class:`~repro.system.node.WarmupPlan`,
-the *effective* seed, and the tracer configuration.  The offered load is
-deliberately absent: that is the whole point.
+on — the :func:`code_fingerprint` of the model sources, the checkpoint
+format, the full canonical :class:`~repro.system.config.SystemConfig`,
+the application and its options, the packet size, the
+:class:`~repro.system.node.WarmupPlan`, the *effective* seed, and the
+tracer configuration.  The offered load is deliberately absent: that is
+the whole point.  Any edit to the ``repro`` sources changes the
+fingerprint, so a snapshot taken by other code is never looked up.
 
 Failure policy mirrors :class:`repro.harness.parallel.ResultCache`: any
-unreadable, version-mismatched, or digest-mismatched entry counts as
+unreadable, format-mismatched, or digest-mismatched entry counts as
 corrupt, is deleted, and the warm-up is re-simulated — a damaged cache
 can slow a sweep down but never change its results.  Writes are atomic
 (temp file + ``os.replace``), so sweep workers racing to produce the
@@ -32,6 +34,7 @@ snapshot the run looks up.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -52,10 +55,26 @@ from repro.system.node import WarmupPlan
 #: ``--warmup-cache`` flag) point runs at a shared cache directory.
 WARMUP_CACHE_ENV = "REPRO_WARMUP_CACHE"
 
-#: Version of the warm-up *keying* scheme (what state a key promises to
-#: describe).  Bump together with methodology changes so stale snapshots
-#: miss instead of silently seeding a run with different machine state.
-WARMUP_KEY_VERSION = 1
+#: The ``repro`` package whose sources :func:`code_fingerprint` hashes.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """SHA-256 over every ``.py`` file of the ``repro`` package: each
+    file's relative path and bytes, in sorted path order.
+
+    Keys of the result and warm-up caches include it, so a cached result
+    or snapshot is only ever served to the code that produced it.
+    Computed once per process (forked sweep children inherit it).
+    """
+    digest = hashlib.sha256()
+    for path in sorted(_PACKAGE_ROOT.rglob("*.py")):
+        data = path.read_bytes()
+        name = path.relative_to(_PACKAGE_ROOT).as_posix().encode()
+        digest.update(b"%s\0%d\0" % (name, len(data)))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def warmup_key(config: SystemConfig, app: str, packet_size: int,
@@ -65,7 +84,7 @@ def warmup_key(config: SystemConfig, app: str, packet_size: int,
     options = {k: v for k, v in (app_options or {}).items()
                if k != "store"}   # the store is node-internal state
     payload = {
-        "key_version": WARMUP_KEY_VERSION,
+        "code_fingerprint": code_fingerprint(),
         "checkpoint_format": CHECKPOINT_FORMAT,
         "config": config.canonical_dict(),
         "app": app,
@@ -149,8 +168,7 @@ class WarmupCache:
         self.saves += 1
 
     def discard(self, key: str) -> None:
-        """Drop an entry that failed to restore (schema drift survives
-        the digest check when the writer was a different code version)."""
+        """Drop an entry that failed to restore."""
         self._memo.pop(key, None)
         try:
             self.path_for(key).unlink()
@@ -217,9 +235,9 @@ def warm_start(spec: WarmStart, cache: Optional[WarmupCache] = None):
 
     With a cache (``cache`` or ``REPRO_WARMUP_CACHE``) a stored snapshot
     is restored — bit-identical to warming up — and a missing one is
-    simulated and stored.  A snapshot that fails to restore (schema
-    drift from another code version) is discarded and the warm-up re-run
-    on a rebuilt rig: the failed restore may have half-mutated this one.
+    simulated and stored.  A snapshot that fails to restore is
+    discarded and the warm-up re-run on a rebuilt rig: the failed
+    restore may have half-mutated this one.
     """
     cache = _resolve(cache)
     rig = spec.build()

@@ -16,6 +16,7 @@ from repro.kernelstack.stack import KernelStackModel
 from repro.net.packet import Packet
 from repro.nic.descriptors import RxDescriptor
 from repro.nic.i8254x import I8254xNic, ICR_RXT0, REG_IMC, REG_IMS
+from repro.sim.checkpoint import Stateful
 from repro.sim.ports import (
     KIND_APP,
     KIND_DRIVER,
@@ -25,7 +26,7 @@ from repro.sim.ports import (
 )
 
 
-class InterruptNicDriver:
+class InterruptNicDriver(Stateful):
     """Binds the kernel stack to the NIC model."""
 
     def __init__(self, nic: I8254xNic, stack: KernelStackModel) -> None:
@@ -83,8 +84,4 @@ class InterruptNicDriver:
 
     # -- checkpoint support ------------------------------------------------
 
-    def serialize_state(self) -> dict:
-        return {"interrupts_taken": self.interrupts_taken}
-
-    def deserialize_state(self, state: dict) -> None:
-        self.interrupts_taken = state["interrupts_taken"]
+    state_fields = ("interrupts_taken",)

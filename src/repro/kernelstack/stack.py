@@ -21,6 +21,7 @@ from typing import List
 from repro.cpu.core import Work
 from repro.cpu.kernels import KernelCosts, LINE_SIZE, lines_covering
 from repro.mem.address import AddressSpace, Region
+from repro.sim.checkpoint import Stateful
 from repro.sim.ports import KIND_STACK, ResponsePort
 
 
@@ -32,7 +33,7 @@ class StackWork:
     app: Work
 
 
-class KernelStackModel:
+class KernelStackModel(Stateful):
     """Builds kernel-path work for RX and TX packets."""
 
     # Footprints chosen so the kernel working set exceeds 1MiB (paper
@@ -94,19 +95,8 @@ class KernelStackModel:
 
     # -- checkpoint support ------------------------------------------------
 
-    def serialize_state(self) -> dict:
-        return {
-            "skb_cursor": self._skb_cursor,
-            "text_cursor": self._text_cursor,
-            "user_cursor": self._user_cursor,
-            "skb_allocs": self.skb_allocs,
-        }
-
-    def deserialize_state(self, state: dict) -> None:
-        self._skb_cursor = state["skb_cursor"]
-        self._text_cursor = state["text_cursor"]
-        self._user_cursor = state["user_cursor"]
-        self.skb_allocs = state["skb_allocs"]
+    state_fields = ("_skb_cursor", "_text_cursor", "_user_cursor",
+                    "skb_allocs")
 
     # -- work builders ----------------------------------------------------------
 

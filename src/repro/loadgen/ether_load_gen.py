@@ -22,7 +22,7 @@ from repro.net.packet import (
 )
 from repro.net.pcap import PcapRecord
 from repro.nic.phy import EtherPort
-from repro.sim.checkpoint import CheckpointError
+from repro.sim.checkpoint import CheckpointError, Stateful
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.ticks import TICKS_PER_SEC, ns_to_ticks
 
@@ -134,7 +134,7 @@ class RampStepResult:
         return max(0.0, 1.0 - self.received / self.sent)
 
 
-class EtherLoadGen(SimObject):
+class EtherLoadGen(Stateful, SimObject):
     """Hardware load generator with a single Ethernet port."""
 
     def __init__(self, sim: Simulation, name: str,
@@ -456,56 +456,20 @@ class EtherLoadGen(SimObject):
 
     # -- checkpoint support ------------------------------------------------
 
+    # Counters, epoch, and sequence state.  The generator must be stopped:
+    # mode configs and the inter-arrival sampler are rebuilt by the next
+    # ``start_*`` call, so an in-progress generation phase cannot be
+    # captured faithfully.
+    state_fields = ("_seq", "_epoch", "stale_rx", "total_tx_packets",
+                    "total_rx_packets", "tx_packets", "tx_bytes",
+                    "rx_packets", "rx_bytes", "first_tx_tick",
+                    "last_tx_tick", "_remaining", "_trace_index",
+                    "_trace_base_tick", "_ramp_step", "_step_sent",
+                    "_step_received", "latency", "port")
+
     def serialize_state(self) -> dict:
-        """Counters, epoch, and sequence state.  The generator must be
-        stopped: mode configs and the inter-arrival sampler are rebuilt by
-        the next ``start_*`` call, so an in-progress generation phase
-        cannot be captured faithfully."""
         if self._sending or self._send_event.scheduled:
             raise CheckpointError(
                 f"{self.name} is actively generating traffic; "
                 f"checkpoints require a stopped (drained) load generator")
-        return {
-            "seq": self._seq,
-            "epoch": self._epoch,
-            "stale_rx": self.stale_rx,
-            "total_tx_packets": self.total_tx_packets,
-            "total_rx_packets": self.total_rx_packets,
-            "tx_packets": self.tx_packets,
-            "tx_bytes": self.tx_bytes,
-            "rx_packets": self.rx_packets,
-            "rx_bytes": self.rx_bytes,
-            "first_tx_tick": self.first_tx_tick,
-            "last_tx_tick": self.last_tx_tick,
-            "remaining": self._remaining,
-            "trace_index": self._trace_index,
-            "trace_base_tick": self._trace_base_tick,
-            "ramp_step": self._ramp_step,
-            "step_sent": list(self._step_sent),
-            "step_received": list(self._step_received),
-            "latency": self.latency.serialize_state(),
-            "port": {"frames_sent": self.port.frames_sent,
-                     "frames_received": self.port.frames_received},
-        }
-
-    def deserialize_state(self, state: dict) -> None:
-        self._seq = state["seq"]
-        self._epoch = state["epoch"]
-        self.stale_rx = state["stale_rx"]
-        self.total_tx_packets = state["total_tx_packets"]
-        self.total_rx_packets = state["total_rx_packets"]
-        self.tx_packets = state["tx_packets"]
-        self.tx_bytes = state["tx_bytes"]
-        self.rx_packets = state["rx_packets"]
-        self.rx_bytes = state["rx_bytes"]
-        self.first_tx_tick = state["first_tx_tick"]
-        self.last_tx_tick = state["last_tx_tick"]
-        self._remaining = state["remaining"]
-        self._trace_index = state["trace_index"]
-        self._trace_base_tick = state["trace_base_tick"]
-        self._ramp_step = state["ramp_step"]
-        self._step_sent = list(state["step_sent"])
-        self._step_received = list(state["step_received"])
-        self.latency.deserialize_state(state["latency"])
-        self.port.frames_sent = state["port"]["frames_sent"]
-        self.port.frames_received = state["port"]["frames_received"]
+        return super().serialize_state()

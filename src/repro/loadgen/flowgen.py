@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.loadgen.distributions import ExponentialInterArrival
-from repro.sim.checkpoint import CheckpointError
+from repro.sim.checkpoint import CheckpointError, Stateful
 from repro.sim.rng import DeterministicRng
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.stats import Distribution
@@ -375,7 +375,7 @@ def fct_summary_from(records: Iterable[FlowRecord]) -> dict:
     return summary
 
 
-class FlowTrafficGenerator(SimObject):
+class FlowTrafficGenerator(Stateful, SimObject):
     """Open-loop flow source driving a set of fabric hosts.
 
     Each :meth:`start` forks a fresh child RNG from the simulation
@@ -505,23 +505,17 @@ class FlowTrafficGenerator(SimObject):
 
     # -- checkpoint support --------------------------------------------------
 
+    state_fields = ("_starts", "_next_flow_id", "_window_started")
+
     def serialize_state(self) -> dict:
         if self.active:
             raise CheckpointError(
                 f"{self.name} is mid-phase ({len(self._pending) - self._cursor}"
                 f" flows unstarted); checkpoints require a finished phase")
-        return {
-            "starts": self._starts,
-            "next_flow_id": self._next_flow_id,
-            "window_started": self._window_started,
-            "records": [r.as_tuple() for r in self._records],
-        }
+        state = super().serialize_state()
+        state["records"] = [r.as_tuple() for r in self._records]
+        return state
 
     def deserialize_state(self, state: dict) -> None:
-        self._starts = state["starts"]
-        self._next_flow_id = state["next_flow_id"]
-        self._window_started = state["window_started"]
+        super().deserialize_state(state)
         self._records = [FlowRecord(*row) for row in state["records"]]
-        self.active = False
-        self._pending = []
-        self._cursor = 0

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.sim.checkpoint import Stateful
 from repro.sim.stats import Distribution, Histogram
 from repro.sim.ticks import ticks_to_us
 
 
-class LatencyTracker:
+class LatencyTracker(Stateful):
     """Round-trip latency distribution plus forwarding-latency histogram."""
 
     def __init__(self, name: str, histogram_max_us: float = 2000.0,
@@ -46,12 +47,4 @@ class LatencyTracker:
 
     # -- checkpoint support ------------------------------------------------
 
-    def serialize_state(self) -> dict:
-        return {
-            "rtt_us": self.rtt_us.serialize_state(),
-            "histogram": self.histogram.serialize_state(),
-        }
-
-    def deserialize_state(self, state: dict) -> None:
-        self.rtt_us.deserialize_state(state["rtt_us"])
-        self.histogram.deserialize_state(state["histogram"])
+    state_fields = ("rtt_us", "histogram")

@@ -35,7 +35,7 @@ from repro.net.headers import build_udp_frame, parse_udp_frame
 from repro.net.packet import MacAddress, Packet
 from repro.net.pcap import PcapWriter
 from repro.nic.phy import EtherPort
-from repro.sim.checkpoint import CheckpointError
+from repro.sim.checkpoint import CheckpointError, Stateful
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.ticks import TICKS_PER_SEC
 
@@ -67,7 +67,7 @@ class MemcachedClientConfig:
             raise ValueError("request rate must be positive")
 
 
-class MemcachedClient(SimObject):
+class MemcachedClient(Stateful, SimObject):
     """Open-loop memcached request generator with outstanding-request map."""
 
     def __init__(self, sim: Simulation, name: str,
@@ -80,7 +80,7 @@ class MemcachedClient(SimObject):
         self.port = EtherPort(f"{name}.port", self._on_rx, owner=self)
         self.latency = LatencyTracker(name)
         rng = sim.rng.fork(f"{name}.workload")
-        self._rng = rng
+        self._workload_rng = rng
         self._size_gen = ZipfianGenerator(
             config.size_min, config.size_max, config.size_skew, rng)
         self._keys: List[bytes] = [
@@ -130,8 +130,8 @@ class MemcachedClient(SimObject):
     # ------------------------------------------------------------------
 
     def _next_request(self):
-        key = self._rng.choice(self._keys)
-        if self._rng.bernoulli(self.config.get_fraction):
+        key = self._workload_rng.choice(self._keys)
+        if self._workload_rng.bernoulli(self.config.get_fraction):
             return GetRequest(request_id=self._next_request_id, key=key)
         value = bytes(self._size_gen.sample())
         return SetRequest(request_id=self._next_request_id, key=key,
@@ -287,56 +287,33 @@ class MemcachedClient(SimObject):
     # Checkpoint support
     # ------------------------------------------------------------------
 
-    def serialize_state(self) -> dict:
-        """Workload-RNG position, outstanding-request map, and counters.
+    # Workload-RNG position, outstanding-request map, and counters.  The
+    # key/value tables themselves are NOT serialized: they are a pure
+    # function of the workload RNG's initial state, so a restored client
+    # rebuilds them in ``__init__`` and only the RNG is repositioned.  The
+    # client must be stopped (the inter-arrival sampler is rebuilt by the
+    # next ``start``/``run_warmup`` call).
+    state_fields = ("_workload_rng", "_next_request_id", "_sent",
+                    "_warm_remaining", "requests_sent", "responses_received",
+                    "get_hits", "get_misses", "sets_acked", "first_tx_tick",
+                    "last_tx_tick", "latency", "port")
 
-        The key/value tables themselves are NOT serialized: they are a
-        pure function of the workload RNG's initial state, so a restored
-        client rebuilds them in ``__init__`` and this method only has to
-        reposition the RNG.  The client must be stopped (the inter-arrival
-        sampler is rebuilt by the next ``start``/``run_warmup`` call)."""
+    def serialize_state(self) -> dict:
         if self._sending or self._send_event.scheduled:
             raise CheckpointError(
                 f"{self.name} is actively sending requests; "
                 f"checkpoints require a stopped (drained) client")
-        return {
-            "workload_rng": self._rng.getstate(),
-            "outstanding": [[request_id, sent_tick, kind]
-                            for request_id, (sent_tick, kind)
-                            in sorted(self.outstanding.items())],
-            "next_request_id": self._next_request_id,
-            "sent": self._sent,
-            "warm_remaining": self._warm_remaining,
-            "requests_sent": self.requests_sent,
-            "responses_received": self.responses_received,
-            "get_hits": self.get_hits,
-            "get_misses": self.get_misses,
-            "sets_acked": self.sets_acked,
-            "first_tx_tick": self.first_tx_tick,
-            "last_tx_tick": self.last_tx_tick,
-            "latency": self.latency.serialize_state(),
-            "port": {"frames_sent": self.port.frames_sent,
-                     "frames_received": self.port.frames_received},
-        }
+        state = super().serialize_state()
+        state["outstanding"] = [[request_id, sent_tick, kind]
+                                for request_id, (sent_tick, kind)
+                                in sorted(self.outstanding.items())]
+        return state
 
     def deserialize_state(self, state: dict) -> None:
-        self._rng.setstate(state["workload_rng"])
+        super().deserialize_state(state)
         self.outstanding = {request_id: (sent_tick, kind)
                             for request_id, sent_tick, kind
                             in state["outstanding"]}
-        self._next_request_id = state["next_request_id"]
-        self._sent = state["sent"]
-        self._warm_remaining = state["warm_remaining"]
-        self.requests_sent = state["requests_sent"]
-        self.responses_received = state["responses_received"]
-        self.get_hits = state["get_hits"]
-        self.get_misses = state["get_misses"]
-        self.sets_acked = state["sets_acked"]
-        self.first_tx_tick = state["first_tx_tick"]
-        self.last_tx_tick = state["last_tx_tick"]
-        self.latency.deserialize_state(state["latency"])
-        self.port.frames_sent = state["port"]["frames_sent"]
-        self.port.frames_received = state["port"]["frames_received"]
 
     # ------------------------------------------------------------------
     # Trace export (the dpdk-pdump integration)

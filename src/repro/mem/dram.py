@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.sim.checkpoint import Stateful
+
 
 @dataclass(frozen=True)
 class DramConfig:
@@ -47,7 +49,7 @@ class DramConfig:
                     f"{label} cannot be negative, got {getattr(self, label)}")
 
 
-class DramModel:
+class DramModel(Stateful):
     """Tracks per-bank open rows and per-channel service time.
 
     Time is float nanoseconds internally; callers convert to ticks.  The
@@ -127,26 +129,12 @@ class DramModel:
 
     # -- checkpoint support --------------------------------------------------
 
-    def serialize_state(self) -> dict:
-        return {
-            "open_rows": [list(banks) for banks in self._open_rows],
-            "channel_free_at": list(self._channel_free_at),
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
-            "reads": self.reads,
-            "writes": self.writes,
-            "busy_ns": self.busy_ns,
-        }
+    state_fields = ("_open_rows", "_channel_free_at", "row_hits",
+                    "row_misses", "reads", "writes", "busy_ns")
 
     def deserialize_state(self, state: dict) -> None:
         if len(state["open_rows"]) != self.config.channels:
             raise ValueError(
                 f"{self.name}: channel count changed "
                 f"({len(state['open_rows'])} -> {self.config.channels})")
-        self._open_rows = [list(banks) for banks in state["open_rows"]]
-        self._channel_free_at = [float(t) for t in state["channel_free_at"]]
-        self.row_hits = state["row_hits"]
-        self.row_misses = state["row_misses"]
-        self.reads = state["reads"]
-        self.writes = state["writes"]
-        self.busy_ns = state["busy_ns"]
+        super().deserialize_state(state)

@@ -19,6 +19,7 @@ from typing import Optional
 
 from repro.mem.cache import CacheConfig, SetAssocCache
 from repro.mem.dram import DramConfig, DramModel
+from repro.sim.checkpoint import Stateful
 from repro.sim.ports import KIND_MEM, ResponsePort
 
 LEVEL_L1 = "l1"
@@ -95,7 +96,7 @@ class HierarchyConfig:
         return self.llc.reserved_io_ways > 0
 
 
-class MemoryHierarchy:
+class MemoryHierarchy(Stateful):
     """L1I/L1D -> inclusive L2 -> LLC (with DCA partition) -> DRAM."""
 
     def __init__(self, config: Optional[HierarchyConfig] = None,
@@ -260,29 +261,8 @@ class MemoryHierarchy:
     # Checkpoint support
     # ------------------------------------------------------------------
 
-    def serialize_state(self) -> dict:
-        return {
-            "l1i": self.l1i.serialize_state(),
-            "l1d": self.l1d.serialize_state(),
-            "l2": self.l2.serialize_state(),
-            "llc": self.llc.serialize_state(),
-            "dram": self.dram.serialize_state(),
-            "dma_lines_written": self.dma_lines_written,
-            "dma_lines_read": self.dma_lines_read,
-            "dma_llc_hits": self.dma_llc_hits,
-            "dma_leaked_lines": self.dma_leaked_lines,
-        }
-
-    def deserialize_state(self, state: dict) -> None:
-        self.l1i.deserialize_state(state["l1i"])
-        self.l1d.deserialize_state(state["l1d"])
-        self.l2.deserialize_state(state["l2"])
-        self.llc.deserialize_state(state["llc"])
-        self.dram.deserialize_state(state["dram"])
-        self.dma_lines_written = state["dma_lines_written"]
-        self.dma_lines_read = state["dma_lines_read"]
-        self.dma_llc_hits = state["dma_llc_hits"]
-        self.dma_leaked_lines = state["dma_leaked_lines"]
+    state_fields = ("l1i", "l1d", "l2", "llc", "dram", "dma_lines_written",
+                    "dma_lines_read", "dma_llc_hits", "dma_leaked_lines")
 
     def invariant_failures(self):
         """DMA-side accounting sanity; a list of messages, empty when OK.

@@ -10,10 +10,11 @@ so back-to-back DMA transfers queue behind each other.
 
 from __future__ import annotations
 
+from repro.sim.checkpoint import Stateful
 from repro.sim.ports import KIND_BUS, ResponsePort
 
 
-class BandwidthServer:
+class BandwidthServer(Stateful):
     """A work-conserving FIFO server over a fixed-bandwidth link.
 
     Time is integer ticks (picoseconds).  ``transfer`` reserves link time
@@ -73,14 +74,7 @@ class BandwidthServer:
 
     # -- checkpoint support --------------------------------------------------
 
-    def serialize_state(self) -> dict:
-        return {"free_at": self._free_at, "bytes_moved": self.bytes_moved,
-                "transfers": self.transfers}
-
-    def deserialize_state(self, state: dict) -> None:
-        self._free_at = state["free_at"]
-        self.bytes_moved = state["bytes_moved"]
-        self.transfers = state["transfers"]
+    state_fields = ("_free_at", "bytes_moved", "transfers")
 
     def __repr__(self) -> str:
         gbps = self.bytes_per_sec * 8 / 1e9

@@ -45,7 +45,12 @@ from repro.net.packet import (
 )
 from repro.nic.phy import EtherLink, EtherPort
 from repro.sim.channel import ChannelHalf
-from repro.sim.checkpoint import CheckpointError, restore_snapshot, snapshot
+from repro.sim.checkpoint import (
+    CheckpointError,
+    Stateful,
+    restore_snapshot,
+    snapshot,
+)
 from repro.sim.event_queue import EventPool
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.ticks import ns_to_ticks, us_to_ticks
@@ -114,7 +119,7 @@ class SwitchConfig:
             raise ValueError("switch port bandwidth must be positive")
 
 
-class OutputQueuedSwitch(SimObject):
+class OutputQueuedSwitch(Stateful, SimObject):
     """Store-and-forward switch with per-output bounded FIFOs.
 
     Forwarding is table-driven: :meth:`add_route` maps a destination
@@ -267,34 +272,27 @@ class OutputQueuedSwitch(SimObject):
 
     # -- checkpoint support --------------------------------------------------
 
+    state_fields = ("_free_at", "_rx", "_tx", "_drops")
+
     def serialize_state(self) -> dict:
         if self.occupancy:
             raise CheckpointError(
                 f"switch {self.name} has {self.occupancy} frames queued; "
                 f"checkpoints require a drained fabric")
-        return {
-            "free_at": list(self._free_at),
-            "rx": self._rx,
-            "tx": self._tx,
-            "drops": dict(self._drops),
-            "port_counters": [[p.frames_sent, p.frames_received]
-                              for p in self.ports],
-        }
+        state = super().serialize_state()
+        state["port_counters"] = [[p.frames_sent, p.frames_received]
+                                  for p in self.ports]
+        return state
 
     def deserialize_state(self, state: dict) -> None:
-        self._free_at = list(state["free_at"])
-        self._rx = state["rx"]
-        self._tx = state["tx"]
-        self._drops = {DROP_SWITCH_QUEUE: 0, DROP_SWITCH_NO_ROUTE: 0}
-        self._drops.update(state["drops"])
-        self._queued = [0] * self.config.radix
+        super().deserialize_state(state)
         for port, (sent, received) in zip(self.ports,
                                           state["port_counters"]):
             port.frames_sent = sent
             port.frames_received = received
 
 
-class FabricHost(SimObject):
+class FabricHost(Stateful, SimObject):
     """A flow endpoint at a fabric leaf.
 
     Much lighter than the full single-node models: the DPDK or kernel
@@ -327,8 +325,8 @@ class FabricHost(SimObject):
         self._rx_queued = 0
         self._svc_free_at = 0
         self._flow_rx: Dict[int, int] = {}
-        self._tx_frames = 0
-        self._rx_frames = 0
+        self._tx = 0
+        self._rx = 0
         self._processed = 0
         self._dropped = 0
         self.stat_tx = self.stats.counter("tx_frames", "frames sent")
@@ -348,10 +346,10 @@ class FabricHost(SimObject):
             if not 0 <= host._rx_queued <= host.queue_capacity:
                 fails.append(f"RX queue depth {host._rx_queued} outside "
                              f"[0, {host.queue_capacity}]")
-            if host._rx_frames != (host._processed + host._dropped
-                                   + host._rx_queued):
+            if host._rx != (host._processed + host._dropped
+                            + host._rx_queued):
                 fails.append(
-                    f"received {host._rx_frames} != processed "
+                    f"received {host._rx} != processed "
                     f"{host._processed} + dropped {host._dropped} + "
                     f"queued {host._rx_queued}")
             return fails
@@ -394,14 +392,14 @@ class FabricHost(SimObject):
                     "nsegs": nsegs,
                     "seg": seg,
                 })
-            self._tx_frames += 1
+            self._tx += 1
             self.stat_tx.inc()
             self.port.send(packet)
 
     # -- receive -------------------------------------------------------------
 
     def _on_receive(self, packet: Packet) -> None:
-        self._rx_frames += 1
+        self._rx += 1
         self.stat_rx.inc()
         if self._rx_queued >= self.queue_capacity:
             self._dropped += 1
@@ -440,34 +438,23 @@ class FabricHost(SimObject):
 
     # -- checkpoint support --------------------------------------------------
 
+    state_fields = ("_svc_free_at", "_tx", "_rx", "_processed", "_dropped",
+                    "port.frames_sent", "port.frames_received")
+
     def serialize_state(self) -> dict:
         if self._rx_queued:
             raise CheckpointError(
                 f"host {self.name} has {self._rx_queued} frames awaiting "
                 f"service; checkpoints require a drained fabric")
-        return {
-            "svc_free_at": self._svc_free_at,
-            "tx": self._tx_frames,
-            "rx": self._rx_frames,
-            "processed": self._processed,
-            "dropped": self._dropped,
-            "port_frames_sent": self.port.frames_sent,
-            "port_frames_received": self.port.frames_received,
-            # Flows that will never complete (a segment was dropped)
-            # keep their partial counts across a checkpoint.
-            "flow_rx": {str(k): v for k, v in self._flow_rx.items()},
-        }
+        state = super().serialize_state()
+        # Flows that will never complete (a segment was dropped) keep
+        # their partial counts across a checkpoint.
+        state["flow_rx"] = {str(k): v for k, v in self._flow_rx.items()}
+        return state
 
     def deserialize_state(self, state: dict) -> None:
-        self.port.frames_sent = state["port_frames_sent"]
-        self.port.frames_received = state["port_frames_received"]
-        self._svc_free_at = state["svc_free_at"]
-        self._tx_frames = state["tx"]
-        self._rx_frames = state["rx"]
-        self._processed = state["processed"]
-        self._dropped = state["dropped"]
+        super().deserialize_state(state)
         self._flow_rx = {int(k): v for k, v in state["flow_rx"].items()}
-        self._rx_queued = 0
 
 
 @dataclass(frozen=True)
@@ -629,7 +616,7 @@ class Fabric:
             # it (serviced + dropped + channel egress).
             if not final or not fabric.quiescent():
                 return None
-            sent = sum(h._tx_frames for h in fabric.hosts)
+            sent = sum(h._tx for h in fabric.hosts)
             processed = sum(h._processed for h in fabric.hosts)
             host_drops = sum(h._dropped for h in fabric.hosts)
             switch_drops = sum(sum(s._drops.values())

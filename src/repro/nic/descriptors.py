@@ -25,7 +25,7 @@ from typing import Deque, List, Optional
 
 from repro.mem.address import Region
 from repro.net.packet import Packet
-from repro.sim.checkpoint import CheckpointError
+from repro.sim.checkpoint import CheckpointError, Stateful
 
 DESC_SIZE = 16   # legacy e1000 descriptor: 16 bytes
 
@@ -59,7 +59,7 @@ class RxDescriptor:
                 f"packet={self.packet!r})")
 
 
-class DescriptorRing:
+class DescriptorRing(Stateful):
     """Shared geometry for RX/TX rings: ring memory + descriptor addresses."""
 
     def __init__(self, size: int, region: Region) -> None:
@@ -175,32 +175,20 @@ class RxRing(DescriptorRing):
 
     # -- checkpoint support --------------------------------------------------
 
+    # Cursor/counter state.  Descriptors in the descriptor cache or
+    # awaiting harvest reference live packets, so a quiescent ring has
+    # both queues empty.  The writeback threshold is mutated at runtime by
+    # the PMD's writeback quirk path.
+    state_fields = ("_posted", "_fill_cursor", "filled_total",
+                    "harvested_total", "writebacks", "writeback_threshold")
+
     def serialize_state(self) -> dict:
-        """Cursor/counter state.  Descriptors in the descriptor cache or
-        awaiting harvest reference live packets, so a quiescent ring has
-        both queues empty."""
         if self._pending_wb or self._completed:
             raise CheckpointError(
                 f"RX ring {self.name} holds {len(self._pending_wb)} cached "
                 f"+ {len(self._completed)} completed descriptors; "
                 f"checkpoints require a quiescent (drained) node")
-        return {
-            "posted": self._posted,
-            "fill_cursor": self._fill_cursor,
-            "filled_total": self.filled_total,
-            "harvested_total": self.harvested_total,
-            "writebacks": self.writebacks,
-            "writeback_threshold": self.writeback_threshold,
-        }
-
-    def deserialize_state(self, state: dict) -> None:
-        self._posted = state["posted"]
-        self._fill_cursor = state["fill_cursor"]
-        self.filled_total = state["filled_total"]
-        self.harvested_total = state["harvested_total"]
-        self.writebacks = state["writebacks"]
-        # Mutated at runtime by the PMD's writeback quirk path.
-        self.writeback_threshold = state["writeback_threshold"]
+        return super().serialize_state()
 
     def invariant_failures(self):
         """Descriptor conservation: every filled descriptor is either in
@@ -274,18 +262,14 @@ class TxRing(DescriptorRing):
 
     # -- checkpoint support --------------------------------------------------
 
+    state_fields = ("_tail", "enqueued_total", "consumed_total")
+
     def serialize_state(self) -> dict:
         if self._queue:
             raise CheckpointError(
                 f"TX ring {self.name} holds {len(self._queue)} queued "
                 f"packets; checkpoints require a quiescent (drained) node")
-        return {"tail": self._tail, "enqueued_total": self.enqueued_total,
-                "consumed_total": self.consumed_total}
-
-    def deserialize_state(self, state: dict) -> None:
-        self._tail = state["tail"]
-        self.enqueued_total = state["enqueued_total"]
-        self.consumed_total = state["consumed_total"]
+        return super().serialize_state()
 
     def invariant_failures(self):
         """TX descriptor conservation over lifetime counters."""

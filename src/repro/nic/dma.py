@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from repro.cpu.kernels import LINE_SIZE
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.xbar import BandwidthServer
+from repro.sim.checkpoint import Stateful
 from repro.sim.ports import (
     KIND_BUS,
     KIND_DMA,
@@ -47,7 +48,7 @@ class DmaConfig:
             raise ValueError("memory parallelism must be >= 1")
 
 
-class DmaEngine:
+class DmaEngine(Stateful):
     """Pipelined, full-duplex packet DMA."""
 
     def __init__(self, config: DmaConfig, iobus_rx: BandwidthServer,
@@ -195,29 +196,9 @@ class DmaEngine:
 
     # -- checkpoint support --------------------------------------------------
 
-    def serialize_state(self) -> dict:
-        return {
-            "rx_busy_until": self._rx_busy_until,
-            "tx_busy_until": self._tx_busy_until,
-            "packets_written": self.packets_written,
-            "packets_read": self.packets_read,
-            "bytes_written": self.bytes_written,
-            "bytes_read": self.bytes_read,
-            "lines_written": self.lines_written,
-            "lines_read": self.lines_read,
-            "desc_lines_written": self.desc_lines_written,
-        }
-
-    def deserialize_state(self, state: dict) -> None:
-        self._rx_busy_until = state["rx_busy_until"]
-        self._tx_busy_until = state["tx_busy_until"]
-        self.packets_written = state["packets_written"]
-        self.packets_read = state["packets_read"]
-        self.bytes_written = state["bytes_written"]
-        self.bytes_read = state["bytes_read"]
-        self.lines_written = state["lines_written"]
-        self.lines_read = state["lines_read"]
-        self.desc_lines_written = state["desc_lines_written"]
+    state_fields = ("_rx_busy_until", "_tx_busy_until", "packets_written",
+                    "packets_read", "bytes_written", "bytes_read",
+                    "lines_written", "lines_read", "desc_lines_written")
 
     def invariant_failures(self):
         """Byte/line conservation between this engine and the memory

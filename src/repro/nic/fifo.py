@@ -12,10 +12,10 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.net.packet import Packet
-from repro.sim.checkpoint import CheckpointError
+from repro.sim.checkpoint import CheckpointError, Stateful
 
 
-class PacketByteFifo:
+class PacketByteFifo(Stateful):
     """A byte-capacity-bounded FIFO of packets."""
 
     def __init__(self, capacity_bytes: int, name: str = "fifo") -> None:
@@ -94,20 +94,16 @@ class PacketByteFifo:
 
     # -- checkpoint support --------------------------------------------------
 
+    # Lifetime counters only; packets in flight cannot be serialized, so
+    # a non-empty FIFO means the node was not drained first.
+    state_fields = ("enqueued", "dequeued", "rejected")
+
     def serialize_state(self) -> dict:
-        """Lifetime counters only; packets in flight cannot be serialized,
-        so a non-empty FIFO means the node was not drained first."""
         if self._queue:
             raise CheckpointError(
                 f"FIFO {self.name} holds {len(self._queue)} packets; "
                 f"checkpoints require a quiescent (drained) node")
-        return {"enqueued": self.enqueued, "dequeued": self.dequeued,
-                "rejected": self.rejected}
-
-    def deserialize_state(self, state: dict) -> None:
-        self.enqueued = state["enqueued"]
-        self.dequeued = state["dequeued"]
-        self.rejected = state["rejected"]
+        return super().serialize_state()
 
     def invariant_failures(self):
         """Conservation self-checks; a list of messages, empty when OK.

@@ -30,6 +30,7 @@ from repro.nic.phy import EtherPort
 from repro.net.packet import Packet
 from repro.pci.config_space import PciQuirks
 from repro.pci.device import PciDevice
+from repro.sim.checkpoint import Stateful
 from repro.sim.event_queue import EventPool
 from repro.sim.ports import KIND_DMA, KIND_DRIVER, RequestPort, ResponsePort
 from repro.sim.simobject import SimObject, Simulation
@@ -92,7 +93,7 @@ class NicConfig:
     quirks: NicQuirks = field(default_factory=NicQuirks)
 
 
-class I8254xNic(SimObject, PciDevice):
+class I8254xNic(Stateful, SimObject, PciDevice):
     """The NIC simulation object.
 
     The owning node wires up ``rx_buffer_source`` (returns the host buffer
@@ -533,43 +534,11 @@ class I8254xNic(SimObject, PciDevice):
     # Checkpoint support
     # ------------------------------------------------------------------
 
-    def serialize_state(self) -> dict:
-        """Register file, interrupt/ITR state, lifetime counters, and the
-        nested FIFO/ring/FSM state.  The nested serializers raise if any
-        packet is still held, so quiescence is enforced transitively."""
-        return {
-            "ims": self._ims,
-            "icr": self._icr,
-            "itr_pending": self._itr_pending,
-            "last_notify_tick": self._last_notify_tick,
-            "wb_timer_disabled": self._wb_timer_disabled,
-            "total_wire_rx": self.total_wire_rx,
-            "total_rx_drops": self.total_rx_drops,
-            "total_tx_fifo_drops": self.total_tx_fifo_drops,
-            "tx_dma_in_flight": self._tx_dma_in_flight,
-            "port_frames_sent": self.port.frames_sent,
-            "port_frames_received": self.port.frames_received,
-            "rx_fifo": self.rx_fifo.serialize_state(),
-            "tx_fifo": self.tx_fifo.serialize_state(),
-            "rx_ring": self.rx_ring.serialize_state(),
-            "tx_ring": self.tx_ring.serialize_state(),
-            "drop_fsm": self.drop_fsm.serialize_state(),
-        }
-
-    def deserialize_state(self, state: dict) -> None:
-        self._ims = state["ims"]
-        self._icr = state["icr"]
-        self._itr_pending = state["itr_pending"]
-        self._last_notify_tick = state["last_notify_tick"]
-        self._wb_timer_disabled = state["wb_timer_disabled"]
-        self.total_wire_rx = state["total_wire_rx"]
-        self.total_rx_drops = state["total_rx_drops"]
-        self.total_tx_fifo_drops = state["total_tx_fifo_drops"]
-        self._tx_dma_in_flight = state["tx_dma_in_flight"]
-        self.port.frames_sent = state["port_frames_sent"]
-        self.port.frames_received = state["port_frames_received"]
-        self.rx_fifo.deserialize_state(state["rx_fifo"])
-        self.tx_fifo.deserialize_state(state["tx_fifo"])
-        self.rx_ring.deserialize_state(state["rx_ring"])
-        self.tx_ring.deserialize_state(state["tx_ring"])
-        self.drop_fsm.deserialize_state(state["drop_fsm"])
+    # Register file, interrupt/ITR state, lifetime counters, and the
+    # nested FIFO/ring/FSM state.  The nested serializers raise if any
+    # packet is still held, so quiescence is enforced transitively.
+    state_fields = ("_ims", "_icr", "_itr_pending", "_last_notify_tick",
+                    "_wb_timer_disabled", "total_wire_rx", "total_rx_drops",
+                    "total_tx_fifo_drops", "_tx_dma_in_flight",
+                    "port.frames_sent", "port.frames_received", "rx_fifo",
+                    "tx_fifo", "rx_ring", "tx_ring", "drop_fsm")

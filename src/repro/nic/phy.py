@@ -11,13 +11,13 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.net.packet import Packet, serialization_ticks
-from repro.sim.checkpoint import CheckpointError
+from repro.sim.checkpoint import CheckpointError, Stateful
 from repro.sim.event_queue import EventPool
 from repro.sim.ports import PacketPort
 from repro.sim.simobject import SimObject, Simulation
 
 
-class EtherPort(PacketPort):
+class EtherPort(Stateful, PacketPort):
     """One end of a link: owned by a device that can receive frames.
 
     A packet-kind :class:`~repro.sim.ports.Port`: two EtherPorts bind
@@ -26,6 +26,8 @@ class EtherPort(PacketPort):
     reject wiring mistakes — binding a port twice, or to something that
     is not a packet endpoint — at build time.
     """
+
+    state_fields = ("frames_sent", "frames_received")
 
     def __init__(self, name: str, on_receive: Callable[[Packet], None],
                  owner=None) -> None:
@@ -55,7 +57,7 @@ class EtherPort(PacketPort):
         self.on_receive(packet)
 
 
-class EtherLink(SimObject):
+class EtherLink(Stateful, SimObject):
     """Full-duplex point-to-point Ethernet cable."""
 
     def __init__(self, sim: Simulation, name: str,
@@ -172,23 +174,14 @@ class EtherLink(SimObject):
 
     # -- checkpoint support --------------------------------------------------
 
+    # Busy horizons and lifetime frame counters; frames still on the wire
+    # would need their payloads serialized, so quiescence first.
+    state_fields = ("_tx_free_at", "_sent", "_delivered")
+
     def serialize_state(self) -> dict:
-        """Busy horizons and lifetime frame counters; frames still on the
-        wire would need their payloads serialized, so quiescence first."""
         if any(self._in_flight.values()):
             raise CheckpointError(
                 f"link {self.name} has frames in flight "
                 f"({self._in_flight}); checkpoints require a quiescent "
                 f"(drained) node")
-        return {
-            "tx_free_at": dict(self._tx_free_at),
-            "sent": dict(self._sent),
-            "delivered": dict(self._delivered),
-        }
-
-    def deserialize_state(self, state: dict) -> None:
-        self._tx_free_at = {"a": state["tx_free_at"]["a"],
-                            "b": state["tx_free_at"]["b"]}
-        self._sent = {"a": state["sent"]["a"], "b": state["sent"]["b"]}
-        self._delivered = {"a": state["delivered"]["a"],
-                           "b": state["delivered"]["b"]}
+        return super().serialize_state()

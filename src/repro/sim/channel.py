@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.packet import MacAddress, Packet, serialization_ticks
-from repro.sim.checkpoint import CheckpointError
+from repro.sim.checkpoint import CheckpointError, Stateful
 from repro.sim.event_queue import EventPool
 from repro.sim.ports import PacketPort
 from repro.sim.simobject import SimObject, Simulation
@@ -77,7 +77,7 @@ def decode_frame(data: tuple) -> Packet:
                   ts_offset=ts_offset, request_id=req_id, meta=meta)
 
 
-class ChannelHalf(SimObject):
+class ChannelHalf(Stateful, SimObject):
     """The shard-local end of one cross-shard link.
 
     Carries exactly one direction of traffic out (this shard's attached
@@ -219,25 +219,14 @@ class ChannelHalf(SimObject):
 
     # -- checkpoint support --------------------------------------------------
 
+    state_fields = ("_tx_free_at", "_out_seq", "frames_out", "frames_in")
+
     def serialize_state(self) -> dict:
         if self.in_flight:
             raise CheckpointError(
                 f"channel {self.name} has {self.in_flight} frames in "
                 f"flight; checkpoints require a drained fabric")
-        return {
-            "tx_free_at": self._tx_free_at,
-            "out_seq": self._out_seq,
-            "frames_out": self.frames_out,
-            "frames_in": self.frames_in,
-        }
-
-    def deserialize_state(self, state: dict) -> None:
-        self._tx_free_at = state["tx_free_at"]
-        self._out_seq = state["out_seq"]
-        self.frames_out = state["frames_out"]
-        self.frames_in = state["frames_in"]
-        self._outbox = []
-        self._pending_in = 0
+        return super().serialize_state()
 
 
 #: One epoch's outgoing batches, keyed by peer shard id: each entry is a

@@ -23,10 +23,13 @@ A checkpoint is a single JSON document::
 The digest makes corruption and tampering detectable: :func:`verify`
 recomputes it and raises :class:`CheckpointError` on mismatch.  Every
 value is produced by ``serialize_state()`` on the owning component and
-consumed by ``deserialize_state()`` — the :class:`Serializable`
-protocol that :class:`repro.system.topology.Topology` enforces at
-registration time, so an unserializable component is a build-time
-error rather than a silent checkpoint gap.
+consumed by ``deserialize_state()`` — the Serializable protocol that
+:class:`repro.system.topology.Topology` enforces at registration time,
+so an unserializable component is a build-time error rather than a
+silent checkpoint gap.  Most components implement it by deriving from
+:class:`Stateful` and naming their state once in ``state_fields``; only
+encoders that really transform data (stats, event queue, tracer, RNG,
+cache sets, KV store, mempool free list, drop FSM) write their own.
 
 Determinism: checkpoints contain no wall-clock timestamps and are
 written with sorted keys, so the same simulation state always produces
@@ -35,10 +38,12 @@ the same bytes (and the same digest).
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import itertools
 import json
 import os
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 #: Version of the on-disk checkpoint schema.  Bump when the layout of
 #: the document (or any component's state dict) changes incompatibly.
@@ -46,6 +51,9 @@ CHECKPOINT_FORMAT = 1
 
 #: Top-level keys every checkpoint document must carry.
 _REQUIRED_KEYS = ("format", "meta", "sim", "objects", "digest")
+
+#: Numbers this process's :func:`write_atomic` temp files.
+_write_ids = itertools.count()
 
 
 class CheckpointError(Exception):
@@ -66,6 +74,73 @@ def assert_serializable(label: str, component: Any) -> None:
             f"component {label!r} ({type(component).__name__}) does not "
             f"implement serialize_state()/deserialize_state(); every "
             f"topology component must be checkpointable")
+
+
+def state_key(path: str) -> str:
+    """The document key of attribute path ``path``: one leading
+    underscore dropped, dots turned into underscores
+    (``_harvest_cursor`` -> ``harvest_cursor``, ``port.frames_sent`` ->
+    ``port_frames_sent``)."""
+    return path[path.startswith("_"):].replace(".", "_")
+
+
+def _owner(obj: Any, path: str) -> Tuple[Any, str]:
+    """The object holding the last attribute of ``path``, and its name."""
+    *parents, attr = path.split(".")
+    for name in parents:
+        obj = getattr(obj, name)
+    return obj, attr
+
+
+def _copied(value: Any) -> Any:
+    """Lists and dicts deep-copied, anything else as is."""
+    return copy.deepcopy(value) if isinstance(value, (list, dict)) else value
+
+
+class Stateful:
+    """A component whose checkpoint state is the attributes it names.
+
+    ``state_fields`` lists attribute paths, each once; both directions of
+    the Serializable protocol work from it, so a field cannot be saved
+    and forgotten on restore.  The encoding rules:
+
+    - the key of a path is :func:`state_key` of it;
+    - an attribute that is itself serializable nests: its own
+      ``serialize_state()`` / ``deserialize_state()`` run, so the
+      sub-object keeps its identity;
+    - lists and dicts are deep-copied both ways: a document may be
+      restored many times (the warm-up cache hands one in-memory copy to
+      every restore), so no component may share a list with it;
+    - any other value passes through unchanged.
+
+    A subclass extends its parent's tuple.  A component that must refuse
+    to checkpoint while it holds packets overrides ``serialize_state``
+    with only that check, then calls ``super().serialize_state()``.
+    """
+
+    __slots__ = ()
+
+    state_fields: Tuple[str, ...] = ()
+
+    def serialize_state(self) -> dict:
+        state = {}
+        for path in self.state_fields:
+            owner, attr = _owner(self, path)
+            value = getattr(owner, attr)
+            state[state_key(path)] = (value.serialize_state()
+                                      if is_serializable(value)
+                                      else _copied(value))
+        return state
+
+    def deserialize_state(self, state: dict) -> None:
+        for path in self.state_fields:
+            owner, attr = _owner(self, path)
+            value = state[state_key(path)]
+            current = getattr(owner, attr)
+            if is_serializable(current):
+                current.deserialize_state(value)
+            else:
+                setattr(owner, attr, _copied(value))
 
 
 def canonical_json(document: Any) -> str:
@@ -148,8 +223,15 @@ def restore_snapshot(sim: Any, topology: Any, doc: Any,
     never-run ``sim`` and ``topology`` — the one place it is read.
 
     ``expect`` is the identity this build must match (``label``,
-    ``app``, ``seed``); the component label list must match too.
+    ``app``, ``seed``); the component label list must match too.  Both
+    are checked, and so is freshness, before any state is touched: a
+    rejected restore leaves the rig exactly as it was.
     """
+    if not sim.events.fresh:
+        raise CheckpointError(
+            f"{topology.name}: restore needs a freshly built rig that has "
+            f"never run; this one is at tick {sim.now} with "
+            f"{sim.events.pending} events pending")
     doc = verify(doc)
     meta = doc["meta"]
     labels = [label for label, _comp in topology.components()]
@@ -170,21 +252,35 @@ def restore_snapshot(sim: Any, topology: Any, doc: Any,
     sim.deserialize_state(doc["sim"])
 
 
-def save_checkpoint(document: Dict[str, Any], path: str) -> None:
-    """Write a sealed checkpoint to ``path`` atomically.
+def write_atomic(path: str, text: str) -> None:
+    """Publish ``text`` at ``path`` atomically.
 
-    The write goes to a same-directory temp file and is published with
-    ``os.replace`` so concurrent writers (sweep workers racing to
-    produce the same warmup snapshot) can never leave a torn file.
+    The text goes to a same-directory temp file named for this one write
+    (pid and a per-process counter) and is published with ``os.replace``,
+    so concurrent writers of one path (sweep workers racing to store the
+    same result or snapshot) never share a temp file, and a reader never
+    sees a torn file.  A failed write removes its temp file.
     """
+    tmp = f"{path}.tmp.{os.getpid()}.{next(_write_ids)}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def save_checkpoint(document: Dict[str, Any], path: str) -> None:
+    """Write a sealed checkpoint to ``path`` atomically
+    (:func:`write_atomic`), creating its directory if needed."""
     if "digest" not in document:
         seal(document)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(document))
-    os.replace(tmp, path)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    write_atomic(path, canonical_json(document))
 
 
 def load_checkpoint(path: str) -> Dict[str, Any]:

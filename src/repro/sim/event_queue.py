@@ -178,6 +178,12 @@ class EventQueue:
         """Number of live (not descheduled) events still queued."""
         return self._live
 
+    @property
+    def fresh(self) -> bool:
+        """True until the first event is scheduled or the clock moves:
+        the only state a checkpoint may be restored into."""
+        return not (self._heap or self._fifo or self._now or self._seq)
+
     def schedule(self, event: Event, when: int) -> Event:
         """Schedule ``event`` at absolute tick ``when``.
 
@@ -352,16 +358,15 @@ class EventQueue:
 
     def deserialize_state(self, state: dict,
                           events_by_name: Dict[str, Event]) -> None:
-        """Rebuild a snapshot into this (freshly constructed, empty) queue.
+        """Rebuild a snapshot into this :attr:`fresh` queue (the
+        precondition :func:`~repro.sim.checkpoint.restore_snapshot`
+        checks before it restores anything).
 
         Events are re-scheduled in snapshot order — which is firing order,
         so relative tie-breaks among restored events are preserved — and
         the sequence counter is then advanced past its checkpointed value
         so events scheduled after restore sort behind restored ones.
         """
-        if self._heap or self._fifo or self._now or self._seq:
-            raise CheckpointError(
-                "event queue restore requires a fresh (empty) queue")
         self._now = state["now"]
         for entry in state["events"]:
             event = events_by_name.get(entry["name"])

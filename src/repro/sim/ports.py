@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from repro.sim.checkpoint import Stateful
 from repro.sim.ticks import TICKS_PER_NS
 
 # -- port kinds --------------------------------------------------------------
@@ -240,7 +241,7 @@ def ports_of(component) -> List[Port]:
     return found
 
 
-class ClockDomain:
+class ClockDomain(Stateful):
     """A shared simulated-time source.
 
     Components in the same clock domain read one consistent notion of
@@ -264,12 +265,8 @@ class ClockDomain:
         """Current simulated tick (picoseconds)."""
         return self.sim.now
 
-    def serialize_state(self) -> dict:
-        """Stateless: a clock domain reads time from the simulation."""
-        return {}
-
-    def deserialize_state(self, state: dict) -> None:
-        pass
+    # Stateless: a clock domain reads time from the simulation, so it
+    # declares no state fields.
 
     def __repr__(self) -> str:
         return f"<ClockDomain {self.name}>"

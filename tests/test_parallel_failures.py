@@ -29,11 +29,11 @@ result-cache entry or a child process behind.
 import dataclasses
 import json
 import multiprocessing
+import os
 
 import pytest
 
 from repro.harness.parallel import (
-    CACHE_VERSION,
     ResultCache,
     SweepExecutor,
     SweepPoint,
@@ -43,7 +43,7 @@ from repro.harness.parallel import (
     fixed_load_point,
 )
 from repro.harness.runner import fixed_load_warm_start
-from repro.harness.warmup_cache import WarmupCache
+from repro.harness.warmup_cache import WarmupCache, code_fingerprint
 from repro.system.presets import gem5_default
 
 pytestmark = pytest.mark.usefixtures("poison_kinds")
@@ -174,20 +174,58 @@ class TestCache:
         assert dataclasses.asdict(healed) == dataclasses.asdict(baseline)
         # The entry was rewritten and is valid again.
         blob = json.loads(path.read_text())
-        assert blob["version"] == CACHE_VERSION
+        assert blob["code_fingerprint"] == code_fingerprint()
 
     def test_wrong_version_entry_is_treated_as_corrupt(self, tmp_path):
         point = _sim_points(1)[0]
         SweepExecutor(jobs=1, cache_dir=tmp_path).run([point])
         path = ResultCache(tmp_path).path_for(cache_key(point))
         blob = json.loads(path.read_text())
-        blob["version"] = CACHE_VERSION + 1
+        blob["code_fingerprint"] = "0" * 64
         path.write_text(json.dumps(blob))
 
         ex = SweepExecutor(jobs=1, cache_dir=tmp_path)
         ex.run([point])
         assert ex.stats.cache_corrupt >= 1
         assert ex.stats.executed == 1
+
+    def test_nested_writers_of_one_entry_both_succeed(self, tmp_path,
+                                                      monkeypatch):
+        """Two writers of one key finishing together: a second put lands
+        while the first is publishing.  Each must publish its own temp
+        file, and one valid entry must remain."""
+        cache = ResultCache(tmp_path)
+        point = SweepPoint(kind="fixed_load", app="testpmd")
+        key = cache_key(point)
+        payload = {"result_type": "dict", "data": {"gbps": 1.0}}
+        real_replace = os.replace
+        nested = []
+
+        def replace_after_a_second_writer(src, dst):
+            if not nested:
+                nested.append(dst)
+                cache.put(key, payload, point)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_after_a_second_writer)
+        cache.put(key, payload, point)
+        assert nested, "the second writer never ran"
+        assert cache.get(key) == payload
+        assert cache.corrupt_entries == 0
+        assert list(tmp_path.iterdir()) == [cache.path_for(key)]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        point = SweepPoint(kind="fixed_load", app="testpmd")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put(cache_key(point), {"result_type": "dict", "data": {}},
+                      point)
+        assert list(tmp_path.iterdir()) == []
 
     def test_parallel_run_populates_cache_for_serial(self, tmp_path):
         points = _sim_points(3)

@@ -6,6 +6,10 @@ a damaged cache can cost time but can never change results.
 import dataclasses
 import json
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +76,54 @@ class TestKeying:
         assert warmup_key(config, "testpmd", 256, {"store": object()},
                           plan, 0, sig) == \
             warmup_key(config, "testpmd", 256, None, plan, 0, sig)
+
+
+#: Prints the result-cache key of one sweep point and the warm-up key of
+#: its snapshot, as computed by whichever ``repro`` is on the path.
+_KEYS_SCRIPT = """
+from repro.harness.parallel import cache_key, fixed_load_point
+from repro.harness.runner import _fixed_load_plan
+from repro.harness.warmup_cache import warmup_key
+from repro.system.presets import gem5_default
+config = gem5_default()
+print(cache_key(fixed_load_point(config, "testpmd", 256, 5.0, 600)))
+print(warmup_key(config, "testpmd", 256, None,
+                 _fixed_load_plan(config, 256, True, None), 0,
+                 {"enabled": False}))
+"""
+
+
+def _keys_under(src_root: Path, cwd: Path) -> list:
+    env = dict(os.environ, PYTHONPATH=str(src_root),
+               PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", _KEYS_SCRIPT], cwd=cwd,
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert len(out) == 2
+    return out
+
+
+def test_a_source_edit_changes_both_cache_keys(tmp_path):
+    """The keys fold in a fingerprint of the ``repro`` sources: a
+    byte-identical copy elsewhere keys the same, and one changed byte in
+    a model module changes the result-cache and the warm-up key."""
+    import repro
+
+    original = Path(repro.__file__).resolve().parent
+    copy_root = tmp_path / "src"
+    shutil.copytree(original, copy_root / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    keys = _keys_under(original.parent, tmp_path)
+    assert _keys_under(copy_root, tmp_path) == keys
+
+    module = copy_root / "repro" / "nic" / "fifo.py"
+    data = bytearray(module.read_bytes())
+    first_letter = data.index(b'"""') + 3
+    data[first_letter] ^= 0x20            # flip one docstring letter's case
+    module.write_bytes(bytes(data))
+    edited = _keys_under(copy_root, tmp_path)
+    assert edited[0] != keys[0], "result-cache key ignored a source edit"
+    assert edited[1] != keys[1], "warm-up key ignored a source edit"
 
 
 class TestCorruptionRecovery:
