@@ -23,6 +23,7 @@ from repro.dpdk.pmd import E1000Pmd, RxMbuf
 from repro.dpdk.ring import RteRing
 from repro.mem.address import AddressSpace
 from repro.sim.checkpoint import CheckpointError, Stateful
+from repro.sim.event_queue import EventPool
 from repro.sim.ports import KIND_APP, RequestPort
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.ticks import ns_to_ticks
@@ -64,6 +65,12 @@ class PipelineForwarder(Stateful, SimObject):
         self._rx_event = self.make_event(self._rx_poll, "rx_poll")
         self._worker_event = self.make_event(self._worker_poll,
                                              "worker_poll")
+        # The two stages' burst completions, recycled instead of a
+        # fresh event and closure per burst.
+        self._rx_resume_pool = EventPool(self._rx_resume,
+                                         f"{name}.rx_resume")
+        self._worker_finish_pool = EventPool(self._worker_finish,
+                                             f"{name}.worker_finish")
         self._running = False
         self._rx_idle = True
         self._worker_idle = True
@@ -166,11 +173,11 @@ class PipelineForwarder(Stateful, SimObject):
         if self.sim.tracer.enabled:
             self.trace("app", "rx_stage", harvested=len(frames),
                        enqueued=accepted)
-        self.call_after(ns_to_ticks(total_ns), self._rx_resume,
-                        name="rx_resume")
+        self._rx_resume_pool.schedule_at(
+            self.sim.events, self.now + ns_to_ticks(total_ns))
         self._wake_worker()
 
-    def _rx_resume(self) -> None:
+    def _rx_resume(self, _payload=None) -> None:
         if self._running:
             self._rx_poll()
 
@@ -215,9 +222,8 @@ class PipelineForwarder(Stateful, SimObject):
             frame.packet.meta["mbuf"] = frame.mbuf
         self.packets_processed += len(frames)
         self._holding += len(frames)
-        self.call_after(ns_to_ticks(total_ns),
-                        lambda out=frames: self._worker_finish(out),
-                        name="worker_finish")
+        self._worker_finish_pool.schedule_at(
+            self.sim.events, self.now + ns_to_ticks(total_ns), frames)
 
     def _worker_finish(self, frames: List[RxMbuf]) -> None:
         self._holding -= len(frames)

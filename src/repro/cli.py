@@ -66,7 +66,8 @@ from repro.harness.parallel import (
     msb_point,
 )
 from repro.harness.report import format_executor_summary, format_table
-from repro.harness.runner import APP_REGISTRY
+from repro.harness.runner import APP_REGISTRY, MEMCACHED_APPS
+from repro.net.packet import ETHER_MAX_FRAME, ETHER_MIN_FRAME
 from repro.system.config import SystemConfig
 from repro.system.presets import (
     FABRIC_PRESETS,
@@ -80,6 +81,11 @@ PLATFORMS = {
     "altra": altra,
     "gem5-baseline": gem5_baseline,
 }
+
+#: The apps a fixed-rate synthetic load can drive (``run``, ``msb``,
+#: ``sweep``, ``profile``); the memcached apps serve only memcached
+#: requests, through the ``memcached`` command.
+SYNTHETIC_APPS = sorted(set(APP_REGISTRY) - set(MEMCACHED_APPS))
 
 
 def _platform(name: str) -> SystemConfig:
@@ -103,12 +109,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _float_list(text: str) -> List[float]:
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {text!r}")
+    return value
+
+
+def _positive_float_list(text: str) -> List[float]:
     try:
-        return [float(x) for x in text.split(",")]
+        return [_positive_float(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _frame_size(text: str) -> int:
+    value = int(text)
+    if not ETHER_MIN_FRAME <= value <= ETHER_MAX_FRAME:
+        raise argparse.ArgumentTypeError(
+            f"must lie in [{ETHER_MIN_FRAME}, {ETHER_MAX_FRAME}] bytes, "
+            f"got {text!r}")
+    return value
 
 
 def _apply_diagnostics_env(args) -> None:
@@ -253,7 +276,7 @@ def _checkpoint_warm_start(config, app: str, seed: int, packet_size: int,
     )
     from repro.loadgen.memcached_client import MemcachedClientConfig
 
-    if app in ("memcached_dpdk", "memcached_kernel"):
+    if app in MEMCACHED_APPS:
         client = MemcachedClientConfig(**(client_options or {}))
         return memcached_warm_start(config, app == "memcached_kernel",
                                     client.rate_rps, client.n_requests,
@@ -509,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_app=True):
         """Attach the options shared by most subcommands."""
         if with_app:
-            p.add_argument("app", choices=sorted(APP_REGISTRY))
-            p.add_argument("--size", type=int, default=256,
+            p.add_argument("app", choices=SYNTHETIC_APPS)
+            p.add_argument("--size", type=_frame_size, default=256,
                            help="frame size in bytes incl. CRC")
             p.add_argument("--proc-time-ns", type=float, default=None,
                            dest="proc_time_ns",
@@ -542,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="one fixed-load run")
     common(p_run)
-    p_run.add_argument("--gbps", type=float, default=10.0)
+    p_run.add_argument("--gbps", type=_positive_float, default=10.0)
     p_run.add_argument("--packets", type=int, default=2000)
     p_run.add_argument("--trace", metavar="FILE", default=None,
                        help="export a structured event trace (JSONL) of "
@@ -551,12 +574,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_msb = sub.add_parser("msb", help="maximum sustainable bandwidth")
     common(p_msb)
-    p_msb.add_argument("--max-gbps", type=float, default=70.0)
+    p_msb.add_argument("--max-gbps", type=_positive_float, default=70.0)
     p_msb.set_defaults(func=_cmd_msb)
 
     p_sweep = sub.add_parser("sweep", help="bandwidth vs drop curve")
     common(p_sweep)
-    p_sweep.add_argument("--rates", type=_float_list,
+    p_sweep.add_argument("--rates", type=_positive_float_list,
                          default="5,15,25,35,45,55,65",
                          help="comma-separated offered rates in Gbps")
     p_sweep.add_argument("--packets", type=int, default=1500)
@@ -566,8 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_mc, with_app=False)
     p_mc.add_argument("--kernel", action="store_true",
                       help="kernel-stack server (default: DPDK)")
-    p_mc.add_argument("--rps", type=float, default=200_000.0)
-    p_mc.add_argument("--requests", type=int, default=2000)
+    p_mc.add_argument("--rps", type=_positive_float, default=200_000.0)
+    p_mc.add_argument("--requests", type=_positive_int, default=2000)
     p_mc.add_argument("--trace", metavar="FILE", default=None,
                       help="export a structured event trace (JSONL) of "
                            "the run to FILE")
@@ -599,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_save = ckpt_sub.add_parser(
         "save", help="warm a node up, drain it, and checkpoint it")
     p_save.add_argument("app", choices=sorted(APP_REGISTRY))
-    p_save.add_argument("--size", type=int, default=256,
+    p_save.add_argument("--size", type=_frame_size, default=256,
                         help="frame size for the synthetic warm-up")
     p_save.add_argument("--platform", default="gem5",
                         choices=sorted(PLATFORMS))
@@ -632,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_load:
             p.add_argument("--pattern", default="uniform",
                            choices=("uniform", "hotspot", "incast"))
-            p.add_argument("--load", type=float, default=0.3,
+            p.add_argument("--load", type=_positive_float, default=0.3,
                            help="offered load as a fraction of host "
                                 "link bandwidth")
             p.add_argument("--flows", type=_positive_int, default=200,
@@ -661,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="FCT/drop curve over offered loads")
     fabric_common(p_fsweep)
     common(p_fsweep, with_app=False)
-    p_fsweep.add_argument("--loads", type=_float_list,
+    p_fsweep.add_argument("--loads", type=_positive_float_list,
                           default="0.2,0.4,0.6,0.8",
                           help="comma-separated offered load fractions")
     p_fsweep.set_defaults(func=_cmd_fabric_sweep)
@@ -691,11 +714,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="cProfile one fixed-load run and print the hotspots")
     p_prof.add_argument("preset", choices=sorted(PLATFORMS),
                         help="platform preset to profile")
-    p_prof.add_argument("--app", choices=sorted(APP_REGISTRY),
-                        default="testpmd")
-    p_prof.add_argument("--size", type=int, default=256,
+    p_prof.add_argument("--app", choices=SYNTHETIC_APPS, default="testpmd")
+    p_prof.add_argument("--size", type=_frame_size, default=256,
                         help="frame size in bytes incl. CRC")
-    p_prof.add_argument("--gbps", type=float, default=25.0)
+    p_prof.add_argument("--gbps", type=_positive_float, default=25.0)
     p_prof.add_argument("--packets", type=int, default=600)
     p_prof.add_argument("--seed", type=int, default=0)
     p_prof.add_argument("--top", type=_positive_int, default=25,

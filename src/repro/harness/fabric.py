@@ -30,6 +30,7 @@ from repro.net.fabric import Fabric, FabricConfig, build_fabric
 from repro.sim.checkpoint import CheckpointError
 from repro.sim.invariants import InvariantViolation
 from repro.sim.simobject import Simulation
+from repro.sim.trace import TraceOptions
 from repro.system.config import SystemConfig
 from repro.system.presets import FABRIC_PRESETS
 
@@ -196,17 +197,15 @@ def fabric_warm_start(config: SystemConfig, preset: str, stack: str,
     def build() -> Fabric:
         return build_fabric_rig(config, preset, stack, seed=seed)
 
-    def key(fabric: Fabric) -> str:
-        app_options = {"fabric": fabric.config.canonical_dict()}
-        return warmup_key(config, f"fabric:{preset}:{stack}", 0,
-                          app_options, plan, seed,
-                          fabric.sim.tracer._options_signature())
-
     def warm(fabric: Fabric) -> None:
         fabric.generator.start(_warm_gen_config(plan))
         _run_phase(fabric, plan)
         fabric.reset_measurement()
 
+    app_options = {
+        "fabric": fabric_config_for(config, preset, stack).canonical_dict()}
+    key = warmup_key(config, f"fabric:{preset}:{stack}", 0, app_options,
+                     plan, seed, TraceOptions.from_env().signature())
     return WarmStart(build, key, warm, {"phase": "warmup"})
 
 
@@ -219,10 +218,9 @@ def run_fabric(config: SystemConfig, preset: str, stack: str,
     """Run one open-loop flow phase through a fabric and measure FCTs.
 
     Warm-up runs a canonical uniform trickle, drains, and resets
-    statistics; with ``warmup_cache`` (or ``REPRO_WARMUP_CACHE``) set,
-    that state is checkpointed once and restored on every later run
-    with the same key — bit-identical to warming up from scratch, and
-    shared across patterns and loads.
+    statistics; with a ``warmup_cache`` that state is checkpointed once
+    and restored on every later run with the same key — bit-identical
+    to warming up from scratch, and shared across patterns and loads.
     """
     # Built first: a bad pattern or size CDF fails before any warm-up.
     gen_cfg = FlowGenConfig(pattern=pattern, load=load, n_flows=n_flows,

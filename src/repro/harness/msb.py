@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.harness.runner import run_fixed_load
+from repro.harness.warmup_cache import WarmupCache
 from repro.loadgen.ether_load_gen import gbps_for_pps
 from repro.system.config import SystemConfig
 
@@ -70,8 +71,10 @@ def _clamped_ceiling(config: SystemConfig, packet_size: int,
 def find_msb(config: SystemConfig, app_name: str, packet_size: int,
              max_gbps: float = 70.0, n_packets: int = 2500,
              app_options: Optional[dict] = None,
-             seed: int = 0) -> MsbResult:
-    """Two-run saturation measurement of the MSB."""
+             seed: int = 0,
+             warmup_cache: Optional[WarmupCache] = None) -> MsbResult:
+    """Two-run saturation measurement of the MSB; both probes warm up
+    through ``warmup_cache`` when one is given."""
     if app_name == "touchdrop":
         raise ValueError(
             "MSB is undefined for TouchDrop (drop rate is always 100%; "
@@ -82,7 +85,8 @@ def find_msb(config: SystemConfig, app_name: str, packet_size: int,
     warmup_us = _saturation_warmup_us(config)
     first = run_fixed_load(config, app_name, packet_size, max_gbps,
                            n_packets=n_packets, app_options=app_options,
-                           warmup_us=warmup_us, seed=seed)
+                           warmup_us=warmup_us, seed=seed,
+                           warmup_cache=warmup_cache)
     curve.append((first.offered_gbps, first.drop_rate))
     if first.drop_rate <= DROP_THRESHOLD:
         # The node sustains the ceiling itself (or the software client is
@@ -96,7 +100,8 @@ def find_msb(config: SystemConfig, app_name: str, packet_size: int,
                                     max_gbps / 100.0))
     second = run_fixed_load(config, app_name, packet_size, refine_rate,
                             n_packets=n_packets, app_options=app_options,
-                            warmup_us=warmup_us, seed=seed + 1)
+                            warmup_us=warmup_us, seed=seed + 1,
+                            warmup_cache=warmup_cache)
     curve.append((second.offered_gbps, second.drop_rate))
     if second.drop_rate <= DROP_THRESHOLD:
         msb = second.offered_gbps

@@ -54,7 +54,6 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import os
 import shutil
 import tempfile
 import time
@@ -79,10 +78,9 @@ from repro.harness.runner import (
     run_memcached,
 )
 from repro.harness.warmup_cache import (
-    WARMUP_CACHE_ENV,
     WarmStart,
+    WarmupCache,
     code_fingerprint,
-    drop_warmup_cache,
     prewarm,
 )
 from repro.sim.checkpoint import write_atomic
@@ -199,38 +197,42 @@ def fabric_point(config: SystemConfig, preset: str, stack: str,
 # Point execution and result (de)serialisation
 # ----------------------------------------------------------------------
 
-def _run_fixed(point: SweepPoint):
+def _run_fixed(point: SweepPoint, warmup_cache: Optional[WarmupCache]):
     return run_fixed_load(point.config, point.app, point.packet_size,
                           point.load, n_packets=point.n_packets,
                           app_options=point.app_options,
-                          seed=point.effective_seed)
+                          seed=point.effective_seed,
+                          warmup_cache=warmup_cache)
 
 
-def _run_memcached(point: SweepPoint):
+def _run_memcached(point: SweepPoint,
+                   warmup_cache: Optional[WarmupCache]):
     kernel = point.app == "memcached_kernel"
     return run_memcached(point.config, kernel, point.load,
                          n_requests=point.n_packets,
-                         seed=point.effective_seed)
+                         seed=point.effective_seed,
+                         warmup_cache=warmup_cache)
 
 
-def _run_msb(point: SweepPoint):
+def _run_msb(point: SweepPoint, warmup_cache: Optional[WarmupCache]):
     return find_msb(point.config, point.app, point.packet_size,
                     max_gbps=point.load, n_packets=point.n_packets,
                     app_options=point.app_options,
-                    seed=point.effective_seed)
+                    seed=point.effective_seed, warmup_cache=warmup_cache)
 
 
-def _run_fabric(point: SweepPoint):
+def _run_fabric(point: SweepPoint, warmup_cache: Optional[WarmupCache]):
     preset, stack = point.app.rsplit(":", 1)
     opts = point.app_options or {}
     return run_fabric(point.config, preset, stack,
                       pattern=opts.get("pattern", "uniform"),
                       load=point.load, n_flows=point.n_packets,
                       size_cdf=opts.get("size_cdf", "smoke"),
-                      seed=point.effective_seed)
+                      seed=point.effective_seed, warmup_cache=warmup_cache)
 
 
-_KIND_HANDLERS: Dict[str, Callable[[SweepPoint], Any]] = {
+#: Each kind's runner, called as ``handler(point, warmup_cache)``.
+_KIND_HANDLERS: Dict[str, Callable[..., Any]] = {
     KIND_FIXED_LOAD: _run_fixed,
     KIND_MEMCACHED: _run_memcached,
     KIND_MSB: _run_msb,
@@ -259,15 +261,17 @@ _WARM_STARTS: Dict[str, Callable[[SweepPoint], WarmStart]] = {
 }
 
 
-def execute_point(point: SweepPoint):
-    """Run one sweep point in the current process, returning the result
-    object (:class:`FixedLoadResult` / :class:`MemcachedRunResult` /
-    :class:`MsbResult`)."""
+def execute_point(point: SweepPoint,
+                  warmup_cache: Optional[WarmupCache] = None):
+    """Run one sweep point in the current process, warming up through
+    ``warmup_cache`` when one is given, and return the result object
+    (:class:`FixedLoadResult` / :class:`MemcachedRunResult` /
+    :class:`MsbResult` / :class:`FabricRunResult`)."""
     handler = _KIND_HANDLERS.get(point.kind)
     if handler is None:
         raise ValueError(f"unknown sweep point kind {point.kind!r}; "
                          f"expected one of {sorted(_KIND_HANDLERS)}")
-    return handler(point)
+    return handler(point, warmup_cache)
 
 
 _RESULT_TYPES = {
@@ -421,7 +425,8 @@ class ExecutorStats:
         return dict(asdict(self))
 
 
-def _child_main(conn, point: SweepPoint) -> None:
+def _child_main(conn, point: SweepPoint,
+                warmup_cache: Optional[WarmupCache]) -> None:
     """One forked child: run one point and send its one outcome.
 
     The outcome is ``("ok", payload)``, ``("invariant", verdict)`` or
@@ -429,7 +434,7 @@ def _child_main(conn, point: SweepPoint) -> None:
     the parent an empty, closed pipe: that is the point's crash.
     """
     try:
-        outcome = ("ok", encode_result(execute_point(point)))
+        outcome = ("ok", encode_result(execute_point(point, warmup_cache)))
     except InvariantViolation as exc:
         # The simulation itself is inconsistent: carry the verdict (not
         # a bare traceback) so the driver can name the offending point.
@@ -441,35 +446,13 @@ def _child_main(conn, point: SweepPoint) -> None:
     conn.close()
 
 
-def _warm_signature(point: SweepPoint):
-    """A hashable stand-in for the point's warm-up checkpoint key.
-
-    Cheaper than the real :func:`~repro.harness.warmup_cache.warmup_key`
-    (which needs a built node for the tracer signature): two points with
-    equal signatures share one warm-up snapshot.  Offered load is absent
-    by design — that is the property the cache exists for.  ``None``
-    means the kind has no warm-up to share (kinds installed by tests).
-    """
-    if point.config is None or point.kind not in _WARM_STARTS:
-        return None
-    return (
-        point.kind,
-        json.dumps(point.config.canonical_dict(), sort_keys=True,
-                   default=repr),
-        point.app,
-        point.packet_size,
-        json.dumps(point.app_options or {}, sort_keys=True),
-        point.effective_seed,
-    )
-
-
-def prewarm_point(point: SweepPoint) -> bool:
-    """Populate the warm-up checkpoint cache for one sweep point without
-    running its measured phase.  Returns True when a warm-up was
-    simulated and stored; False on a cache hit, a kind with no warm-up,
-    or when no cache is configured (``REPRO_WARMUP_CACHE`` unset)."""
+def prewarm_point(point: SweepPoint, cache: WarmupCache) -> bool:
+    """Store the warm-up snapshot of one sweep point in ``cache``
+    without running its measured phase.  Returns True when a warm-up was
+    simulated and stored; False on a cache hit or a kind with no
+    warm-up."""
     make = _WARM_STARTS.get(point.kind)
-    return make is not None and prewarm(make(point))
+    return make is not None and prewarm(make(point), cache)
 
 
 def _default_context():
@@ -499,15 +482,14 @@ class SweepExecutor:
         Extra attempts after the first for a crashed or timed-out point.
     warmup_cache_dir:
         Directory for the shared warm-up checkpoint cache (see
-        :mod:`repro.harness.warmup_cache`).  Exported around each
-        :meth:`run` so both the in-process path and child processes
-        (which inherit the environment) pick it up.  ``None`` leaves
-        the ``REPRO_WARMUP_CACHE`` environment as-is — except with
-        ``jobs > 1``, where (when the environment is also unset) the
-        executor provisions an *ephemeral* warm-up cache for the run:
-        warm-up sharing is what lets children fork after one prewarmed
-        checkpoint instead of each re-simulating it, so the parallel
-        mode carries its own.  The ephemeral directory is
+        :mod:`repro.harness.warmup_cache`).  The executor holds one
+        :class:`WarmupCache` on it and passes it to every point's run,
+        in process or in a forked child (which inherits the object).
+        ``None`` runs without one — except with ``jobs > 1``, where the
+        executor provisions a temporary warm-up cache for each
+        :meth:`run`: warm-up sharing is what lets children fork after
+        one prewarmed checkpoint instead of each re-simulating it, so
+        the parallel mode carries its own.  The temporary directory is
         deleted when :meth:`run` returns; restored warm-ups are
         bit-identical to simulated ones, so results are unaffected.
     """
@@ -521,8 +503,8 @@ class SweepExecutor:
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.timeout_s = float(timeout_s)
         self.max_retries = int(max_retries)
-        self.warmup_cache_dir = (str(warmup_cache_dir)
-                                 if warmup_cache_dir else None)
+        self.warmup_cache = (WarmupCache(warmup_cache_dir)
+                             if warmup_cache_dir else None)
         self.stats = ExecutorStats()
 
     # -- public API ----------------------------------------------------
@@ -533,32 +515,19 @@ class SweepExecutor:
         Identical points (same cache key, hence provably the same
         deterministic result) are computed once and shared.
         """
-        warm_dir = self.warmup_cache_dir
-        ephemeral = None
-        if (warm_dir is None and self.jobs > 1
-                and not os.environ.get(WARMUP_CACHE_ENV)):
-            # Parallel mode carries its own warm-up sharing: children
-            # fork after the parent prewarms one checkpoint per shared
-            # warm-up state (see _prewarm) instead of each child
-            # re-simulating it.
-            ephemeral = tempfile.mkdtemp(prefix="repro-warm-")
-            warm_dir = ephemeral
-        if warm_dir is None:
-            return self._run(points)
-        previous = os.environ.get(WARMUP_CACHE_ENV)
-        os.environ[WARMUP_CACHE_ENV] = warm_dir
+        if self.warmup_cache is not None or self.jobs == 1:
+            return self._run(points, self.warmup_cache)
+        # Parallel mode carries its own warm-up sharing: children fork
+        # after the parent prewarms one checkpoint per shared warm-up
+        # state (see _prewarm) instead of each child re-simulating it.
+        root = tempfile.mkdtemp(prefix="repro-warm-")
         try:
-            return self._run(points)
+            return self._run(points, WarmupCache(root))
         finally:
-            if previous is None:
-                os.environ.pop(WARMUP_CACHE_ENV, None)
-            else:
-                os.environ[WARMUP_CACHE_ENV] = previous
-            if ephemeral is not None:
-                drop_warmup_cache(ephemeral)
-                shutil.rmtree(ephemeral, ignore_errors=True)
+            shutil.rmtree(root, ignore_errors=True)
 
-    def _run(self, points: Sequence[SweepPoint]) -> List[Any]:
+    def _run(self, points: Sequence[SweepPoint],
+             warmup_cache: Optional[WarmupCache]) -> List[Any]:
         t0 = time.monotonic()
         points = list(points)
         results: List[Optional[dict]] = [None] * len(points)
@@ -590,9 +559,11 @@ class SweepExecutor:
 
         if unique:
             if self.jobs == 1 or len(unique) == 1:
-                executed = self._run_serial(unique, points)
+                executed = {i: self._execute_in_process(points[i],
+                                                        warmup_cache)
+                            for i in unique}
             else:
-                executed = self._run_parallel(unique, points)
+                executed = self._run_parallel(unique, points, warmup_cache)
             for i, payload in executed.items():
                 results[i] = payload
                 self.stats.executed += 1
@@ -608,16 +579,10 @@ class SweepExecutor:
 
     # -- serial path ---------------------------------------------------
 
-    def _run_serial(self, indices: List[int],
-                    points: List[SweepPoint]) -> Dict[int, dict]:
-        out: Dict[int, dict] = {}
-        for i in indices:
-            out[i] = self._execute_in_process(points[i])
-        return out
-
-    def _execute_in_process(self, point: SweepPoint) -> dict:
+    def _execute_in_process(self, point: SweepPoint,
+                            warmup_cache: Optional[WarmupCache]) -> dict:
         try:
-            return encode_result(execute_point(point))
+            return encode_result(execute_point(point, warmup_cache))
         except InvariantViolation as exc:
             raise SweepInvariantError(point, str(exc)) from exc
         except Exception as exc:
@@ -626,46 +591,41 @@ class SweepExecutor:
 
     # -- parallel path -------------------------------------------------
 
-    def _prewarm(self, indices: List[int],
-                 points: List[SweepPoint]) -> None:
+    def _prewarm(self, indices: List[int], points: List[SweepPoint],
+                 cache: WarmupCache) -> None:
         """Simulate shared warm-up snapshots in the parent, pre-fork.
 
-        Only warm-up states that more than one pending point restores
-        are worth producing here (a one-off warm-up costs the same
-        either way, and in a child it runs in parallel).  For shared
-        states the parent pays once and every forked child inherits
-        the parsed snapshot through copy-on-write memory — without
-        this, each child re-simulates or re-parses the same warm-up.
-        Failures are left for the children to surface with a proper
-        point-naming verdict.
+        Pending points are grouped by the warm-up key their runs look
+        up.  Only keys that more than one point restores are worth
+        producing here (a one-off warm-up costs the same either way,
+        and in a child it runs in parallel).  For shared keys the parent
+        pays once and every forked child inherits the parsed snapshot
+        through copy-on-write memory — without this, each child
+        re-simulates or re-parses the same warm-up.  Failures are left
+        for the children to surface with a proper point-naming verdict.
         """
-        if not os.environ.get(WARMUP_CACHE_ENV):
-            return
-        counts: Dict[Any, int] = {}
+        specs: Dict[str, List[WarmStart]] = {}
         for i in indices:
-            signature = _warm_signature(points[i])
-            if signature is not None:
-                counts[signature] = counts.get(signature, 0) + 1
-        prewarmed = set()
-        for i in indices:
-            signature = _warm_signature(points[i])
-            if (signature is None or counts[signature] < 2
-                    or signature in prewarmed):
-                continue
-            prewarmed.add(signature)
-            try:
-                prewarm_point(points[i])
+            try:   # a kind with no warm-up, or a point its run refuses
+                spec = _WARM_STARTS[points[i].kind](points[i])
             except Exception:
-                pass
+                continue
+            specs.setdefault(spec.key, []).append(spec)
+        for same in specs.values():
+            if len(same) > 1:
+                try:
+                    prewarm(same[0], cache)
+                except Exception:
+                    pass
 
-    def _run_parallel(self, indices: List[int],
-                      points: List[SweepPoint]) -> Dict[int, dict]:
+    def _run_parallel(self, indices: List[int], points: List[SweepPoint],
+                      warmup_cache: WarmupCache) -> Dict[int, dict]:
         """One forked child per point, at most ``jobs`` alive at once,
         each forked after :meth:`_prewarm` (see the module docstring)."""
         # Imported here so that only parallel runs pay for the import.
         from multiprocessing.connection import wait
 
-        self._prewarm(indices, points)
+        self._prewarm(indices, points, warmup_cache)
         ctx = _default_context()
         out: Dict[int, dict] = {}
         work = deque((i, 0) for i in indices)           # (index, attempt)
@@ -677,7 +637,8 @@ class SweepExecutor:
                     index, attempt = work.popleft()
                     receiver, sender = ctx.Pipe(duplex=False)
                     child = ctx.Process(target=_child_main,
-                                        args=(sender, points[index]),
+                                        args=(sender, points[index],
+                                              warmup_cache),
                                         daemon=True)
                     child.start()
                     # Only the child holds the send end now, so its exit
@@ -714,7 +675,7 @@ class SweepExecutor:
                             # may be the problem; run the point here.
                             self.stats.serial_fallbacks += 1
                             out[index] = self._execute_in_process(
-                                points[index])
+                                points[index], warmup_cache)
 
                 now = time.monotonic()
                 for receiver, entry in list(running.items()):

@@ -33,6 +33,7 @@ from repro.loadgen.ether_load_gen import (
 )
 from repro.loadgen.memcached_client import MemcachedClientConfig
 from repro.sim.invariants import InvariantViolation
+from repro.sim.trace import TraceOptions
 from repro.system.config import SystemConfig
 from repro.system.node import DpdkNode, KernelNode, WarmupPlan
 
@@ -46,6 +47,11 @@ APP_REGISTRY: Dict[str, Tuple[type, type, bool]] = {
     "iperf": (KernelNode, IperfServer, True),
     "memcached_kernel": (KernelNode, MemcachedKernel, True),
 }
+
+#: The apps that answer only memcached requests: they absorb synthetic
+#: frames, so they run under :func:`run_memcached`, never at a fixed
+#: frame rate.
+MEMCACHED_APPS = ("memcached_dpdk", "memcached_kernel")
 
 
 def _registered(app_name: str) -> Tuple[type, type, bool]:
@@ -68,8 +74,7 @@ def build_node(config: SystemConfig, app_name: str,
     node_class, app_class, _echoes = _registered(app_name)
     node = node_class(config, seed=seed)
     options = dict(app_options or {})
-    if app_name in ("memcached_dpdk", "memcached_kernel") \
-            and "store" not in options:
+    if app_name in MEMCACHED_APPS and "store" not in options:
         options["store"] = KvStore(node.address_space)
     node.install_app(app_class, **options)
     # Catch wiring regressions at build time: every non-external port of
@@ -205,6 +210,10 @@ def fixed_load_warm_start(config: SystemConfig, app_name: str,
     """The warm-up of :func:`run_fixed_load`: a node with an attached
     load generator, warmed at the canonical rate."""
     echoes = _registered(app_name)[2]
+    if app_name in MEMCACHED_APPS:
+        raise ValueError(
+            f"{app_name} answers only memcached requests and absorbs "
+            f"synthetic frames; load it with run_memcached instead")
     plan = _fixed_load_plan(config, packet_size, echoes, warmup_us)
 
     def build():
@@ -212,14 +221,12 @@ def fixed_load_warm_start(config: SystemConfig, app_name: str,
         node.attach_loadgen()
         return node
 
-    def key(node) -> str:
-        return warmup_key(config, app_name, packet_size, app_options, plan,
-                          seed, node.sim.tracer._options_signature())
-
     def warm(node) -> None:
         node.start()
         node.warmup_and_reset(plan)
 
+    key = warmup_key(config, app_name, packet_size, app_options, plan, seed,
+                     TraceOptions.from_env().signature())
     return WarmStart(build, key, warm,
                      {"phase": "warmup", "packet_size": packet_size})
 
@@ -248,26 +255,27 @@ def run_fixed_load(config: SystemConfig, app_name: str, packet_size: int,
     """Load the node at a fixed rate and measure drops/latency.
 
     Warm-up runs at the canonical (load-independent) rate, drains to
-    quiescence, and resets statistics; with ``warmup_cache`` (or the
-    ``REPRO_WARMUP_CACHE`` environment variable) set, that post-warm-up
-    state is checkpointed once and restored on every later run with the
-    same key — bit-identical to warming up from scratch.
+    quiescence, and resets statistics; with a ``warmup_cache`` that
+    post-warm-up state is checkpointed once and restored on every later
+    run with the same key — bit-identical to warming up from scratch.
+    The memcached apps are refused: they serve only
+    :func:`run_memcached`'s requests.
     """
-    node = warm_start(fixed_load_warm_start(config, app_name, packet_size,
-                                            app_options, warmup_us, seed),
-                      warmup_cache)
-    loadgen = node.loadgen
+    # Checked first: a bad app, size or rate fails before any warm-up.
+    spec = fixed_load_warm_start(config, app_name, packet_size, app_options,
+                                 warmup_us, seed)
     echoes = APP_REGISTRY[app_name][2]
     effective_gbps = _effective_rate(config, gbps, packet_size)
+    measured = SyntheticConfig(packet_size=packet_size,
+                               rate_gbps=effective_gbps, count=None,
+                               expect_responses=echoes)
+    pps = pps_for_gbps(effective_gbps, packet_size)
+    node = warm_start(spec, warmup_cache)
+    loadgen = node.loadgen
 
     # Measured phase — identical code whether the warm-up was simulated
     # or restored from a checkpoint.
-    loadgen.start_synthetic(SyntheticConfig(
-        packet_size=packet_size,
-        rate_gbps=effective_gbps,
-        count=None,
-        expect_responses=echoes,
-    ))
+    loadgen.start_synthetic(measured)
     # Measured window: enough sends for n_packets AND enough processed
     # packets for a stable steady-state service-rate estimate.  The
     # measurement starts from quiescence, so the service-rate clock only
@@ -275,7 +283,6 @@ def run_fixed_load(config: SystemConfig, app_name: str, packet_size: int,
     # link flight to even reach the node, and under overload the rings
     # must fill before the app runs back-to-back; counting that dead
     # time would underestimate the node's capacity.
-    pps = pps_for_gbps(effective_gbps, packet_size)
     window_us = max(n_packets / pps * 1e6, 300.0)
     ramp_us = config.link_delay_us + 50.0
     node.run_us(ramp_us)
@@ -384,10 +391,6 @@ def memcached_warm_start(config: SystemConfig, kernel: bool,
             replace(base, n_requests=n_requests, rate_rps=rate_rps))
         return node
 
-    def key(node) -> str:
-        return warmup_key(config, app_name, 0, warm_options, plan, seed,
-                          node.sim.tracer._options_signature())
-
     def warm(node) -> None:
         node.memcached_client.preload(node.app.store)   # functional warm-up
         node.start()
@@ -395,6 +398,8 @@ def memcached_warm_start(config: SystemConfig, kernel: bool,
         # state at a comfortable rate before measuring (paper §VI.A).
         node.warmup_and_reset(plan)
 
+    key = warmup_key(config, app_name, 0, warm_options, plan, seed,
+                     TraceOptions.from_env().signature())
     return WarmStart(build, key, warm, {"phase": "warmup", "kernel": kernel})
 
 

@@ -29,7 +29,8 @@ The warm-start protocol is written once, here: each kind of run states
 its build, key, warm-up and checkpoint metadata as one
 :class:`WarmStart`, which its runner hands to :func:`warm_start` and the
 sweep executor to :func:`prewarm` — so a prewarm stores exactly the
-snapshot the run looks up.
+snapshot the run looks up.  The cache itself is always passed in: a
+run uses the one its caller hands it, and no cache otherwise.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
@@ -50,10 +50,6 @@ from repro.sim.checkpoint import (
 )
 from repro.system.config import SystemConfig
 from repro.system.node import WarmupPlan
-
-#: Environment variable through which sweep workers (and the CLI's
-#: ``--warmup-cache`` flag) point runs at a shared cache directory.
-WARMUP_CACHE_ENV = "REPRO_WARMUP_CACHE"
 
 #: The ``repro`` package whose sources :func:`code_fingerprint` hashes.
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
@@ -176,105 +172,62 @@ class WarmupCache:
             pass
 
 
-#: Per-directory singletons handed out by :func:`warmup_cache_from_env`,
-#: so repeated harness calls in one process (and forked sweep workers)
-#: share a single in-memory memo per cache directory.
-_caches_by_root: Dict[str, WarmupCache] = {}
-
-
-def drop_warmup_cache(root) -> None:
-    """Evict the per-directory singleton (and its memo) for ``root``.
-
-    Callers that provision ephemeral cache directories use this to free
-    the memoized snapshots when the directory is deleted."""
-    _caches_by_root.pop(str(Path(root).resolve()), None)
-
-
-def warmup_cache_from_env() -> Optional[WarmupCache]:
-    """The cache named by ``REPRO_WARMUP_CACHE``, or None when unset.
-
-    This is how sweep worker processes find the shared cache: the
-    executor/CLI exports the variable and every :func:`warm_start` /
-    :func:`prewarm` without an explicit cache picks it up.  Returns one
-    :class:`WarmupCache` instance per directory so the in-memory memo is
-    shared across calls.
-    """
-    root = os.environ.get(WARMUP_CACHE_ENV)
-    if not root:
-        return None
-    resolved = str(Path(root).resolve())
-    cache = _caches_by_root.get(resolved)
-    if cache is None:
-        cache = WarmupCache(root)
-        _caches_by_root[resolved] = cache
-    return cache
-
-
 @dataclass(frozen=True)
 class WarmStart:
     """How one kind of run reaches its post-warm-up state.
 
     ``build`` returns a fresh, never-run rig (a node or a fabric);
-    ``key`` is the warm-up cache key of a built rig; ``warm`` simulates
-    the warm-up on a built rig, ending drained with statistics reset;
-    ``meta`` is the extra checkpoint metadata of the sealed snapshot.
+    ``key`` is the warm-up cache key, computed from the run's inputs
+    when the spec is made; ``warm`` simulates the warm-up on a built
+    rig, ending drained with statistics reset; ``meta`` is the extra
+    checkpoint metadata of the sealed snapshot.
     """
 
     build: Callable[[], Any]
-    key: Callable[[Any], str]
+    key: str
     warm: Callable[[Any], None]
     meta: Dict[str, Any]
-
-
-def _resolve(cache: Optional[WarmupCache]) -> Optional[WarmupCache]:
-    return cache if cache is not None else warmup_cache_from_env()
 
 
 def warm_start(spec: WarmStart, cache: Optional[WarmupCache] = None):
     """A built rig in its post-warm-up state, ready to measure.
 
-    With a cache (``cache`` or ``REPRO_WARMUP_CACHE``) a stored snapshot
-    is restored — bit-identical to warming up — and a missing one is
-    simulated and stored.  A snapshot that fails to restore is
+    With a ``cache`` a stored snapshot is restored — bit-identical to
+    warming up — and a missing one is simulated and stored; without one
+    the warm-up is simulated.  A snapshot that fails to restore is
     discarded and the warm-up re-run on a rebuilt rig: the failed
     restore may have half-mutated this one.
     """
-    cache = _resolve(cache)
     rig = spec.build()
     if cache is None:
         spec.warm(rig)
         return rig
-    key = spec.key(rig)
-    snapshot = cache.get(key)
+    snapshot = cache.get(spec.key)
     if snapshot is not None:
         try:
             rig.restore(snapshot)
             return rig
         except CheckpointError:
-            cache.discard(key)
+            cache.discard(spec.key)
             rig = spec.build()
     spec.warm(rig)
-    cache.put(key, rig.checkpoint(extra_meta=spec.meta))
+    cache.put(spec.key, rig.checkpoint(extra_meta=spec.meta))
     return rig
 
 
-def prewarm(spec: WarmStart, cache: Optional[WarmupCache] = None) -> bool:
-    """Store the snapshot :func:`warm_start` would look up, without
-    measuring.  Returns True when a fresh snapshot was simulated and
-    stored, False on a cache hit or when no cache is configured.
+def prewarm(spec: WarmStart, cache: WarmupCache) -> bool:
+    """Store the snapshot :func:`warm_start` would look up in ``cache``,
+    without measuring.  Returns True when a fresh snapshot was simulated
+    and stored, False on a cache hit (which builds nothing).
 
     The sweep executor's parent calls this before forking workers: the
     validated read-back lands the snapshot in the in-memory memo, which
     every forked worker inherits through copy-on-write memory.
     """
-    cache = _resolve(cache)
-    if cache is None:
+    if cache.get(spec.key) is not None:
         return False
     rig = spec.build()
-    key = spec.key(rig)
-    if cache.get(key) is not None:
-        return False
     spec.warm(rig)
-    cache.put(key, rig.checkpoint(extra_meta=spec.meta))
-    cache.get(key)   # validated read-back seeds the in-memory memo
+    cache.put(spec.key, rig.checkpoint(extra_meta=spec.meta))
+    cache.get(spec.key)   # validated read-back seeds the in-memory memo
     return True

@@ -45,6 +45,17 @@ MEMCACHED_PORT = 11211
 CLIENT_PORT = 40000
 
 
+def make_key(index: int, size_gen: ZipfianGenerator) -> bytes:
+    """Key number ``index`` with a length drawn from ``size_gen``: the
+    8-digit index prefix keeps keys unique even after truncation, and
+    lengths are at least 10 per the paper's min=10."""
+    key_len = max(size_gen.sample(), 10)
+    base = f"{index:08d}-k".encode()
+    if len(base) >= key_len:
+        return base[:key_len]
+    return base + b"x" * (key_len - len(base))
+
+
 @dataclass(frozen=True)
 class MemcachedClientConfig:
     """The paper's memcached workload parameters (§VI.A)."""
@@ -84,7 +95,7 @@ class MemcachedClient(Stateful, SimObject):
         self._size_gen = ZipfianGenerator(
             config.size_min, config.size_max, config.size_skew, rng)
         self._keys: List[bytes] = [
-            self._make_key(i) for i in range(config.n_warm_keys)]
+            make_key(i, self._size_gen) for i in range(config.n_warm_keys)]
         self._values: Dict[bytes, bytes] = {
             key: bytes(self._size_gen.sample()) for key in self._keys}
         self.outstanding: Dict[int, Tuple[int, str]] = {}
@@ -102,16 +113,6 @@ class MemcachedClient(Stateful, SimObject):
         self.sets_acked = 0
         self.first_tx_tick: Optional[int] = None
         self.last_tx_tick: Optional[int] = None
-
-    def _make_key(self, index: int) -> bytes:
-        """Unique key with a Zipf-distributed length: the 8-digit index
-        prefix guarantees uniqueness even after truncation (lengths are
-        at least 10 per the paper's min=10)."""
-        key_len = max(self._size_gen.sample(), 10)
-        base = f"{index:08d}-k".encode()
-        if len(base) >= key_len:
-            return base[:key_len]
-        return base + b"x" * (key_len - len(base))
 
     # ------------------------------------------------------------------
     # Warm-up

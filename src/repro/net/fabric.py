@@ -14,8 +14,8 @@ evaluation needs many hosts behind a switch fabric.  This module adds:
   builders on top of :class:`~repro.system.topology.Topology`, wired
   entirely through typed ports and :class:`~repro.nic.phy.EtherLink`;
 - :class:`Fabric`: the container with a single node's run / reset /
-  checkpoint / restore surface — checkpoints go through the same
-  :mod:`repro.sim.checkpoint` functions as a node's — so the warm-up
+  checkpoint / restore surface — the same
+  :class:`~repro.sim.checkpoint.Rig` base as a node's — so the warm-up
   cache and the sweep executor treat a 20-switch fat-tree exactly like
   a single node.
 
@@ -45,12 +45,7 @@ from repro.net.packet import (
 )
 from repro.nic.phy import EtherLink, EtherPort
 from repro.sim.channel import ChannelHalf
-from repro.sim.checkpoint import (
-    CheckpointError,
-    Stateful,
-    restore_snapshot,
-    snapshot,
-)
+from repro.sim.checkpoint import CheckpointError, Rig, Stateful
 from repro.sim.event_queue import EventPool
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.ticks import ns_to_ticks, us_to_ticks
@@ -503,15 +498,14 @@ class FabricConfig:
         return self.leaves * self.hosts_per_leaf
 
 
-class Fabric:
+class Fabric(Rig):
     """A built fabric: hosts + switches + links + the wiring graph.
 
-    Has a single node's control surface — ``run_us`` /
-    ``reset_measurement`` / ``checkpoint`` / ``restore``, the last two
-    through :func:`~repro.sim.checkpoint.snapshot` and
-    :func:`~repro.sim.checkpoint.restore_snapshot` — so the warm-up
-    cache, the sweep executor and the CLI drive a fabric exactly like a
-    single node.
+    Has a single node's control surface — ``run_us``, and
+    ``reset_measurement`` / ``checkpoint`` / ``restore`` from the same
+    :class:`~repro.sim.checkpoint.Rig` base — so the warm-up cache, the
+    sweep executor and the CLI drive a fabric exactly like a single
+    node.
 
     With a ``shard_plan`` (see :mod:`repro.dist.shard`) every shard
     still builds every host and switch; only :meth:`_link` consults the
@@ -526,6 +520,9 @@ class Fabric:
     with the peer shards, and :meth:`everywhere` ANDs a phase decision
     over all shards.
     """
+
+    #: The application a checkpoint of a fabric records.
+    identity_app = "fabric"
 
     def __init__(self, sim: Simulation, config: FabricConfig,
                  label: str, shard_plan=None, shard_id: int = 0) -> None:
@@ -646,12 +643,6 @@ class Fabric:
     def host_groups(self) -> List[int]:
         return [h.group for h in self.hosts]
 
-    def validate_wiring(self) -> None:
-        self.topology.validate()
-
-    def wiring_dot(self) -> str:
-        return self.topology.to_dot()
-
     def quiescent(self) -> bool:
         """No frame anywhere: switch FIFOs, host RX queues, wires, and
         (sharded) the channel boundary this shard is responsible for."""
@@ -661,6 +652,10 @@ class Fabric:
                         for link in self.links
                         for count in link._in_flight.values())
                 and all(half.in_flight == 0 for half in self.channels))
+
+    def sources_active(self) -> bool:
+        """Whether the flow generator still injects flows."""
+        return self.generator is not None and self.generator.active
 
     def per_switch_drops(self) -> Dict[str, Dict[str, int]]:
         """Window drop counts by switch name and cause (nonzero only)."""
@@ -701,45 +696,6 @@ class Fabric:
         """``flag`` ANDed over every shard of the run (just ``flag``
         unsharded), so all shards take each phase decision together."""
         return flag if self.sync is None else self.sync.all_true(flag)
-
-    def _checkpoint_ready(self) -> bool:
-        if not self.quiescent():
-            return False
-        if self.generator is not None and self.generator.active:
-            return False
-        _registered, unregistered = self.sim.named_event_status()
-        return not unregistered
-
-    def reset_measurement(self) -> None:
-        self.sim.reset_stats()
-
-    # -- checkpoint / restore ------------------------------------------------
-
-    def checkpoint(self, extra_meta: Optional[dict] = None) -> dict:
-        """Sealed snapshot of the whole fabric (drain first)."""
-        if not self._checkpoint_ready():
-            _registered, unregistered = self.sim.named_event_status()
-            detail = []
-            if not self.quiescent():
-                detail.append("frames are still in flight")
-            if unregistered:
-                detail.append(
-                    "anonymous one-shot events pending: "
-                    + ", ".join(sorted(e.name for e in unregistered)))
-            raise CheckpointError(
-                f"{self.label}: fabric is not checkpoint-ready "
-                f"({'; '.join(detail) or 'generator still active'})")
-        return snapshot(self.sim, self.topology,
-                        {**self._identity(), **(extra_meta or {})})
-
-    def restore(self, doc: dict) -> None:
-        """Restore into a freshly built, never-run fabric."""
-        restore_snapshot(self.sim, self.topology, doc, self._identity())
-
-    def _identity(self) -> dict:
-        """What a checkpoint of this fabric records, and restore checks."""
-        return {"label": self.label, "app": "fabric",
-                "seed": self.sim.rng.seed}
 
 
 def _switch_config(config: FabricConfig, radix: int) -> SwitchConfig:

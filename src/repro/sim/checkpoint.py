@@ -43,7 +43,7 @@ import hashlib
 import itertools
 import json
 import os
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 #: Version of the on-disk checkpoint schema.  Bump when the layout of
 #: the document (or any component's state dict) changes incompatibly.
@@ -193,10 +193,10 @@ def verify(document: Any) -> Dict[str, Any]:
 def snapshot(sim: Any, topology: Any, meta: Dict[str, Any]) -> Dict[str, Any]:
     """Seal ``sim`` and every component of ``topology`` into a document.
 
-    The one place a checkpoint is written: a node or fabric checks its
-    own readiness (drained, sources idle) and passes its identity plus
-    any extra provenance as ``meta``; the component label list is added
-    as ``meta["components"]``.
+    The one place a checkpoint is written: :meth:`Rig.checkpoint`
+    checks readiness (drained, sources idle) and passes the rig's
+    identity plus any extra provenance as ``meta``; the component label
+    list is added as ``meta["components"]``.
     """
     labels = []
     objects = {}
@@ -250,6 +250,70 @@ def restore_snapshot(sim: Any, topology: Any, doc: Any,
                 f"{topology.name}: restoring {label!r} failed: "
                 f"{exc}") from exc
     sim.deserialize_state(doc["sim"])
+
+
+class Rig:
+    """A node or a fabric: one ``sim`` and the ``topology`` of its
+    components, checkpointed and restored as a whole.
+
+    A subclass supplies ``label``, ``identity_app`` (the application a
+    checkpoint records), ``quiescent()`` (no packet anywhere in the
+    datapath) and ``sources_active()`` (a traffic source still
+    offering load); readiness, checkpoint, restore and the identity
+    they check are defined here once.
+    """
+
+    def validate_wiring(self) -> None:
+        """Fail with the dangling ports named if the rig is half-wired."""
+        self.topology.validate()
+
+    def wiring_dot(self) -> str:
+        """The rig's wiring graph in Graphviz DOT form."""
+        return self.topology.to_dot()
+
+    def reset_measurement(self) -> None:
+        """Reset every measurement counter."""
+        self.sim.reset_stats()
+
+    def _checkpoint_ready(self) -> bool:
+        """Quiescent datapath, idle traffic sources, and every pending
+        event re-creatable by name on restore."""
+        if not self.quiescent() or self.sources_active():
+            return False
+        _registered, unregistered = self.sim.named_event_status()
+        return not unregistered
+
+    def checkpoint(self, extra_meta: Optional[dict] = None) -> dict:
+        """The rig's complete state as a sealed :func:`snapshot` (the
+        gem5 drain-then-serialize flow).  A rig that is not drained
+        raises :class:`CheckpointError`; taking a checkpoint reads state
+        only — it never perturbs the run."""
+        if not self._checkpoint_ready():
+            _registered, unregistered = self.sim.named_event_status()
+            detail = []
+            if not self.quiescent():
+                detail.append("packets are still in flight")
+            if unregistered:
+                detail.append(
+                    "anonymous one-shot events pending: "
+                    + ", ".join(sorted(e.name for e in unregistered)))
+            raise CheckpointError(
+                f"{self.label} is not checkpoint-ready "
+                f"({'; '.join(detail) or 'a traffic source is active'})")
+        return snapshot(self.sim, self.topology,
+                        {**self._identity(), **(extra_meta or {})})
+
+    def restore(self, doc: dict) -> None:
+        """Restore a checkpoint into this freshly built, never-run rig:
+        the inverse of :meth:`checkpoint` (:func:`restore_snapshot`).
+        Do not start a restored rig: its event queue is rebuilt
+        exactly, including the application's own events."""
+        restore_snapshot(self.sim, self.topology, doc, self._identity())
+
+    def _identity(self) -> dict:
+        """What a checkpoint of this rig records, and restore checks."""
+        return {"label": self.label, "app": self.identity_app,
+                "seed": self.sim.rng.seed}
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -81,6 +81,18 @@ class TraceOptions:
         return cls(enabled=True, buffer_size=buffer_size,
                    categories=categories or None)
 
+    def signature(self) -> dict:
+        """The options as plain JSON data: what a checkpoint records
+        and a warm-up key covers."""
+        return {
+            "enabled": self.enabled,
+            "buffer_size": self.buffer_size,
+            "categories": (sorted(self.categories)
+                           if self.categories is not None else None),
+            "objects": (sorted(self.objects)
+                        if self.objects is not None else None),
+        }
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -140,17 +152,6 @@ class Tracer:
     # Checkpoint support
     # ------------------------------------------------------------------
 
-    def _options_signature(self) -> dict:
-        opts = self.options
-        return {
-            "enabled": opts.enabled,
-            "buffer_size": opts.buffer_size,
-            "categories": (sorted(opts.categories)
-                           if opts.categories is not None else None),
-            "objects": (sorted(opts.objects)
-                        if opts.objects is not None else None),
-        }
-
     def serialize_state(self) -> dict:
         """Snapshot retained records and counters.  The trace digest
         covers warm-up-era records, so a restored run must resume with
@@ -161,7 +162,7 @@ class Tracer:
                           for ev in buf]]
                    for obj, buf in self._buffers.items()]
         return {
-            "options": self._options_signature(),
+            "options": self.options.signature(),
             "buffers": buffers,
             "seq": self._seq,
             "recorded": self.recorded,
@@ -170,10 +171,11 @@ class Tracer:
         }
 
     def deserialize_state(self, state: dict) -> None:
-        if state["options"] != self._options_signature():
+        options = self.options.signature()
+        if state["options"] != options:
             raise ValueError(
                 f"trace options changed across checkpoint: "
-                f"{state['options']} -> {self._options_signature()}")
+                f"{state['options']} -> {options}")
         self._buffers = {}
         for obj, records in state["buffers"]:
             buf = deque(maxlen=self.options.buffer_size)
@@ -201,17 +203,10 @@ class Tracer:
 
     def header(self) -> dict:
         """The schema-versioned JSONL header line payload."""
-        opts = self.options
-        return {
-            "trace_schema": TRACE_SCHEMA_VERSION,
-            "buffer_size": opts.buffer_size,
-            "categories": (sorted(opts.categories)
-                           if opts.categories is not None else None),
-            "objects": (sorted(opts.objects)
-                        if opts.objects is not None else None),
-            "records": len(self.events()),
-            "evicted": self.evicted,
-        }
+        options = self.options.signature()
+        del options["enabled"]
+        return {"trace_schema": TRACE_SCHEMA_VERSION, **options,
+                "records": len(self.events()), "evicted": self.evicted}
 
     def to_jsonl(self) -> str:
         """The full trace as JSONL text: header line + one line/record."""

@@ -11,7 +11,12 @@ other processes would otherwise land on whichever run it hit):
   runs a memcached client application; every request pays simulated
   client-side work and the host pays for simulating it;
 - **loadgen mode** — the MemcachedClient personality of EtherLoadGen
-  sources the same request stream with zero client-side simulation.
+  sources the same workload with zero client-side simulation.
+
+Both clients draw the paper's workload (Zipf key and value sizes from
+10 to 100 bytes, unique keys from the shared ``make_key``, 80% GETs),
+but from separate random streams, so the two request streams are
+statistically alike rather than identical.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from repro.kvstore.protocol import GetRequest, SetRequest, encode_request
 from repro.kvstore.store import KvStore
 from repro.kvstore.zipf import ZipfianGenerator
 from repro.loadgen.distributions import FixedInterArrival
-from repro.loadgen.memcached_client import MemcachedClientConfig
+from repro.loadgen.memcached_client import MemcachedClientConfig, make_key
 from repro.net.headers import build_udp_frame
 from repro.net.packet import MacAddress
 from repro.sim.ticks import us_to_ticks
@@ -45,8 +50,7 @@ class _ClientWorkload:
     def __init__(self, rng, n_keys: int = 512) -> None:
         self._size_gen = ZipfianGenerator(10, 100, 0.5, rng)
         self._rng = rng
-        self.keys = [f"key-{i:08d}".encode()[:self._size_gen.sample()]
-                     .ljust(10, b"x") for i in range(n_keys)]
+        self.keys = [make_key(i, self._size_gen) for i in range(n_keys)]
         self._next_id = 1
 
     def preload(self, store: KvStore) -> None:

@@ -30,7 +30,7 @@ from repro.nic.i8254x import E1000_DEVICE_ID, INTEL_VENDOR_ID
 from repro.nic.phy import EtherLink
 from repro.pci.bus import PciBus
 from repro.pci.uio import UioBindError, UioPciGeneric
-from repro.sim.checkpoint import CheckpointError, restore_snapshot, snapshot
+from repro.sim.checkpoint import CheckpointError, Rig
 from repro.sim.simobject import Simulation
 from repro.sim.ticks import us_to_ticks
 from repro.system.config import SystemConfig
@@ -68,18 +68,20 @@ class WarmupPlan:
     max_drain_chunks: int = 400
 
 
-class _BaseNode:
+class _BaseNode(Rig):
     """Common plumbing: sim, memory, core, NIC, link.
 
     The components themselves come from the shared
     :func:`~repro.system.topology.build_platform` builder; this class
     keeps the flat attribute API (``node.core``, ``node.nic``, ...) the
     harness and tests use, while ``node.topology`` holds the typed
-    wiring graph for validation and rendering.
+    wiring graph for validation and rendering.  Checkpoint, restore and
+    the wiring helpers come from :class:`~repro.sim.checkpoint.Rig`.
     """
 
     def __init__(self, config: SystemConfig, seed: int = 0) -> None:
         self.config = config
+        self.label = config.label
         self.sim = Simulation(seed=seed)
         self.topology = Topology(config.label)
         platform = build_platform(self.topology, self.sim, config,
@@ -105,15 +107,10 @@ class _BaseNode:
     def _nic_config(self):
         return self.config.nic
 
-    # -- wiring graph ------------------------------------------------------
-
-    def validate_wiring(self) -> None:
-        """Fail with the dangling ports named if the node is half-wired."""
-        self.topology.validate()
-
-    def wiring_dot(self) -> str:
-        """The node's wiring graph in Graphviz DOT form."""
-        return self.topology.to_dot()
+    @property
+    def identity_app(self) -> Optional[str]:
+        """The application class a checkpoint of this node records."""
+        return type(self.app).__name__ if self.app is not None else None
 
     # -- invariants -------------------------------------------------------
 
@@ -182,7 +179,7 @@ class _BaseNode:
         node = self
 
         def end_to_end(final: bool):
-            if not final or not node.fully_quiescent():
+            if not final or not node.quiescent():
                 return None
             gen = node.loadgen
             nic = node.nic
@@ -201,12 +198,17 @@ class _BaseNode:
         self.sim.invariants.register("node.end-to-end-conservation",
                                      end_to_end)
 
-    def fully_quiescent(self) -> bool:
+    def quiescent(self) -> bool:
         """Quiescent NIC, empty app pipeline, and nothing on the wire."""
         link_idle = all(count == 0
                         for count in self.link._in_flight.values())
         return (self.nic_quiescent() and self.app_holding() == 0
                 and link_idle)
+
+    def sources_active(self) -> bool:
+        """Whether the load generator or memcached client still sends."""
+        return any(source is not None and source.active
+                   for source in (self.loadgen, self.memcached_client))
 
     def attach_memcached_client(
             self, client_config: MemcachedClientConfig) -> MemcachedClient:
@@ -260,11 +262,9 @@ class _BaseNode:
                 if self.app.packets_processed >= plan.warm_packet_target:
                     break
                 self.run_us(plan.drain_chunk_us)
-        if self.loadgen is not None and self.loadgen.active:
-            self.loadgen.stop()
-        if (self.memcached_client is not None
-                and self.memcached_client.active):
-            self.memcached_client.stop()
+        for source in (self.loadgen, self.memcached_client):
+            if source is not None and source.active:
+                source.stop()
         self.drain_to_quiescence(chunk_us=plan.drain_chunk_us,
                                  max_chunks=plan.max_drain_chunks)
         self.reset_measurement()
@@ -285,19 +285,6 @@ class _BaseNode:
             f"{self.config.label}: node failed to reach quiescence after "
             f"{max_chunks} drain chunks of {chunk_us}us")
 
-    def _checkpoint_ready(self) -> bool:
-        """Quiescent datapath, idle traffic sources, and every pending
-        event re-creatable by name on restore."""
-        if not self.fully_quiescent():
-            return False
-        if self.loadgen is not None and self.loadgen.active:
-            return False
-        if (self.memcached_client is not None
-                and self.memcached_client.active):
-            return False
-        _registered, unregistered = self.sim.named_event_status()
-        return not unregistered
-
     def reset_measurement(self) -> None:
         """Reset every measurement counter in one place.  The counters
         form co-reset groups (NIC stats + drop FSM, DMA engine + memory
@@ -311,51 +298,6 @@ class _BaseNode:
             worker.reset_counters()
         self.dma.reset_counters()
         self.iobus.reset_counters()
-
-    # -- checkpoint / restore ----------------------------------------------
-
-    def checkpoint(self, extra_meta: Optional[dict] = None) -> dict:
-        """Capture the node's complete state as a sealed checkpoint
-        document (the gem5 drain-then-serialize flow).
-
-        The node must be quiescent (:meth:`drain_to_quiescence`); a live
-        packet anywhere in the datapath raises :class:`CheckpointError`.
-        Taking a checkpoint reads state only — it never perturbs the run.
-        """
-        if not self._checkpoint_ready():
-            _registered, unregistered = self.sim.named_event_status()
-            detail = []
-            if not self.fully_quiescent():
-                detail.append("packets are still in flight")
-            if unregistered:
-                detail.append(
-                    "anonymous one-shot events pending: "
-                    + ", ".join(sorted(e.name for e in unregistered)))
-            raise CheckpointError(
-                f"{self.config.label}: node is not checkpoint-ready "
-                f"({'; '.join(detail) or 'traffic source still active'})")
-        return snapshot(self.sim, self.topology,
-                        {**self._identity(), **(extra_meta or {})})
-
-    def restore(self, doc: dict) -> None:
-        """Restore a checkpoint into this (freshly built, never started)
-        node: the inverse of :meth:`checkpoint`.
-
-        The node must have been rebuilt with the same configuration,
-        application and seed — the topology label set is verified, and
-        each component checks its own schema.  Do not call ``start()``
-        on a restored node: the event queue is reconstructed exactly,
-        including the application's poll/NAPI events.
-        """
-        restore_snapshot(self.sim, self.topology, doc, self._identity())
-
-    def _identity(self) -> dict:
-        """What a checkpoint of this node records, and restore checks."""
-        return {
-            "label": self.config.label,
-            "app": type(self.app).__name__ if self.app is not None else None,
-            "seed": self.sim.rng.seed,
-        }
 
 
 class DpdkNode(_BaseNode):
@@ -405,7 +347,7 @@ class DpdkNode(_BaseNode):
         quiescent (a held mbuf is legitimate while packets are in
         flight; at quiescence it is a leak — DPDK's classic failure
         mode, which surfaces as ``MempoolEmptyError`` much later)."""
-        expect_idle = (final and self.fully_quiescent())
+        expect_idle = (final and self.quiescent())
         return [f"mempool: {msg}" for msg in
                 self.mempool.invariant_failures(expect_idle=expect_idle)]
 

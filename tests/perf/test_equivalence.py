@@ -9,8 +9,9 @@ the full ordered event stream of the run.
 
 Hypothesis drives the comparison across all the paper's applications
 (DPDK: testpmd / touchfwd / touchdrop / rxptx / memcached_dpdk; kernel:
-iperf / memcached_kernel), packet sizes, loads and seeds, and across the
-fabric components (switches, fabric hosts and, sharded, channel halves).
+iperf / memcached_kernel), packet sizes, loads and seeds, the two-core
+pipeline-mode forwarder, and across the fabric components (switches,
+fabric hosts and, sharded, channel halves).
 The flag is read when the event queue and each event pool are
 constructed, so flipping the environment between two fresh runs in one
 process is sufficient; forked shards inherit it.
@@ -25,6 +26,8 @@ from hypothesis import strategies as st
 
 from repro.harness.fabric import run_fabric_sharded
 from repro.harness.runner import run_fixed_load, run_memcached
+from repro.loadgen.ether_load_gen import SyntheticConfig
+from repro.system.node import DpdkNode
 from repro.system.presets import gem5_default
 
 FIXED_LOAD_APPS = ["testpmd", "touchfwd", "touchdrop", "rxptx", "iperf"]
@@ -34,16 +37,20 @@ FABRIC_POINTS = {"uniform": (0.35, 40), "incast": (0.7, 60)}
 
 
 @contextmanager
-def _batching(enabled: bool):
-    previous = os.environ.get("REPRO_EVENT_BATCH")
-    os.environ["REPRO_EVENT_BATCH"] = "1" if enabled else "0"
+def _env(name: str, value: str):
+    previous = os.environ.get(name)
+    os.environ[name] = value
     try:
         yield
     finally:
         if previous is None:
-            os.environ.pop("REPRO_EVENT_BATCH", None)
+            os.environ.pop(name, None)
         else:
-            os.environ["REPRO_EVENT_BATCH"] = previous
+            os.environ[name] = previous
+
+
+def _batching(enabled: bool):
+    return _env("REPRO_EVENT_BATCH", "1" if enabled else "0")
 
 
 def _assert_identical(fast, reference):
@@ -109,3 +116,37 @@ def test_fabric_batched_path_is_bit_identical(preset, stack, pattern,
                                        n_flows=n_flows, seed=1,
                                        shards=shards)
     _assert_identical(fast, reference)
+
+
+def _run_pipeline(touch_payload: bool, seed: int) -> dict:
+    """A traced pipeline-mode node (two cores and an ``rte_ring``; not a
+    registry app, so it has no runner) forwarding a burst of frames."""
+    with _env("REPRO_TRACE", "1"):
+        node = DpdkNode(gem5_default(), seed=seed)
+    node.install_pipeline_app(touch_payload=touch_payload)
+    loadgen = node.attach_loadgen()
+    node.start()
+    loadgen.start_synthetic(SyntheticConfig(packet_size=256, rate_gbps=20.0,
+                                            count=300))
+    node.run_us(1500.0)
+    node.sim.invariants.check(final=True)
+    return {"trace_digest": node.sim.tracer.digest(),
+            "stats": node.sim.stats.dump(),
+            "fired": node.sim.events.fired,
+            "forwarded": node.app.packets_forwarded,
+            "latency_us": loadgen.latency.summary()}
+
+
+@settings(max_examples=2, deadline=None)
+@given(touch_payload=st.booleans(),
+       seed=st.integers(min_value=0, max_value=3))
+def test_pipeline_batched_path_is_bit_identical(touch_payload, seed):
+    with _batching(True):
+        fast = _run_pipeline(touch_payload, seed)
+    with _batching(False):
+        reference = _run_pipeline(touch_payload, seed)
+    assert fast["forwarded"] == 300
+    assert fast["trace_digest"] == reference["trace_digest"], (
+        "trace digests diverged between the batched and reference "
+        "event-loop paths")
+    assert fast == reference

@@ -4,11 +4,12 @@ The format layer (seal/verify/save/load) is exercised directly, with a
 mutation sweep proving the digest catches every single-field tamper.
 The node layer is exercised through the real warm-up flow: a warmed,
 drained DpdkNode checkpoints, restores into a fresh node, and the
-restored node re-checkpoints to the identical digest.
+restored node re-checkpoints to the identical digest.  A fabric shares
+the node's checkpoint surface (:class:`repro.sim.checkpoint.Rig`), so
+its class repeats the refusal and identity cases on a fabric.
 """
 
 import json
-import os
 
 import pytest
 
@@ -232,3 +233,38 @@ class TestNodeCheckpoint:
         node.run_us(50.0)
         with pytest.raises(CheckpointError, match="not checkpoint-ready"):
             node.checkpoint()
+
+
+class TestFabricCheckpoint:
+    """The node's refusal and identity cases, on a fabric."""
+
+    @pytest.fixture(scope="class")
+    def warm_checkpoint(self):
+        from repro.harness.fabric import fabric_warm_start
+        from repro.system.presets import gem5_default
+
+        config = gem5_default()
+        spec = fabric_warm_start(config, "leaf-spine", "dpdk", seed=3)
+        fabric = spec.build()
+        spec.warm(fabric)
+        return config, fabric.checkpoint(extra_meta=spec.meta)
+
+    def test_restore_rejects_wrong_seed(self, warm_checkpoint):
+        from repro.harness.fabric import build_fabric_rig
+
+        config, doc = warm_checkpoint
+        assert doc["meta"]["app"] == "fabric"
+        fabric = build_fabric_rig(config, "leaf-spine", "dpdk", seed=4)
+        with pytest.raises(CheckpointError, match="seed"):
+            fabric.restore(doc)
+
+    def test_checkpoint_refused_while_traffic_is_live(self):
+        from repro.harness.fabric import build_fabric_rig
+        from repro.loadgen.flowgen import FlowGenConfig
+        from repro.system.presets import gem5_default
+
+        fabric = build_fabric_rig(gem5_default(), "leaf-spine", "dpdk")
+        fabric.generator.start(FlowGenConfig(load=0.3, n_flows=200))
+        fabric.run_us(5.0)
+        with pytest.raises(CheckpointError, match="not checkpoint-ready"):
+            fabric.checkpoint()

@@ -60,7 +60,7 @@ def _pipeline_warm_start(config) -> WarmStart:
         node.start()
         node.warmup_and_reset(plan)
 
-    return WarmStart(build, lambda node: "pipeline", warm,
+    return WarmStart(build, "pipeline", warm,
                      {"phase": "warmup", "packet_size": 256})
 
 
@@ -206,7 +206,7 @@ def test_restore_never_aliases_the_cached_document(tmp_path, rig, run):
     second = run(config, cache)
     assert cache.hits == 3 and cache.saves == 1
     assert dataclasses.asdict(first) == dataclasses.asdict(second)
-    doc = cache.get(spec.key(spec.build()))
+    doc = cache.get(spec.key)
     assert compute_digest(doc) == doc["digest"], \
         "a restored run wrote into the cached checkpoint document"
 

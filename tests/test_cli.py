@@ -132,6 +132,17 @@ class TestCheckpointCommands:
         assert list(tmp_path.glob("warmup-*.json")), \
             "--warmup-cache did not populate the cache"
 
+    def test_warmup_cache_env_default_populates_cache(self, capsys,
+                                                      tmp_path,
+                                                      monkeypatch):
+        """The CLI is the one reader of REPRO_WARMUP_CACHE: the default
+        of --warmup-cache."""
+        monkeypatch.setenv("REPRO_WARMUP_CACHE", str(tmp_path))
+        assert main(["run", "testpmd", "--size", "256", "--gbps", "2",
+                     "--packets", "300"]) == 0
+        assert list(tmp_path.glob("warmup-*.json")), \
+            "REPRO_WARMUP_CACHE did not populate the cache"
+
     def test_profile_prints_hotspots(self, capsys):
         assert main(["profile", "gem5", "--packets", "200",
                      "--top", "10"]) == 0
@@ -170,6 +181,42 @@ class TestBadInput:
             main(argv)
         assert exc.value.code == 2
         assert "comma-separated numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "testpmd", "--gbps", "0"],
+        ["run", "testpmd", "--size", "10"],
+        ["run", "testpmd", "--size", "1519"],
+        ["msb", "testpmd", "--max-gbps", "-1"],
+        ["sweep", "testpmd", "--rates", "-5"],
+        ["sweep", "testpmd", "--rates", "5,0"],
+        ["profile", "gem5", "--gbps", "nan"],
+        ["checkpoint", "save", "testpmd", "--size", "63", "-o", "x.ckpt"],
+        ["memcached", "--rps", "0"],
+        ["fabric", "run", "leaf-spine", "--load", "0"],
+        ["fabric", "sweep", "leaf-spine", "--loads", "0.2,-0.4"],
+        ["memcached", "--requests", "0"],
+    ])
+    def test_out_of_range_number_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "memcached_dpdk", "--gbps", "5"],
+        ["msb", "memcached_dpdk", "--max-gbps", "5"],
+        ["sweep", "memcached_kernel", "--rates", "5"],
+        ["profile", "gem5", "--app", "memcached_kernel"],
+    ])
+    def test_memcached_app_at_a_frame_rate_is_a_usage_error(self, argv,
+                                                            capsys):
+        """The memcached apps serve only memcached requests, through the
+        ``memcached`` command; a synthetic frame rate would report a
+        number for a run that served nothing."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_shard_count_that_does_not_divide_is_a_usage_error(self,
                                                                capsys):

@@ -31,8 +31,8 @@ import pytest
 
 from repro.harness.fabric import run_fabric
 from repro.harness.parallel import (
+    _WARM_STARTS,
     SweepExecutor,
-    _warm_signature,
     fabric_point,
 )
 from repro.harness.warmup_cache import WarmupCache
@@ -203,22 +203,23 @@ def _matrix_points(seed=0):
 
 
 def test_fabric_points_share_warm_signature_across_loads():
-    """The executor's parent prewarm treats fabric points like fixed-load
-    points: loads share one warm-up signature, patterns do not."""
+    """The executor's parent prewarm groups fabric points by the warm-up
+    key their runs look up, like fixed-load points: loads share one
+    key, host stacks do not."""
     a = fabric_point(gem5_default(), "fat-tree-k4", "dpdk", load=0.2)
     b = fabric_point(gem5_default(), "fat-tree-k4", "dpdk", load=0.8)
     c = fabric_point(gem5_default(), "fat-tree-k4", "kernel", load=0.2)
-    assert _warm_signature(a) is not None
-    assert _warm_signature(a) == _warm_signature(b)
-    assert _warm_signature(a) != _warm_signature(c)
+    key_a, key_b, key_c = (_WARM_STARTS["fabric"](point).key
+                           for point in (a, b, c))
+    assert isinstance(key_a, str) and len(key_a) == 64
+    assert key_a == key_b
+    assert key_a != key_c
 
 
 def test_fabric_sweep_parallel_matches_serial():
-    """jobs=2 (with the auto-provisioned ephemeral warm-up cache, since
-    no REPRO_WARMUP_CACHE is set) returns bit-identical results to the
-    serial reference path."""
-    assert not os.environ.get("REPRO_WARMUP_CACHE"), \
-        "test requires the ephemeral-provisioning path"
+    """jobs=2 (with the executor's temporary warm-up cache, since no
+    warm-up cache directory is given) returns bit-identical results to
+    the serial reference path."""
     points = _matrix_points()
     serial = SweepExecutor(jobs=1).run(points)
     parallel = SweepExecutor(jobs=2, timeout_s=120.0).run(points)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness import runner
 from repro.harness.msb import MsbResult, bandwidth_sweep, find_msb
 from repro.harness.report import format_series, format_table
 from repro.harness.runner import (
@@ -58,6 +59,31 @@ class TestFixedLoad:
                                 n_packets=500)
         # 15.6 Mpps at 64B is ~8 Gbps: the client cannot offer 60.
         assert result.offered_gbps == pytest.approx(8.0, rel=0.05)
+
+    @staticmethod
+    def _forbid_builds(monkeypatch):
+        def build_node(*args, **kwargs):
+            raise AssertionError("a refused run built a node")
+        monkeypatch.setattr(runner, "build_node", build_node)
+
+    @pytest.mark.parametrize("app", ["memcached_dpdk", "memcached_kernel"])
+    def test_memcached_apps_refused_before_any_build(self, app,
+                                                     monkeypatch):
+        """They absorb synthetic frames, so a fixed-rate run (or an MSB
+        search made of them) would report a number for a run that
+        served nothing."""
+        self._forbid_builds(monkeypatch)
+        with pytest.raises(ValueError, match="run_memcached"):
+            run_fixed_load(gem5_default(), app, 256, 5.0)
+        with pytest.raises(ValueError, match="run_memcached"):
+            find_msb(gem5_default(), app, 256, max_gbps=5.0)
+
+    @pytest.mark.parametrize("size,gbps", [(10, 5.0), (256, 0.0)])
+    def test_bad_size_or_rate_fails_before_the_warm_up(self, size, gbps,
+                                                       monkeypatch):
+        self._forbid_builds(monkeypatch)
+        with pytest.raises(ValueError):
+            run_fixed_load(gem5_default(), "testpmd", size, gbps)
 
 
 class TestMsb:

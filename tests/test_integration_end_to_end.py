@@ -84,6 +84,18 @@ class TestDualMode:
         assert result.loadgen_responses >= 380
         assert result.speedup_fraction > 0.0
 
+    def test_drive_node_keys_are_distinct_zipf_sized(self):
+        """The simulated Drive Node sends the paper's keys: unique, with
+        Zipf lengths from 10 to 100 bytes (the stream seeded as in
+        ``run_dual_mode_comparison``'s default seed 7)."""
+        from repro.sim.rng import DeterministicRng
+        from repro.system.dual_mode import _ClientWorkload
+
+        keys = _ClientWorkload(DeterministicRng(7).fork("client.workload")).keys
+        assert len(set(keys)) == len(keys) == 512
+        assert all(10 <= len(key) <= 100 for key in keys)
+        assert max(len(key) for key in keys) > 12
+
 
 class TestDeterminism:
     def test_same_seed_same_results(self):

@@ -379,7 +379,7 @@ class TestWorkerWarmRestore:
         impostor.warm(impostor_node)
         impostor_app = impostor_node.checkpoint()["meta"]["app"]
         target = fixed_load_warm_start(config, "testpmd", 256, seed=seed)
-        key = target.key(target.build())
+        key = target.key
         cache.put(key, impostor_node.checkpoint())
 
         ex = SweepExecutor(jobs=2, timeout_s=120.0,

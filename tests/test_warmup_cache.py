@@ -27,12 +27,7 @@ from repro.harness.runner import (
     fixed_load_warm_start,
     run_fixed_load,
 )
-from repro.harness.warmup_cache import (
-    WARMUP_CACHE_ENV,
-    WarmupCache,
-    warmup_cache_from_env,
-    warmup_key,
-)
+from repro.harness.warmup_cache import WarmupCache, prewarm, warmup_key
 from repro.sim.checkpoint import CHECKPOINT_FORMAT, compute_digest
 from repro.system.presets import gem5_default, with_core
 
@@ -186,7 +181,7 @@ class TestCorruptionRecovery:
         node = impostor.build()
         impostor.warm(node)
         target = fixed_load_warm_start(config, "testpmd", 256)
-        key = target.key(target.build())
+        key = target.key
         cache.put(key, node.checkpoint())
 
         result = _reference(config, warmup_cache=cache)
@@ -198,33 +193,31 @@ class TestCorruptionRecovery:
 
 
 class TestEnvironmentPlumbing:
-    def test_from_env_unset_is_none(self, monkeypatch):
-        monkeypatch.delenv(WARMUP_CACHE_ENV, raising=False)
-        assert warmup_cache_from_env() is None
+    """Only the CLI reads ``REPRO_WARMUP_CACHE`` (as the default of
+    ``--warmup-cache``); a library run uses the cache it is passed."""
 
-    def test_from_env_points_at_directory(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(WARMUP_CACHE_ENV, str(tmp_path / "warm"))
-        cache = warmup_cache_from_env()
-        assert cache is not None
-        assert cache.root == tmp_path / "warm"
-        assert cache.root.is_dir()
+    def test_runner_ignores_the_env_variable(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_WARMUP_CACHE", str(tmp_path))
+        _reference(gem5_default())
+        assert list(tmp_path.iterdir()) == [], \
+            "a run without a cache wrote to REPRO_WARMUP_CACHE"
 
-    def test_runner_picks_up_env_cache(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(WARMUP_CACHE_ENV, str(tmp_path))
-        config = gem5_default()
-        expected = _reference(config)
-        assert _reference(config) == expected
-        assert list(tmp_path.glob("warmup-*.json")), \
-            "runner ignored REPRO_WARMUP_CACHE"
+    def test_serial_executor_ignores_the_env_variable(self, monkeypatch,
+                                                      tmp_path):
+        monkeypatch.setenv("REPRO_WARMUP_CACHE", str(tmp_path))
+        SweepExecutor(jobs=1).run([fixed_load_point(
+            gem5_default(), "testpmd", 256, 8.0, n_packets=600)])
+        assert list(tmp_path.iterdir()) == [], \
+            "an executor without a cache wrote to REPRO_WARMUP_CACHE"
 
     def test_executor_exports_and_restores_env(self, monkeypatch,
                                                tmp_path):
-        monkeypatch.delenv(WARMUP_CACHE_ENV, raising=False)
+        monkeypatch.delenv("REPRO_WARMUP_CACHE", raising=False)
         ex = SweepExecutor(jobs=1, warmup_cache_dir=tmp_path)
         point = fixed_load_point(gem5_default(), "testpmd", 256, 8.0,
                                  n_packets=600)
         with_cache = ex.run([point])[0]
-        assert os.environ.get(WARMUP_CACHE_ENV) is None, \
+        assert os.environ.get("REPRO_WARMUP_CACHE") is None, \
             "executor leaked REPRO_WARMUP_CACHE"
         assert list(tmp_path.glob("warmup-*.json"))
         plain = SweepExecutor(jobs=1).run([point])[0]
@@ -261,22 +254,29 @@ class TestPrewarmRunKeyContract:
     re-simulates its warm-up instead of restoring it."""
 
     @pytest.mark.parametrize("kind", sorted(CONTRACT_POINTS))
-    def test_run_restores_the_prewarmed_snapshot(self, kind, monkeypatch,
-                                                 tmp_path):
+    def test_run_restores_the_prewarmed_snapshot(self, kind, tmp_path):
         point = CONTRACT_POINTS[kind](gem5_default())
-        monkeypatch.delenv(WARMUP_CACHE_ENV, raising=False)
         cold = dataclasses.asdict(execute_point(point))
 
-        monkeypatch.setenv(WARMUP_CACHE_ENV, str(tmp_path))
-        assert prewarm_point(point) is True
+        cache = WarmupCache(tmp_path)
+        assert prewarm_point(point, cache) is True
         entries = sorted(tmp_path.glob("warmup-*.json"))
         assert len(entries) == 1
-        assert prewarm_point(point) is False
+        assert prewarm_point(point, cache) is False
 
-        cache = warmup_cache_from_env()
         saves, hits = cache.saves, cache.hits
-        warm = dataclasses.asdict(execute_point(point))
+        warm = dataclasses.asdict(execute_point(point, cache))
         assert sorted(tmp_path.glob("warmup-*.json")) == entries
         assert cache.saves == saves, "the run simulated its own warm-up"
         assert cache.hits == hits + 1
         assert warm == cold
+
+    def test_a_prewarm_hit_builds_nothing(self, tmp_path):
+        cache = WarmupCache(tmp_path)
+        spec = fixed_load_warm_start(gem5_default(), "testpmd", 256)
+        assert prewarm(spec, cache) is True
+
+        def build():
+            raise AssertionError("a prewarm that hit the cache built a rig")
+
+        assert prewarm(dataclasses.replace(spec, build=build), cache) is False
