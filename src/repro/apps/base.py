@@ -199,20 +199,12 @@ class DpdkApp(Stateful, SimObject):
         """Produce the outgoing packet for ``frame`` (None = drop)."""
         return frame.packet
 
-    def on_stats_reset(self) -> None:
-        """Clear measurement counters after a stats reset."""
-        self.packets_processed = 0
-        self.packets_forwarded = 0
-        self.packets_dropped_by_app = 0
-        self.tx_ring_drops = 0
-        self.bursts = 0
+    # -- measurement and checkpoint support --------------------------------
 
-    # -- checkpoint support ------------------------------------------------
-
-    state_fields = ("_idle", "_running", "packets_processed",
-                    "packets_forwarded", "packets_dropped_by_app",
-                    "tx_ring_drops", "bursts", "total_processed",
-                    "total_forwarded", "total_absorbed")
+    measured_fields = ("packets_processed", "packets_forwarded",
+                       "packets_dropped_by_app", "tx_ring_drops", "bursts")
+    state_fields = ("_idle", "_running", "total_processed",
+                    "total_forwarded", "total_absorbed") + measured_fields
 
     def serialize_state(self) -> dict:
         if self._holding:
@@ -317,15 +309,11 @@ class KernelNetApp(Stateful, SimObject):
         """Application-level processing; returns extra nanoseconds."""
         return 0.0
 
-    def on_stats_reset(self) -> None:
-        """Clear measurement counters after a stats reset."""
-        self.packets_processed = 0
-        self.interrupts = 0
+    # -- measurement and checkpoint support --------------------------------
 
-    # -- checkpoint support ------------------------------------------------
-
-    state_fields = ("_processing", "packets_processed", "interrupts",
-                    "total_processed", "total_responses")
+    measured_fields = ("packets_processed", "interrupts")
+    state_fields = ("_processing", "total_processed",
+                    "total_responses") + measured_fields
 
     def serialize_state(self) -> dict:
         if self._processing:

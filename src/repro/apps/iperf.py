@@ -58,12 +58,7 @@ class IperfServer(KernelNetApp):
             return 0.0
         return self.bytes_received * 8 * 1e12 / elapsed_ticks / 1e9
 
-    def on_stats_reset(self) -> None:
-        """Clear measurement counters after a stats reset."""
-        super().on_stats_reset()
-        self.bytes_received = 0
-        self.segments = 0
-        self.acks_sent = 0
-
+    measured_fields = KernelNetApp.measured_fields + (
+        "bytes_received", "segments", "acks_sent")
     state_fields = KernelNetApp.state_fields + (
         "bytes_received", "segments", "acks_sent")

@@ -82,11 +82,7 @@ class MemcachedKernel(KernelNetApp):
             self.total_responses += 1
         return app_ns
 
-    def on_stats_reset(self) -> None:
-        """Clear measurement counters after a stats reset."""
-        super().on_stats_reset()
-        self.requests_served = 0
-
+    measured_fields = KernelNetApp.measured_fields + ("requests_served",)
     # The store rides along with the app (see MemcachedDpdk).
     state_fields = KernelNetApp.state_fields + (
         "requests_served", "parse_errors", "store")

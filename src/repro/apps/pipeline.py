@@ -237,23 +237,16 @@ class PipelineForwarder(Stateful, SimObject):
         if self._running:
             self._worker_poll()
 
-    def on_stats_reset(self) -> None:
-        """Clear measurement counters after a stats reset."""
-        self.packets_received = 0
-        self.packets_processed = 0
-        self.packets_forwarded = 0
-        self.ring_full_drops = 0
-        self.tx_ring_drops = 0
+    # -- measurement and checkpoint support --------------------------------
 
-    # -- checkpoint support ------------------------------------------------
-
+    measured_fields = ("packets_received", "packets_processed",
+                       "packets_forwarded", "ring_full_drops",
+                       "tx_ring_drops")
     # Both stages' flags/counters plus the inter-core ring (which
     # enforces its own emptiness — queued frames are live packets).
     state_fields = ("_running", "_rx_idle", "_worker_idle",
-                    "packets_received", "packets_processed",
-                    "packets_forwarded", "ring_full_drops", "tx_ring_drops",
                     "total_processed", "total_forwarded", "total_absorbed",
-                    "ring")
+                    "ring") + measured_fields
 
     def serialize_state(self) -> dict:
         if self._holding:

@@ -57,7 +57,7 @@ import sys
 from typing import List, Optional
 
 from repro.harness.experiments import table1_configs
-from repro.harness.msb import bandwidth_sweep
+from repro.harness.msb import NO_MSB_APPS, bandwidth_sweep
 from repro.harness.parallel import (
     SweepExecutor,
     fabric_point,
@@ -82,10 +82,13 @@ PLATFORMS = {
     "gem5-baseline": gem5_baseline,
 }
 
-#: The apps a fixed-rate synthetic load can drive (``run``, ``msb``,
-#: ``sweep``, ``profile``); the memcached apps serve only memcached
-#: requests, through the ``memcached`` command.
+#: The apps a fixed-rate synthetic load can drive (``run``, ``sweep``,
+#: ``profile``); the memcached apps serve only memcached requests,
+#: through the ``memcached`` command.
 SYNTHETIC_APPS = sorted(set(APP_REGISTRY) - set(MEMCACHED_APPS))
+
+#: The synthetic apps ``msb`` can measure.
+MSB_APPS = sorted(set(SYNTHETIC_APPS) - set(NO_MSB_APPS))
 
 
 def _platform(name: str) -> SystemConfig:
@@ -114,6 +117,14 @@ def _positive_float(text: str) -> float:
     if not 0 < value < float("inf"):
         raise argparse.ArgumentTypeError(
             f"must be a positive number, got {text!r}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite non-negative number, got {text!r}")
     return value
 
 
@@ -495,9 +506,11 @@ def _cmd_profile(args) -> int:
     config = _platform(args.preset)
     profiler = cProfile.Profile()
     profiler.enable()
-    result = run_fixed_load(config, args.app, args.size, args.gbps,
-                            n_packets=args.packets, seed=args.seed)
-    profiler.disable()
+    try:
+        result = run_fixed_load(config, args.app, args.size, args.gbps,
+                                n_packets=args.packets, seed=args.seed)
+    finally:
+        profiler.disable()
 
     print(f"{args.app} {args.size}B @ {args.gbps:g} Gbps on "
           f"{result.label}: service {result.service_gbps:.2f} Gbps, "
@@ -529,15 +542,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "(ISPASS 2024 reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_app=True):
+    def common(p, apps=SYNTHETIC_APPS):
         """Attach the options shared by most subcommands."""
-        if with_app:
-            p.add_argument("app", choices=SYNTHETIC_APPS)
+        if apps is not None:
+            p.add_argument("app", choices=apps)
             p.add_argument("--size", type=_frame_size, default=256,
                            help="frame size in bytes incl. CRC")
-            p.add_argument("--proc-time-ns", type=float, default=None,
-                           dest="proc_time_ns",
-                           help="RXpTX processing interval")
+            p.add_argument("--proc-time-ns", type=_non_negative_float,
+                           default=None, dest="proc_time_ns",
+                           help="RXpTX processing interval (rxptx only)")
         p.add_argument("--platform", default="gem5",
                        choices=sorted(PLATFORMS))
         p.add_argument("--seed", type=int, default=0)
@@ -566,14 +579,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="one fixed-load run")
     common(p_run)
     p_run.add_argument("--gbps", type=_positive_float, default=10.0)
-    p_run.add_argument("--packets", type=int, default=2000)
+    p_run.add_argument("--packets", type=_positive_int, default=2000)
     p_run.add_argument("--trace", metavar="FILE", default=None,
                        help="export a structured event trace (JSONL) of "
                             "the run to FILE")
     p_run.set_defaults(func=_cmd_run)
 
     p_msb = sub.add_parser("msb", help="maximum sustainable bandwidth")
-    common(p_msb)
+    common(p_msb, apps=MSB_APPS)
     p_msb.add_argument("--max-gbps", type=_positive_float, default=70.0)
     p_msb.set_defaults(func=_cmd_msb)
 
@@ -582,11 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--rates", type=_positive_float_list,
                          default="5,15,25,35,45,55,65",
                          help="comma-separated offered rates in Gbps")
-    p_sweep.add_argument("--packets", type=int, default=1500)
+    p_sweep.add_argument("--packets", type=_positive_int, default=1500)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_mc = sub.add_parser("memcached", help="load a memcached server")
-    common(p_mc, with_app=False)
+    common(p_mc, apps=None)
     p_mc.add_argument("--kernel", action="store_true",
                       help="kernel-stack server (default: DPDK)")
     p_mc.add_argument("--rps", type=_positive_float, default=200_000.0)
@@ -667,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_frun = fab_sub.add_parser(
         "run", help="one open-loop flow run through a fabric")
     fabric_common(p_frun)
-    common(p_frun, with_app=False)
+    common(p_frun, apps=None)
     p_frun.add_argument("--switch-drops", action="store_true",
                         dest="switch_drops",
                         help="also print per-switch drop causes")
@@ -683,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsweep = fab_sub.add_parser(
         "sweep", help="FCT/drop curve over offered loads")
     fabric_common(p_fsweep)
-    common(p_fsweep, with_app=False)
+    common(p_fsweep, apps=None)
     p_fsweep.add_argument("--loads", type=_positive_float_list,
                           default="0.2,0.4,0.6,0.8",
                           help="comma-separated offered load fractions")
@@ -718,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--size", type=_frame_size, default=256,
                         help="frame size in bytes incl. CRC")
     p_prof.add_argument("--gbps", type=_positive_float, default=25.0)
-    p_prof.add_argument("--packets", type=int, default=600)
+    p_prof.add_argument("--packets", type=_positive_int, default=600)
     p_prof.add_argument("--seed", type=int, default=0)
     p_prof.add_argument("--top", type=_positive_int, default=25,
                         help="number of hotspot rows to print")
@@ -735,6 +748,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "proc_time_ns", None) is not None \
+            and args.app != "rxptx":
+        parser.error(f"--proc-time-ns is the RXpTX processing interval; "
+                     f"it applies only to rxptx, not {args.app}")
     _apply_diagnostics_env(args)
     return args.func(args)
 

@@ -167,23 +167,16 @@ class CoreModel(Stateful):
     def _time_work(self, work: Work, now_ns: float) -> float:
         raise NotImplementedError
 
-    def reset_counters(self) -> None:
-        """Zero the measurement counters."""
-        self.busy_ns = 0.0
-        self.work_units = 0
-        self.accesses = 0
-        self.l1_hits = 0
-        self.prefetch_covered = 0
+    # -- measurement and checkpoint support ----------------------------------
 
-    # -- checkpoint support --------------------------------------------------
-
-    state_fields = ("busy_ns", "work_units", "accesses", "l1_hits",
-                    "prefetch_covered")
+    measured_fields = ("busy_ns", "work_units", "accesses", "l1_hits",
+                       "prefetch_covered")
+    state_fields = measured_fields
 
     def invariant_failures(self):
         """Core accounting sanity; a list of messages, empty when OK.
-        All counters here reset together in ``reset_counters`` so their
-        relations hold at any instant."""
+        All counters here are measured fields, reset together by
+        ``reset_measurement``, so their relations hold at any instant."""
         fails = []
         if self.busy_ns < 0:
             fails.append(f"negative busy time {self.busy_ns}ns")

@@ -25,6 +25,9 @@ from repro.system.config import SystemConfig
 DROP_THRESHOLD = 0.01
 REFINE_OVERLOAD = 1.2
 
+#: Apps that forward no frame, so they have no MSB to search for.
+NO_MSB_APPS = ("touchdrop",)
+
 
 def _saturation_warmup_us(config: SystemConfig) -> float:
     """Warm-up for saturation runs: the first packet only reaches the node
@@ -75,10 +78,10 @@ def find_msb(config: SystemConfig, app_name: str, packet_size: int,
              warmup_cache: Optional[WarmupCache] = None) -> MsbResult:
     """Two-run saturation measurement of the MSB; both probes warm up
     through ``warmup_cache`` when one is given."""
-    if app_name == "touchdrop":
+    if app_name in NO_MSB_APPS:
         raise ValueError(
-            "MSB is undefined for TouchDrop (drop rate is always 100%; "
-            "the paper excludes it for the same reason, §VII)")
+            f"MSB is undefined for {app_name}: its drop rate is always "
+            f"100% (the paper excludes TouchDrop for the same reason, §VII)")
     max_gbps = _clamped_ceiling(config, packet_size, max_gbps)
     curve: List[Tuple[float, float]] = []
 

@@ -443,29 +443,28 @@ class EtherLoadGen(Stateful, SimObject):
                 break
         return best
 
-    def on_stats_reset(self) -> None:
-        """Clear measurement counters after a stats reset."""
-        self.latency.reset()
-        self.tx_packets = 0
-        self.tx_bytes = 0
-        self.rx_packets = 0
-        self.rx_bytes = 0
+    # -- measurement and checkpoint support --------------------------------
+
+    measured_fields = ("tx_packets", "tx_bytes", "rx_packets", "rx_bytes",
+                       "latency")
+
+    def reset_measurement(self) -> None:
+        """Also forget the window's first/last send and start a new
+        epoch, so responses to earlier sends count as stale."""
+        super().reset_measurement()
         self.first_tx_tick = None
         self.last_tx_tick = None
         self._epoch += 1
-
-    # -- checkpoint support ------------------------------------------------
 
     # Counters, epoch, and sequence state.  The generator must be stopped:
     # mode configs and the inter-arrival sampler are rebuilt by the next
     # ``start_*`` call, so an in-progress generation phase cannot be
     # captured faithfully.
     state_fields = ("_seq", "_epoch", "stale_rx", "total_tx_packets",
-                    "total_rx_packets", "tx_packets", "tx_bytes",
-                    "rx_packets", "rx_bytes", "first_tx_tick",
-                    "last_tx_tick", "_remaining", "_trace_index",
-                    "_trace_base_tick", "_ramp_step", "_step_sent",
-                    "_step_received", "latency", "port")
+                    "total_rx_packets", "first_tx_tick", "last_tx_tick",
+                    "_remaining", "_trace_index", "_trace_base_tick",
+                    "_ramp_step", "_step_sent", "_step_received",
+                    "port") + measured_fields
 
     def serialize_state(self) -> dict:
         if self._sending or self._send_event.scheduled:

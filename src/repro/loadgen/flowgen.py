@@ -499,12 +499,9 @@ class FlowTrafficGenerator(Stateful, SimObject):
         return flow_digest_from(self._window_started,
                                 (r.as_tuple() for r in self._records))
 
-    def on_stats_reset(self) -> None:
-        self._records = []
-        self._window_started = 0
+    # -- measurement and checkpoint support ----------------------------------
 
-    # -- checkpoint support --------------------------------------------------
-
+    measured_fields = ("_records", "_window_started")
     state_fields = ("_starts", "_next_flow_id", "_window_started")
 
     def serialize_state(self) -> dict:

@@ -40,11 +40,7 @@ class LatencyTracker(Stateful):
         """The statistics-file summary (mean/median/stddev/tails)."""
         return self.rtt_us.summary()
 
-    def reset(self) -> None:
-        """Reset to the initial (empty) state."""
-        self.rtt_us.reset()
-        self.histogram.reset()
+    # -- measurement and checkpoint support --------------------------------
 
-    # -- checkpoint support ------------------------------------------------
-
-    state_fields = ("rtt_us", "histogram")
+    measured_fields = ("rtt_us", "histogram")
+    state_fields = measured_fields

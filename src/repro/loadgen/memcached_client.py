@@ -175,18 +175,6 @@ class MemcachedClient(Stateful, SimObject):
             self.sim.rng.fork(f"{self.name}.warmup"))
         self.schedule(self._send_event, max(when, self.now))
 
-    def reset_measurements(self) -> None:
-        """Clear measured counters/latency after a warm-up phase."""
-        self.latency.reset()
-        self.requests_sent = 0
-        self.responses_received = 0
-        self.get_hits = 0
-        self.get_misses = 0
-        self.sets_acked = 0
-        self.first_tx_tick = None
-        self.last_tx_tick = None
-        self._sent = 0
-
     def stop(self) -> None:
         """Stop operation; pending events are cancelled."""
         self._sending = False
@@ -285,8 +273,17 @@ class MemcachedClient(Stateful, SimObject):
         return self.requests_sent * TICKS_PER_SEC / elapsed
 
     # ------------------------------------------------------------------
-    # Checkpoint support
+    # Measurement and checkpoint support
     # ------------------------------------------------------------------
+
+    measured_fields = ("latency", "requests_sent", "responses_received",
+                       "get_hits", "get_misses", "sets_acked", "_sent")
+
+    def reset_measurement(self) -> None:
+        """Also forget the window's first/last send."""
+        super().reset_measurement()
+        self.first_tx_tick = None
+        self.last_tx_tick = None
 
     # Workload-RNG position, outstanding-request map, and counters.  The
     # key/value tables themselves are NOT serialized: they are a pure
@@ -294,10 +291,9 @@ class MemcachedClient(Stateful, SimObject):
     # rebuilds them in ``__init__`` and only the RNG is repositioned.  The
     # client must be stopped (the inter-arrival sampler is rebuilt by the
     # next ``start``/``run_warmup`` call).
-    state_fields = ("_workload_rng", "_next_request_id", "_sent",
-                    "_warm_remaining", "requests_sent", "responses_received",
-                    "get_hits", "get_misses", "sets_acked", "first_tx_tick",
-                    "last_tx_tick", "latency", "port")
+    state_fields = ("_workload_rng", "_next_request_id", "_warm_remaining",
+                    "first_tx_tick", "last_tx_tick",
+                    "port") + measured_fields
 
     def serialize_state(self) -> dict:
         if self._sending or self._send_event.scheduled:

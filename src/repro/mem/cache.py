@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.sim.checkpoint import Stateful
+
 CORE_PARTITION = "core"
 IO_PARTITION = "io"
 
@@ -48,7 +50,7 @@ class CacheConfig:
         return self.size // (self.assoc * self.line_size)
 
 
-class SetAssocCache:
+class SetAssocCache(Stateful):
     """An LRU set-associative cache over line addresses.
 
     Sets are plain dicts used as ordered LRU lists (oldest first); a lookup
@@ -252,12 +254,6 @@ class SetAssocCache:
         total = self.accesses
         return self.misses / total if total else 0.0
 
-    def reset_counters(self) -> None:
-        """Zero the measurement counters."""
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
     def occupancy(self) -> int:
         """Number of resident lines."""
         total = sum(len(s) for s in self._core_sets)
@@ -265,7 +261,9 @@ class SetAssocCache:
             total += sum(len(s) for s in self._io_sets)
         return total
 
-    # -- checkpoint support --------------------------------------------------
+    # -- measurement and checkpoint support ----------------------------------
+
+    measured_fields = ("hits", "misses", "evictions")
 
     def serialize_state(self) -> dict:
         """Tags per set in LRU order (oldest first) plus counters; the

@@ -119,18 +119,11 @@ class DramModel(Stateful):
         """Aggregate channel bandwidth."""
         return self.config.channels * self.config.channel_bw_bytes_per_ns
 
-    def reset_counters(self) -> None:
-        """Zero the measurement counters."""
-        self.row_hits = 0
-        self.row_misses = 0
-        self.reads = 0
-        self.writes = 0
-        self.busy_ns = 0.0
+    # -- measurement and checkpoint support ----------------------------------
 
-    # -- checkpoint support --------------------------------------------------
-
-    state_fields = ("_open_rows", "_channel_free_at", "row_hits",
-                    "row_misses", "reads", "writes", "busy_ns")
+    measured_fields = ("row_hits", "row_misses", "reads", "writes",
+                       "busy_ns")
+    state_fields = ("_open_rows", "_channel_free_at") + measured_fields
 
     def deserialize_state(self, state: dict) -> None:
         if len(state["open_rows"]) != self.config.channels:

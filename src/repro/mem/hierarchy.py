@@ -247,27 +247,19 @@ class MemoryHierarchy(Stateful):
         """Core-side LLC miss rate (Fig 13's right axis)."""
         return self.llc.miss_rate
 
-    def reset_counters(self) -> None:
-        """Zero the measurement counters."""
-        for cache in (self.l1i, self.l1d, self.l2, self.llc):
-            cache.reset_counters()
-        self.dram.reset_counters()
-        self.dma_lines_written = 0
-        self.dma_lines_read = 0
-        self.dma_llc_hits = 0
-        self.dma_leaked_lines = 0
-
     # ------------------------------------------------------------------
-    # Checkpoint support
+    # Measurement and checkpoint support
     # ------------------------------------------------------------------
 
-    state_fields = ("l1i", "l1d", "l2", "llc", "dram", "dma_lines_written",
-                    "dma_lines_read", "dma_llc_hits", "dma_leaked_lines")
+    measured_fields = ("l1i", "l1d", "l2", "llc", "dram",
+                       "dma_lines_written", "dma_lines_read",
+                       "dma_llc_hits", "dma_leaked_lines")
+    state_fields = measured_fields
 
     def invariant_failures(self):
         """DMA-side accounting sanity; a list of messages, empty when OK.
-        These counters all reset together in ``reset_counters`` so their
-        relations hold at any instant."""
+        These counters are all measured fields, reset together by
+        ``reset_measurement``, so their relations hold at any instant."""
         fails = []
         for label, value in (("dma_lines_written", self.dma_lines_written),
                              ("dma_lines_read", self.dma_lines_read),

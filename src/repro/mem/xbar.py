@@ -67,14 +67,10 @@ class BandwidthServer(Stateful):
         busy = self.occupancy_ticks(self.bytes_moved)
         return min(1.0, busy / elapsed_ticks)
 
-    def reset_counters(self) -> None:
-        """Zero the measurement counters."""
-        self.bytes_moved = 0
-        self.transfers = 0
+    # -- measurement and checkpoint support ----------------------------------
 
-    # -- checkpoint support --------------------------------------------------
-
-    state_fields = ("_free_at", "bytes_moved", "transfers")
+    measured_fields = ("bytes_moved", "transfers")
+    state_fields = ("_free_at",) + measured_fields
 
     def __repr__(self) -> str:
         gbps = self.bytes_per_sec * 8 / 1e9

@@ -184,21 +184,12 @@ class DmaEngine(Stateful):
         self._rx_busy_until = start + busy_ticks
         return self._rx_busy_until + self.iobus_rx.latency_ticks
 
-    def reset_counters(self) -> None:
-        """Zero the measurement counters."""
-        self.packets_written = 0
-        self.packets_read = 0
-        self.bytes_written = 0
-        self.bytes_read = 0
-        self.lines_written = 0
-        self.lines_read = 0
-        self.desc_lines_written = 0
+    # -- measurement and checkpoint support ----------------------------------
 
-    # -- checkpoint support --------------------------------------------------
-
-    state_fields = ("_rx_busy_until", "_tx_busy_until", "packets_written",
-                    "packets_read", "bytes_written", "bytes_read",
-                    "lines_written", "lines_read", "desc_lines_written")
+    measured_fields = ("packets_written", "packets_read", "bytes_written",
+                       "bytes_read", "lines_written", "lines_read",
+                       "desc_lines_written")
+    state_fields = ("_rx_busy_until", "_tx_busy_until") + measured_fields
 
     def invariant_failures(self):
         """Byte/line conservation between this engine and the memory
@@ -206,7 +197,8 @@ class DmaEngine(Stateful):
 
         Holds exactly only when this engine is the hierarchy's sole DMA
         client and both sides' counters were reset back-to-back — the
-        node's ``reset_measurement`` guarantees that adjacency.
+        rig's one ``reset_measurement`` walk resets every component of
+        the topology together.
         """
         fails = []
         h = self.hierarchy

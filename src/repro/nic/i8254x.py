@@ -524,15 +524,11 @@ class I8254xNic(Stateful, SimObject, PciDevice):
         if self._rx_work_ready():
             self._kick_service()
 
-    def on_stats_reset(self) -> None:
-        """Clear measurement counters after a stats reset."""
-        self.drop_fsm.reset()
-        self.rx_fifo.rejected = 0
-        self.stat_wire_rx.reset()
+    # ------------------------------------------------------------------
+    # Measurement and checkpoint support
+    # ------------------------------------------------------------------
 
-    # ------------------------------------------------------------------
-    # Checkpoint support
-    # ------------------------------------------------------------------
+    measured_fields = ("drop_fsm", "rx_fifo.rejected")
 
     # Register file, interrupt/ITR state, lifetime counters, and the
     # nested FIFO/ring/FSM state.  The nested serializers raise if any

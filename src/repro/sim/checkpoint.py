@@ -116,11 +116,31 @@ class Stateful:
     A subclass extends its parent's tuple.  A component that must refuse
     to checkpoint while it holds packets overrides ``serialize_state``
     with only that check, then calls ``super().serialize_state()``.
+
+    ``measured_fields`` lists the counters a measurement window covers
+    the same way; :meth:`reset_measurement` resets them after warm-up.
     """
 
     __slots__ = ()
 
     state_fields: Tuple[str, ...] = ()
+    measured_fields: Tuple[str, ...] = ()
+
+    def reset_measurement(self) -> None:
+        """Start a new measurement window: a measured field that is
+        itself :class:`Stateful` resets through its own
+        ``reset_measurement()``, one with a ``reset()`` method (a stats
+        distribution, the drop FSM) through that, and any other value
+        becomes the zero of its type (``0``, ``0.0``, ``[]``)."""
+        for path in self.measured_fields:
+            owner, attr = _owner(self, path)
+            value = getattr(owner, attr)
+            if isinstance(value, Stateful):
+                value.reset_measurement()
+            elif callable(getattr(value, "reset", None)):
+                value.reset()
+            else:
+                setattr(owner, attr, type(value)())
 
     def serialize_state(self) -> dict:
         state = {}
@@ -259,8 +279,8 @@ class Rig:
     A subclass supplies ``label``, ``identity_app`` (the application a
     checkpoint records), ``quiescent()`` (no packet anywhere in the
     datapath) and ``sources_active()`` (a traffic source still
-    offering load); readiness, checkpoint, restore and the identity
-    they check are defined here once.
+    offering load); readiness, checkpoint, restore, the identity they
+    check and the measurement reset are defined here once.
     """
 
     def validate_wiring(self) -> None:
@@ -272,8 +292,14 @@ class Rig:
         return self.topology.to_dot()
 
     def reset_measurement(self) -> None:
-        """Reset every measurement counter."""
-        self.sim.reset_stats()
+        """Reset the stats registry, then the measured fields of every
+        topology component: related counters (the DMA engine and the
+        hierarchy, the NIC's stats and drop FSM) reset at one instant."""
+        self.sim.stats.reset()
+        for _label, component in self.topology.components():
+            reset = getattr(component, "reset_measurement", None)
+            if reset is not None:
+                reset()
 
     def _checkpoint_ready(self) -> bool:
         """Quiescent datapath, idle traffic sources, and every pending

@@ -9,7 +9,7 @@ translate one-to-one.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.sim.event_queue import Event, EventQueue
 from repro.sim.invariants import InvariantRegistry
@@ -85,20 +85,10 @@ class Simulation:
         """Look up a SimObject by name."""
         return self._objects[name]
 
-    def objects(self) -> List["SimObject"]:
-        """All registered SimObjects."""
-        return list(self._objects.values())
-
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None) -> int:
         """Run the event loop; see :meth:`EventQueue.run`."""
         return self.events.run(until=until, max_events=max_events)
-
-    def reset_stats(self) -> None:
-        """gem5-style stats reset after warm-up."""
-        self.stats.reset()
-        for obj in self._objects.values():
-            obj.on_stats_reset()
 
     # -- checkpoint support ------------------------------------------------
 
@@ -219,10 +209,6 @@ class SimObject:
         if tracer.enabled:
             tracer.record(self.sim.events.now, self.name, category, event,
                           fields or None)
-
-    def on_stats_reset(self) -> None:
-        """Hook invoked by Simulation.reset_stats; override to clear any
-        measurement state kept outside the stats framework."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"

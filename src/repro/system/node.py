@@ -75,8 +75,9 @@ class _BaseNode(Rig):
     :func:`~repro.system.topology.build_platform` builder; this class
     keeps the flat attribute API (``node.core``, ``node.nic``, ...) the
     harness and tests use, while ``node.topology`` holds the typed
-    wiring graph for validation and rendering.  Checkpoint, restore and
-    the wiring helpers come from :class:`~repro.sim.checkpoint.Rig`.
+    wiring graph for validation and rendering.  Checkpoint, restore, the
+    measurement reset and the wiring helpers come from
+    :class:`~repro.sim.checkpoint.Rig`.
     """
 
     def __init__(self, config: SystemConfig, seed: int = 0) -> None:
@@ -268,8 +269,6 @@ class _BaseNode(Rig):
         self.drain_to_quiescence(chunk_us=plan.drain_chunk_us,
                                  max_chunks=plan.max_drain_chunks)
         self.reset_measurement()
-        if self.memcached_client is not None:
-            self.memcached_client.reset_measurements()
 
     def drain_to_quiescence(self, chunk_us: float = 200.0,
                             max_chunks: int = 400) -> None:
@@ -284,20 +283,6 @@ class _BaseNode(Rig):
         raise CheckpointError(
             f"{self.config.label}: node failed to reach quiescence after "
             f"{max_chunks} drain chunks of {chunk_us}us")
-
-    def reset_measurement(self) -> None:
-        """Reset every measurement counter in one place.  The counters
-        form co-reset groups (NIC stats + drop FSM, DMA engine + memory
-        hierarchy, ...) whose invariants only hold when the whole group
-        resets atomically — resetting a subset would trip the checker."""
-        self.sim.reset_stats()
-        self.hierarchy.reset_counters()
-        self.core.reset_counters()
-        worker = getattr(self, "worker_core", None)
-        if worker is not None:
-            worker.reset_counters()
-        self.dma.reset_counters()
-        self.iobus.reset_counters()
 
 
 class DpdkNode(_BaseNode):

@@ -136,5 +136,5 @@ class TestAppLifecycle:
 
     def test_stats_reset_clears_app_counters(self):
         node, _loadgen = run_app(PmdApp, count=60)
-        node.sim.reset_stats()
+        node.reset_measurement()
         assert node.app.packets_processed == 0

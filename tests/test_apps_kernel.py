@@ -92,6 +92,6 @@ class TestMemcachedKernel:
         client.preload(store)
         client.start()
         node.run_us(3000.0)
-        node.sim.reset_stats()
+        node.reset_measurement()
         assert node.app.requests_served == 0
         assert node.app.packets_processed == 0

@@ -54,7 +54,7 @@ class TestPipelineMode:
 
     def test_stats_reset(self):
         node, _loadgen = build_pipeline()
-        node.sim.reset_stats()
+        node.reset_measurement()
         assert node.app.packets_processed == 0
 
 

@@ -30,6 +30,7 @@ from repro.harness.runner import (
 )
 from repro.harness.warmup_cache import WarmStart, WarmupCache, prewarm
 from repro.loadgen.flowgen import FlowGenConfig
+from repro.nic.drop_fsm import DropClassifier
 from repro.sim.channel import ChannelGroup, InProcessCoupler
 from repro.sim.checkpoint import (
     CheckpointError,
@@ -38,6 +39,7 @@ from repro.sim.checkpoint import (
     compute_digest,
     state_key,
 )
+from repro.sim.stats import Distribution, Histogram
 from repro.sim.ticks import us_to_ticks
 from repro.system.node import DpdkNode
 from repro.system.presets import gem5_default
@@ -114,6 +116,39 @@ def test_warm_up_checkpoint_matches_golden(warmed, name):
     golden = json.loads(GOLDEN.read_text())
     assert rig.checkpoint(extra_meta=spec.meta)["digest"] == golden[name], \
         f"{name}: the warm-up checkpoint bytes changed"
+
+
+def _measured_values(component, prefix):
+    """(path, value) of every measured field of ``component``, with the
+    measured fields of a nested :class:`Stateful` expanded in place."""
+    for path in getattr(component, "measured_fields", ()):
+        value = component
+        for name in path.split("."):
+            value = getattr(value, name)
+        if isinstance(value, Stateful):
+            yield from _measured_values(value, f"{prefix}.{path}")
+        else:
+            yield f"{prefix}.{path}", value
+
+
+def _reads_zero(value) -> bool:
+    if isinstance(value, (Distribution, Histogram)):
+        return value.count == 0
+    if isinstance(value, DropClassifier):
+        return value.total_drops == 0 and value.transitions == 0
+    return not value
+
+
+@pytest.mark.parametrize("name", sorted(RIGS))
+def test_warm_up_zeroes_every_measured_field(warmed, name):
+    """The rig's one reset walk reaches every topology component: after
+    warm-up no measured counter still holds warm-up traffic."""
+    _spec, rig = warmed(name)
+    values = [item for label, component in rig.topology.components()
+              for item in _measured_values(component, label)]
+    assert values, f"{name}: no component declares measured fields"
+    assert [(path, value) for path, value in values
+            if not _reads_zero(value)] == []
 
 
 # ----------------------------------------------------------------------

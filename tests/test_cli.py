@@ -168,6 +168,41 @@ class TestCheckpointCommands:
         with pytest.raises(SystemExit):
             main(["profile", "firesim"])
 
+    def test_profile_run_that_raises_leaves_no_profiler(self, monkeypatch):
+        """A failed run must not leave cProfile installed: the rest of
+        the process would be profiled, and the next ``profile`` call
+        could not install its own profiler."""
+        import cProfile
+        import sys
+
+        from repro.harness import runner
+
+        made = []
+        real_profile = cProfile.Profile
+
+        class RecordedProfile(real_profile):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        def failing_run(*args, **kwargs):
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(cProfile, "Profile", RecordedProfile)
+        monkeypatch.setattr(runner, "run_fixed_load", failing_run)
+        try:
+            with pytest.raises(RuntimeError, match="run failed"):
+                main(["profile", "gem5", "--packets", "50"])
+            left_installed = sys.getprofile()
+            fresh = real_profile()
+            fresh.enable()
+            fresh.disable()
+        finally:
+            for profiler in made:
+                profiler.disable()
+        assert made, "the profile command made no profiler"
+        assert left_installed is None
+
 
 class TestBadInput:
     """Malformed arguments are usage errors (exit 2), not tracebacks."""
@@ -195,6 +230,10 @@ class TestBadInput:
         ["fabric", "run", "leaf-spine", "--load", "0"],
         ["fabric", "sweep", "leaf-spine", "--loads", "0.2,-0.4"],
         ["memcached", "--requests", "0"],
+        ["run", "rxptx", "--proc-time-ns", "-100"],
+        ["sweep", "rxptx", "--proc-time-ns", "nan"],
+        ["run", "testpmd", "--packets", "0"],
+        ["profile", "gem5", "--packets", "-5"],
     ])
     def test_out_of_range_number_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -217,6 +256,23 @@ class TestBadInput:
             main(argv)
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_msb_of_touchdrop_is_a_usage_error(self, capsys):
+        """TouchDrop drops every frame, so it has no MSB to search for."""
+        with pytest.raises(SystemExit) as exc:
+            main(["msb", "touchdrop"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_proc_time_for_an_app_without_one_is_a_usage_error(self,
+                                                              capsys):
+        """Only RXpTX has a processing interval to set."""
+        for argv in (["run", "testpmd", "--proc-time-ns", "10"],
+                     ["msb", "iperf", "--proc-time-ns", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "rxptx" in capsys.readouterr().err
 
     def test_shard_count_that_does_not_divide_is_a_usage_error(self,
                                                                capsys):

@@ -152,7 +152,7 @@ class TestCounters:
     def test_reset(self, hierarchy):
         core = ooo(hierarchy)
         core.execute(Work(compute_cycles=10, reads=[0x40]))
-        core.reset_counters()
+        core.reset_measurement()
         assert core.busy_ns == 0
         assert core.work_units == 0
         assert core.accesses == 0

@@ -77,7 +77,7 @@ class TestPrefetchTiming:
     def test_counter_reset(self):
         core = ooo()
         core.execute(Work(reads=[0x600000 + i * 64 for i in range(12)]))
-        core.reset_counters()
+        core.reset_measurement()
         assert core.prefetch_covered == 0
 
 

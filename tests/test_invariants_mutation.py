@@ -17,6 +17,7 @@ import pytest
 from repro.dpdk.pmd import E1000Pmd
 from repro.harness.runner import run_fixed_load
 from repro.mem.hierarchy import MemoryHierarchy
+from repro.nic.dma import DmaEngine
 from repro.nic.drop_fsm import DropClassifier
 from repro.nic.fifo import PacketByteFifo
 from repro.sim.invariants import InvariantViolation
@@ -126,6 +127,20 @@ class TestDmaAccountingMutations:
 
         monkeypatch.setattr(MemoryHierarchy, "dma_read_lines", mutant)
         with pytest.raises(InvariantViolation, match="dma"):
+            _run(**LIGHT_LOAD)
+
+
+class TestCoResetMutations:
+    def test_engine_counter_left_out_of_the_reset_trips(self, monkeypatch):
+        """Mutant: the DMA engine's measured fields forget
+        ``lines_written``, so the engine keeps the warm-up's line writes
+        while the hierarchy's count restarts at zero — a co-reset group
+        split by one declaration."""
+        fields = tuple(field for field in DmaEngine.measured_fields
+                       if field != "lines_written")
+        monkeypatch.setattr(DmaEngine, "measured_fields", fields)
+        with pytest.raises(InvariantViolation,
+                           match="nic0.dma-byte-conservation"):
             _run(**LIGHT_LOAD)
 
 

@@ -131,7 +131,7 @@ class TestEpoch:
         loadgen.start_synthetic(SyntheticConfig(packet_size=64,
                                                 rate_gbps=1.0, count=None))
         sim.run(until=us_to_ticks(100))
-        sim.reset_stats()   # responses to earlier sends still in flight
+        loadgen.reset_measurement()   # earlier sends still in flight
         sim.run(until=us_to_ticks(2000))
         loadgen.stop()
         sim.run(until=us_to_ticks(4000))

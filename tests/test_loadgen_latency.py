@@ -45,6 +45,6 @@ def test_negative_rtt_rejected():
 def test_reset():
     tracker = LatencyTracker("t")
     tracker.record(0, us_to_ticks(100))
-    tracker.reset()
+    tracker.reset_measurement()
     assert tracker.summary()["count"] == 0
     assert tracker.histogram.count == 0

@@ -97,7 +97,7 @@ def test_row_hit_rate():
 def test_reset_counters():
     dram = make_dram()
     dram.access(0, 0.0)
-    dram.reset_counters()
+    dram.reset_measurement()
     assert dram.reads == 0
     assert dram.row_misses == 0
 

@@ -141,7 +141,7 @@ class TestDmaPath:
         hier = tiny_hierarchy()
         hier.dma_write_lines(0, 1)
         hier.core_access(0x100)
-        hier.reset_counters()
+        hier.reset_measurement()
         assert hier.dma_lines_written == 0
         assert hier.llc.misses == 0
 

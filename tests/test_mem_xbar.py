@@ -69,5 +69,5 @@ def test_validation():
 def test_reset_counters():
     server = BandwidthServer("bus", 1e9)
     server.transfer(0, 100)
-    server.reset_counters()
+    server.reset_measurement()
     assert server.bytes_moved == 0

@@ -146,7 +146,7 @@ def test_counters():
     assert engine.packets_read == 1
     assert engine.bytes_written == 100
     assert engine.bytes_read == 200
-    engine.reset_counters()
+    engine.reset_measurement()
     assert engine.packets_written == 0
 
 

@@ -197,6 +197,7 @@ class TestStatsReset:
         attach_buffers(nic)
         for _ in range(60):
             nic.port.deliver(Packet(wire_len=256))
-        sim.reset_stats()
+        sim.stats.reset()
+        nic.reset_measurement()
         assert nic.drop_fsm.total_drops == 0
         assert nic.stat_rx_drops.value == 0

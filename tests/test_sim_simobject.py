@@ -53,21 +53,6 @@ def test_stats_are_namespaced():
     assert sim.stats.dump()["t0.fires"] == 5
 
 
-def test_reset_stats_calls_hook():
-    class Hooked(SimObject):
-        def __init__(self, sim, name):
-            super().__init__(sim, name)
-            self.hook_calls = 0
-
-        def on_stats_reset(self):
-            self.hook_calls += 1
-
-    sim = Simulation()
-    obj = Hooked(sim, "h")
-    sim.reset_stats()
-    assert obj.hook_calls == 1
-
-
 def test_now_tracks_queue():
     sim = Simulation()
     obj = Ticker(sim, "t0", 7)

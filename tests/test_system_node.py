@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.iperf import IperfServer
 from repro.apps.testpmd import TestPmd as PmdApp  # noqa: N811
+from repro.harness.runner import fixed_load_warm_start
 from repro.system.node import DpdkNode, KernelNode, NodeBuildError
 from repro.system.presets import gem5_baseline, gem5_default
 
@@ -77,3 +78,14 @@ class TestKernelNode:
         node = KernelNode(gem5_baseline())
         node.install_app(IperfServer)
         assert node.app is not None
+
+
+def test_warm_up_resets_both_io_bus_directions():
+    """The warm-up's DMA traffic crosses both directions of the I/O bus;
+    neither direction may carry it into the measured window."""
+    spec = fixed_load_warm_start(gem5_default(), "testpmd", 256)
+    node = spec.build()
+    spec.warm(node)
+    assert node.dma.iobus_tx is not node.iobus
+    for bus in (node.iobus, node.dma.iobus_tx):
+        assert (bus.bytes_moved, bus.transfers) == (0, 0), bus.name
