@@ -90,6 +90,7 @@ class MemcachedDpdk(DpdkApp):
         response.meta.update(request_packet.meta)
         return response
 
+    measured_fields = DpdkApp.measured_fields + ("requests_served",)
     # The store rides along with the app: it is not a topology component
     # of its own, and its contents (warm keys) are the whole point of a
     # warm-up checkpoint.

@@ -424,9 +424,9 @@ def run_memcached(config: SystemConfig, kernel: bool, rate_rps: float,
     _drain_nic(node, config)
     trace_digest = _finalize_run(node)
     # End-to-end drops under-count in short overloaded runs (the ring and
-    # FIFO buffer a bounded backlog that eventually drains); the NIC's own
-    # drop counter sees the steady-state loss directly.
-    nic_drop_fraction = (node.nic.stat_rx_drops.value
+    # FIFO buffer a bounded backlog that eventually drains); the NIC's
+    # drop FSM sees the steady-state loss directly.
+    nic_drop_fraction = (node.nic.drop_fsm.total_drops
                          / max(client.requests_sent, 1))
     breakdown = node.nic.drop_fsm.breakdown()
     latency = client.latency.summary()

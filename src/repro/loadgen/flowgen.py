@@ -12,8 +12,8 @@ need:
   with an intra-group (pod / leaf) load fraction;
 - :class:`FlowTrafficGenerator`: a SimObject that starts flows into a
   fabric at a Poisson rate derived from the offered load, collects
-  per-flow completion times into a stats distribution, and exposes a
-  deterministic ``flow_digest`` over the completion records.
+  per-flow completion records, and summarizes them as FCT percentiles
+  and a deterministic ``flow_digest``.
 
 The on-disk flow trace format follows the cross-DC generator this is
 modeled on: first line is the flow count, then one line per flow of
@@ -409,12 +409,6 @@ class FlowTrafficGenerator(Stateful, SimObject):
         self._next_flow_id = 0    # per-simulation deterministic flow ids
         self._records: List[FlowRecord] = []
         self._window_started = 0
-        self.stat_started = self.stats.counter("flows_started",
-                                               "flows injected")
-        self.stat_completed = self.stats.counter("flows_completed",
-                                                 "flows fully received")
-        self.fct_us = self.stats.distribution("fct_us",
-                                              "flow completion time (us)")
         self._arrival = self.make_event(self._on_arrival, "arrival")
 
     # -- generation ----------------------------------------------------------
@@ -450,7 +444,6 @@ class FlowTrafficGenerator(Stateful, SimObject):
     def _on_arrival(self) -> None:
         flow = self._pending[self._cursor]
         self._cursor += 1
-        self.stat_started.inc()
         self._window_started += 1
         self.hosts[flow.src].send_flow(flow)
         if self._cursor < len(self._pending):
@@ -464,8 +457,6 @@ class FlowTrafficGenerator(Stateful, SimObject):
     def flow_completed(self, meta: dict, end_tick: int) -> None:
         """Called by the destination host when a flow's last frame has
         been serviced."""
-        self.stat_completed.inc()
-        self.fct_us.sample(ticks_to_us(end_tick - meta["start"]))
         self._records.append(FlowRecord(
             flow_id=meta["flow"], src=meta["src"], dst=meta["dst"],
             size_bytes=meta["size"], start_tick=meta["start"],
@@ -482,12 +473,9 @@ class FlowTrafficGenerator(Stateful, SimObject):
         return len(self._records)
 
     def fct_summary(self) -> dict:
-        """FCT percentiles for the stats digest (all values in us)."""
-        summary = dict(self.fct_us.summary())
-        if self.fct_us.count:
-            summary["p50"] = self.fct_us.percentile(50.0)
-            summary["p999"] = self.fct_us.percentile(99.9)
-        return summary
+        """FCT percentiles of this window (all values in us), computed
+        as the sharded merge computes them."""
+        return fct_summary_from(self._records)
 
     def flow_digest(self) -> str:
         """SHA-256 over the sorted completion records of this window.

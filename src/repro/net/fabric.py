@@ -144,20 +144,12 @@ class OutputQueuedSwitch(Stateful, SimObject):
         self._queued = [0] * config.radix
         self._free_at = [0] * config.radix
         # Lifetime counters (never reset) close the conservation law;
-        # the stat counters below are the per-measurement window view.
+        # the window counters below are the per-measurement view.
         self._rx = 0
         self._tx = 0
         self._drops = {DROP_SWITCH_QUEUE: 0, DROP_SWITCH_NO_ROUTE: 0}
-        self.stat_rx = self.stats.counter("rx_frames", "frames received")
-        self.stat_tx = self.stats.counter("tx_frames", "frames forwarded")
-        self.stat_drops = {
-            DROP_SWITCH_QUEUE: self.stats.counter(
-                "drop.queue_full", "frames dropped: output FIFO full"),
-            DROP_SWITCH_NO_ROUTE: self.stats.counter(
-                "drop.no_route", "frames dropped: no route for dst"),
-        }
-        self.stat_queue_peak = self.stats.counter(
-            "queue_peak", "deepest output FIFO occupancy seen")
+        self.window_drops: Dict[str, int] = {}  # by cause, nonzero only
+        self.queue_peak = 0     # deepest output FIFO occupancy seen
         self._depart_pool = EventPool(self._depart, f"{name}.depart")
         self._register_invariants()
 
@@ -219,7 +211,6 @@ class OutputQueuedSwitch(Stateful, SimObject):
 
     def _on_receive(self, in_port: int, packet: Packet) -> None:
         self._rx += 1
-        self.stat_rx.inc()
         out = self.route_for(packet)
         if out is None:
             self._drop(packet, DROP_SWITCH_NO_ROUTE)
@@ -228,9 +219,8 @@ class OutputQueuedSwitch(Stateful, SimObject):
             self._drop(packet, DROP_SWITCH_QUEUE, out=out)
             return
         self._queued[out] += 1
-        if self._queued[out] > self.stat_queue_peak.value:
-            self.stat_queue_peak.inc(
-                self._queued[out] - self.stat_queue_peak.value)
+        if self._queued[out] > self.queue_peak:
+            self.queue_peak = self._queued[out]
         start = max(self.now + self.forward_latency_ticks,
                     self._free_at[out])
         finish = start + serialization_ticks(
@@ -242,12 +232,11 @@ class OutputQueuedSwitch(Stateful, SimObject):
         out, packet = payload
         self._queued[out] -= 1
         self._tx += 1
-        self.stat_tx.inc()
         self.ports[out].send(packet)
 
     def _drop(self, packet: Packet, cause: str, out: Optional[int] = None) -> None:
         self._drops[cause] += 1
-        self.stat_drops[cause].inc()
+        self.window_drops[cause] = self.window_drops.get(cause, 0) + 1
         if self.sim.tracer.enabled:
             self.trace("fabric", "drop", cause=cause, out=out,
                        dst=str(packet.dst))
@@ -261,13 +250,12 @@ class OutputQueuedSwitch(Stateful, SimObject):
 
     def drop_counts(self) -> Dict[str, int]:
         """Per-cause drops in the current measurement window."""
-        return {cause: counter.value
-                for cause, counter in self.stat_drops.items()
-                if counter.value}
+        return dict(self.window_drops)
 
-    # -- checkpoint support --------------------------------------------------
+    # -- measurement and checkpoint support ----------------------------------
 
-    state_fields = ("_free_at", "_rx", "_tx", "_drops")
+    measured_fields = ("window_drops", "queue_peak")
+    state_fields = ("_free_at", "_rx", "_tx", "_drops") + measured_fields
 
     def serialize_state(self) -> dict:
         if self.occupancy:
@@ -320,16 +308,15 @@ class FabricHost(Stateful, SimObject):
         self._rx_queued = 0
         self._svc_free_at = 0
         self._flow_rx: Dict[int, int] = {}
+        # Lifetime counters close the conservation law; the window_*
+        # counters are the per-measurement view.
         self._tx = 0
         self._rx = 0
         self._processed = 0
         self._dropped = 0
-        self.stat_tx = self.stats.counter("tx_frames", "frames sent")
-        self.stat_rx = self.stats.counter("rx_frames", "frames received")
-        self.stat_processed = self.stats.counter(
-            "processed", "frames fully serviced by the stack")
-        self.stat_drop_queue = self.stats.counter(
-            "drop.queue_full", "frames dropped: host RX queue overrun")
+        self.window_tx = 0
+        self.window_processed = 0   # frames fully serviced by the stack
+        self.window_dropped = 0     # RX queue overruns
         self._service_pool = EventPool(self._service, f"{name}.service")
         self._register_invariants()
 
@@ -388,17 +375,16 @@ class FabricHost(Stateful, SimObject):
                     "seg": seg,
                 })
             self._tx += 1
-            self.stat_tx.inc()
+            self.window_tx += 1
             self.port.send(packet)
 
     # -- receive -------------------------------------------------------------
 
     def _on_receive(self, packet: Packet) -> None:
         self._rx += 1
-        self.stat_rx.inc()
         if self._rx_queued >= self.queue_capacity:
             self._dropped += 1
-            self.stat_drop_queue.inc()
+            self.window_dropped += 1
             return
         self._rx_queued += 1
         start = max(self.now, self._svc_free_at)
@@ -409,7 +395,7 @@ class FabricHost(Stateful, SimObject):
     def _service(self, packet: Packet) -> None:
         self._rx_queued -= 1
         self._processed += 1
-        self.stat_processed.inc()
+        self.window_processed += 1
         meta = packet.meta
         flow_id = meta.get("flow")
         if flow_id is None:
@@ -428,13 +414,15 @@ class FabricHost(Stateful, SimObject):
         return self._rx_queued == 0
 
     def drop_counts(self) -> Dict[str, int]:
-        value = self.stat_drop_queue.value
+        value = self.window_dropped
         return {DROP_HOST_QUEUE: value} if value else {}
 
-    # -- checkpoint support --------------------------------------------------
+    # -- measurement and checkpoint support ----------------------------------
 
-    state_fields = ("_svc_free_at", "_tx", "_rx", "_processed", "_dropped",
-                    "port.frames_sent", "port.frames_received")
+    measured_fields = ("window_tx", "window_processed", "window_dropped")
+    state_fields = (("_svc_free_at", "_tx", "_rx", "_processed", "_dropped",
+                     "port.frames_sent", "port.frames_received")
+                    + measured_fields)
 
     def serialize_state(self) -> dict:
         if self._rx_queued:
@@ -678,10 +666,10 @@ class Fabric(Rig):
         return totals
 
     def frames_sent(self) -> int:
-        return sum(h.stat_tx.value for h in self.hosts)
+        return sum(h.window_tx for h in self.hosts)
 
     def frames_delivered(self) -> int:
-        return sum(h.stat_processed.value for h in self.hosts)
+        return sum(h.window_processed for h in self.hosts)
 
     # -- simulation control --------------------------------------------------
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from repro.mem.address import AddressSpace
 from repro.nic.descriptors import RxRing, TxRing
 from repro.nic.dma import DmaConfig, DmaEngine
-from repro.nic.drop_fsm import DropCause, DropClassifier
+from repro.nic.drop_fsm import DropClassifier
 from repro.nic.fifo import PacketByteFifo
 from repro.nic.phy import EtherPort
 from repro.net.packet import Packet
@@ -173,21 +173,14 @@ class I8254xNic(Stateful, SimObject, PciDevice):
         self._rx_wb_pool = EventPool(self._notify_rx,
                                      f"{name}.rx_writeback")
 
-        # Statistics.
-        self.stat_rx_packets = self.stats.counter("rxPackets")
-        self.stat_rx_bytes = self.stats.counter("rxBytes")
-        self.stat_tx_packets = self.stats.counter("txPackets")
-        self.stat_tx_bytes = self.stats.counter("txBytes")
-        self.stat_rx_drops = self.stats.counter("rxDrops")
-        self.stat_dma_drops = self.stats.counter("dmaDrops")
-        self.stat_core_drops = self.stats.counter("coreDrops")
-        self.stat_tx_drops = self.stats.counter("txDrops")
-        self.stat_wire_rx = self.stats.counter("wireRxPackets")
-        self.stat_buffer_starved = self.stats.counter(
-            "rxBufferStarved", "RX DMA stalls for lack of posted buffers")
+        # Measurement-window counts (see measured_fields); drops per
+        # cause are the drop FSM's.
+        self.rx_packets = 0
+        self.tx_packets = 0
+        self.rx_buffer_starved = 0  # RX DMA stalls for lack of buffers
 
         # Lifetime accounting (never reset): the invariant layer's view of
-        # the datapath.  The stat counters above reset at the measurement
+        # the datapath.  The window counts above reset at the measurement
         # boundary; these do not, so conservation equalities over them are
         # exact at any instant.
         self.total_wire_rx = 0
@@ -198,8 +191,8 @@ class I8254xNic(Stateful, SimObject, PciDevice):
 
     def _register_invariants(self) -> None:
         """Packet conservation along the Fig 3 RX lifecycle and the TX
-        path, plus drop-cause accounting (Fig 4 FSM vs. the stat
-        counters) and DMA byte conservation."""
+        path, plus drop-cause accounting (Fig 4 FSM vs. the RX FIFO's
+        rejections) and DMA byte conservation."""
         reg = self.sim.invariants
         nic = self
 
@@ -255,23 +248,11 @@ class I8254xNic(Stateful, SimObject, PciDevice):
             return check
 
         def drop_cause_accounting(final: bool):
-            fails = []
             fsm_total = nic.drop_fsm.total_drops
-            if nic.stat_rx_drops.value != fsm_total:
-                fails.append(
-                    f"rxDrops stat {nic.stat_rx_drops.value} != drop-FSM "
-                    f"total {fsm_total}")
             if nic.rx_fifo.rejected != fsm_total:
-                fails.append(
-                    f"RX FIFO rejected {nic.rx_fifo.rejected} != drop-FSM "
-                    f"total {fsm_total}")
-            by_cause = (nic.stat_dma_drops.value + nic.stat_core_drops.value
-                        + nic.stat_tx_drops.value)
-            if by_cause != nic.stat_rx_drops.value:
-                fails.append(
-                    f"per-cause drop stats sum to {by_cause} but rxDrops "
-                    f"is {nic.stat_rx_drops.value}")
-            return fails
+                return [f"RX FIFO rejected {nic.rx_fifo.rejected} != "
+                        f"drop-FSM total {fsm_total}"]
+            return None
 
         reg.register(f"{self.name}.rx-conservation", rx_conservation,
                      strict=True)
@@ -346,7 +327,6 @@ class I8254xNic(Stateful, SimObject, PciDevice):
     # ------------------------------------------------------------------
 
     def _on_wire_rx(self, packet: Packet) -> None:
-        self.stat_wire_rx.inc()
         self.total_wire_rx += 1
         accepted = self.rx_fifo.try_enqueue(packet)
         state = self.drop_fsm.on_packet_rx(
@@ -361,12 +341,7 @@ class I8254xNic(Stateful, SimObject, PciDevice):
             self.trace("nic", "wire_rx", bytes=packet.wire_len,
                        accepted=accepted, cause=cause)
         if not accepted:
-            self.stat_rx_drops.inc()
             self.total_rx_drops += 1
-            counts = self.drop_fsm.counts
-            self.stat_dma_drops.value = counts[DropCause.DMA]
-            self.stat_core_drops.value = counts[DropCause.CORE]
-            self.stat_tx_drops.value = counts[DropCause.TX]
             return
         self._kick_service()
 
@@ -410,12 +385,11 @@ class I8254xNic(Stateful, SimObject, PciDevice):
             # The frame stays at the head of the FIFO; service resumes
             # when buffers return (rx_replenish kicks us).
             self.rx_fifo.requeue_front(packet)
-            self.stat_buffer_starved.inc()
+            self.rx_buffer_starved += 1
             return
         self.rx_ring.fill(buffer_addr, packet)
         finish = self.dma.write_packet(now, buffer_addr, packet.wire_len)
-        self.stat_rx_packets.inc()
-        self.stat_rx_bytes.inc(packet.wire_len)
+        self.rx_packets += 1
         if self.sim.tracer.enabled:
             self.trace("dma", "rx_write", bytes=packet.wire_len,
                        addr=buffer_addr, finish=finish)
@@ -494,8 +468,7 @@ class I8254xNic(Stateful, SimObject, PciDevice):
             # Drain immediately onto the wire; the link serializes.
             self.tx_fifo.dequeue()
             self.port.send(packet)
-            self.stat_tx_packets.inc()
-            self.stat_tx_bytes.inc(packet.wire_len)
+            self.tx_packets += 1
             if self.sim.tracer.enabled:
                 self.trace("nic", "tx_wire", bytes=packet.wire_len)
             if self.tx_complete_notify is not None:
@@ -528,13 +501,19 @@ class I8254xNic(Stateful, SimObject, PciDevice):
     # Measurement and checkpoint support
     # ------------------------------------------------------------------
 
-    measured_fields = ("drop_fsm", "rx_fifo.rejected")
+    measured_fields = ("rx_packets", "tx_packets", "rx_buffer_starved",
+                       "interrupts_posted", "interrupts_suppressed",
+                       "drop_fsm", "rx_fifo.rejected")
 
-    # Register file, interrupt/ITR state, lifetime counters, and the
-    # nested FIFO/ring/FSM state.  The nested serializers raise if any
-    # packet is still held, so quiescence is enforced transitively.
+    # Register file, interrupt/ITR state, window and lifetime counters,
+    # and the nested FIFO/ring/FSM state.  The nested serializers raise
+    # if any packet is still held, so quiescence is enforced
+    # transitively.
     state_fields = ("_ims", "_icr", "_itr_pending", "_last_notify_tick",
-                    "_wb_timer_disabled", "total_wire_rx", "total_rx_drops",
-                    "total_tx_fifo_drops", "_tx_dma_in_flight",
-                    "port.frames_sent", "port.frames_received", "rx_fifo",
-                    "tx_fifo", "rx_ring", "tx_ring", "drop_fsm")
+                    "_wb_timer_disabled", "rx_packets", "tx_packets",
+                    "rx_buffer_starved", "interrupts_posted",
+                    "interrupts_suppressed", "total_wire_rx",
+                    "total_rx_drops", "total_tx_fifo_drops",
+                    "_tx_dma_in_flight", "port.frames_sent",
+                    "port.frames_received", "rx_fifo", "tx_fifo", "rx_ring",
+                    "tx_ring", "drop_fsm")

@@ -80,8 +80,9 @@ class EtherLink(Stateful, SimObject):
         self._in_flight = {"a": 0, "b": 0}
         self._sent = {"a": 0, "b": 0}
         self._delivered = {"a": 0, "b": 0}
-        self.stat_frames = self.stats.counter("frames", "frames carried")
-        self.stat_bytes = self.stats.counter("bytes", "bytes carried")
+        # Both directions, in the measurement window.
+        self.frames_carried = 0
+        self.bytes_carried = 0
         # Pooled per-frame delivery events (see EventPool): same firing
         # order as a fresh event per frame, no allocation.
         self._deliver_pool = EventPool(self._deliver, f"{name}.deliver")
@@ -158,8 +159,8 @@ class EtherLink(Stateful, SimObject):
         finish = start + serialization_ticks(packet.wire_len,
                                              self.bandwidth_bits_per_sec)
         self._tx_free_at[direction] = finish
-        self.stat_frames.inc()
-        self.stat_bytes.inc(packet.wire_len)
+        self.frames_carried += 1
+        self.bytes_carried += packet.wire_len
         self._sent[direction] += 1
         self._in_flight[direction] += 1
         self._deliver_pool.schedule_at(self.sim.events,
@@ -174,9 +175,11 @@ class EtherLink(Stateful, SimObject):
 
     # -- checkpoint support --------------------------------------------------
 
-    # Busy horizons and lifetime frame counters; frames still on the wire
-    # would need their payloads serialized, so quiescence first.
-    state_fields = ("_tx_free_at", "_sent", "_delivered")
+    measured_fields = ("frames_carried", "bytes_carried")
+
+    # Busy horizons, window and lifetime frame counters; frames still on
+    # the wire would need their payloads serialized, so quiescence first.
+    state_fields = ("_tx_free_at", "_sent", "_delivered") + measured_fields
 
     def serialize_state(self) -> dict:
         if any(self._in_flight.values()):

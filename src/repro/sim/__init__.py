@@ -2,8 +2,9 @@
 
 This package plays the role gem5's event engine plays for the paper: an
 integer-tick (picosecond) event queue, a :class:`SimObject` base class with
-hierarchical naming and statistics registration, and a statistics framework
-with scalars, histograms and distribution summaries.
+hierarchical naming, and distributions and histograms for sample
+statistics (scalar counts are plain attributes named in each component's
+``measured_fields``).
 
 Everything in the reproduction — the NIC model, DMA engine, cores, the
 EtherLoadGen — is a :class:`SimObject` scheduled on a single
@@ -26,13 +27,7 @@ from repro.sim.ticks import (
 )
 from repro.sim.event_queue import Event, EventQueue
 from repro.sim.simobject import SimObject, Simulation
-from repro.sim.stats import (
-    Counter,
-    Distribution,
-    Histogram,
-    StatGroup,
-    StatRegistry,
-)
+from repro.sim.stats import Distribution, Histogram
 from repro.sim.rng import DeterministicRng
 from repro.sim.trace import (
     TRACE_SCHEMA_VERSION,
@@ -73,11 +68,8 @@ __all__ = [
     "EventQueue",
     "SimObject",
     "Simulation",
-    "Counter",
     "Distribution",
     "Histogram",
-    "StatGroup",
-    "StatRegistry",
     "DeterministicRng",
     "TRACE_SCHEMA_VERSION",
     "TraceEvent",

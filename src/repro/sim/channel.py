@@ -113,10 +113,6 @@ class ChannelHalf(Stateful, SimObject):
         # over frames that left / entered through this half.
         self.frames_out = 0
         self.frames_in = 0
-        self.stat_out = self.stats.counter("tx_frames",
-                                           "frames sent to the peer shard")
-        self.stat_in = self.stats.counter("rx_frames",
-                                          "frames received from the peer")
         self._deliver_pool = EventPool(self._deliver, f"{name}.deliver")
         self._register_invariants()
 
@@ -168,7 +164,6 @@ class ChannelHalf(Stateful, SimObject):
                              encode_frame(packet)))
         self._out_seq += 1
         self.frames_out += 1
-        self.stat_out.inc()
 
     def drain(self, horizon: int) -> List[ChannelFrame]:
         """Take the frames posted this epoch (the batch for the peer).
@@ -205,7 +200,6 @@ class ChannelHalf(Stateful, SimObject):
             raise RuntimeError(f"{self.name} has no attached device port")
         self._pending_in -= 1
         self.frames_in += 1
-        self.stat_in.inc()
         self.port.deliver(packet)
 
     # -- introspection -------------------------------------------------------

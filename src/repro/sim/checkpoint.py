@@ -5,17 +5,17 @@ a checkpoint is taken only at *quiescence* — no frames on the wire, no
 DMA in flight, no packets held by FIFOs, rings, or applications — so no
 in-flight :class:`~repro.net.packet.Packet` payload ever needs to be
 serialized.  What remains is plain counter/cursor state per SimObject,
-the event queue's pending (named) events, the RNG streams, the stats
-registry, and the tracer — all JSON-representable.
+the event queue's pending (named) events, the RNG streams, and the
+tracer — all JSON-representable.
 
 Format
 ------
 A checkpoint is a single JSON document::
 
     {
-      "format": 1,
+      "format": 2,
       "meta":    {...},          # app/config/seed provenance (free-form)
-      "sim":     {...},          # event queue, rng, stats, tracer
+      "sim":     {...},          # event queue, rng, tracer
       "objects": {label: state}, # one entry per topology component
       "digest":  "sha256..."     # over the canonical JSON minus "digest"
     }
@@ -28,8 +28,9 @@ consumed by ``deserialize_state()`` — the Serializable protocol that
 so an unserializable component is a build-time error rather than a
 silent checkpoint gap.  Most components implement it by deriving from
 :class:`Stateful` and naming their state once in ``state_fields``; only
-encoders that really transform data (stats, event queue, tracer, RNG,
-cache sets, KV store, mempool free list, drop FSM) write their own.
+encoders that really transform data (distributions, histograms, event
+queue, tracer, RNG, cache sets, KV store, mempool free list, drop FSM)
+write their own.
 
 Determinism: checkpoints contain no wall-clock timestamps and are
 written with sorted keys, so the same simulation state always produces
@@ -47,7 +48,7 @@ from typing import Any, Dict, Optional, Tuple
 
 #: Version of the on-disk checkpoint schema.  Bump when the layout of
 #: the document (or any component's state dict) changes incompatibly.
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 #: Top-level keys every checkpoint document must carry.
 _REQUIRED_KEYS = ("format", "meta", "sim", "objects", "digest")
@@ -131,7 +132,10 @@ class Stateful:
         itself :class:`Stateful` resets through its own
         ``reset_measurement()``, one with a ``reset()`` method (a stats
         distribution, the drop FSM) through that, and any other value
-        becomes the zero of its type (``0``, ``0.0``, ``[]``)."""
+        becomes the zero of its type (``0``, ``0.0``, ``[]``, ``{}``).
+        A measured dict therefore starts each window empty: count into
+        it with ``d[key] = d.get(key, 0) + 1``, never through preset
+        keys."""
         for path in self.measured_fields:
             owner, attr = _owner(self, path)
             value = getattr(owner, attr)
@@ -292,10 +296,9 @@ class Rig:
         return self.topology.to_dot()
 
     def reset_measurement(self) -> None:
-        """Reset the stats registry, then the measured fields of every
-        topology component: related counters (the DMA engine and the
-        hierarchy, the NIC's stats and drop FSM) reset at one instant."""
-        self.sim.stats.reset()
+        """Reset the measured fields of every topology component: related
+        counters (the DMA engine and the hierarchy, the NIC's drop FSM
+        and RX FIFO rejections) reset at one instant."""
         for _label, component in self.topology.components():
             reset = getattr(component, "reset_measurement", None)
             if reset is not None:

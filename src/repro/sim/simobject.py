@@ -1,6 +1,6 @@
 """SimObject base class and the Simulation container.
 
-A :class:`Simulation` owns the event queue, the stat registry and the RNG; a
+A :class:`Simulation` owns the event queue and the RNG; a
 :class:`SimObject` is any named component attached to it.  This mirrors
 gem5's SimObject/Root split closely enough that the paper's architecture
 descriptions ("we implement a simulation object called EtherLoadGen ...")
@@ -14,19 +14,17 @@ from typing import Callable, Dict, Optional
 from repro.sim.event_queue import Event, EventQueue
 from repro.sim.invariants import InvariantRegistry
 from repro.sim.rng import DeterministicRng
-from repro.sim.stats import StatGroup, StatRegistry
 from repro.sim.trace import TraceOptions, Tracer
 
 
 class Simulation:
-    """Top-level container: event queue + stats + RNG + object registry,
+    """Top-level container: event queue + RNG + object registry,
     plus the cross-cutting correctness layer (tracer + invariants)."""
 
     def __init__(self, seed: int = 0,
                  trace_options: Optional[TraceOptions] = None,
                  invariant_mode: Optional[str] = None) -> None:
         self.events = EventQueue()
-        self.stats = StatRegistry()
         self.rng = DeterministicRng(seed)
         self._objects: Dict[str, "SimObject"] = {}
         #: Persistent events by registry name — the callbacks a restored
@@ -121,13 +119,12 @@ class Simulation:
 
     def serialize_state(self) -> dict:
         """Snapshot the simulation-global state: event queue (pending
-        events by registry name), RNG stream, stats registry, tracer."""
+        events by registry name), RNG stream, tracer."""
         names_by_event = {id(ev): name
                           for name, ev in self._named_events.items()}
         return {
             "events": self.events.serialize_state(names_by_event),
             "rng": self.rng.getstate(),
-            "stats": self.stats.serialize_state(),
             "trace": self.tracer.serialize_state(),
         }
 
@@ -136,7 +133,6 @@ class Simulation:
         simulation: the event queue must be empty (nothing started)."""
         self.events.deserialize_state(state["events"], self._named_events)
         self.rng.setstate(state["rng"])
-        self.stats.deserialize_state(state["stats"])
         self.tracer.deserialize_state(state["trace"])
 
 
@@ -146,21 +142,18 @@ class SimObject:
     Subclasses get:
 
     - ``self.sim`` — the owning :class:`Simulation`
-    - ``self.stats`` — a :class:`StatGroup` namespaced by the object name
     - scheduling helpers (``schedule_after`` etc.) bound to the shared queue
 
-    The base attributes are slotted so the hottest lookups
-    (``self.sim``, ``self.stats``) hit descriptors rather than a dict;
-    subclasses that declare their own ``__slots__`` drop the per-instance
-    dict entirely.
+    The base attributes are slotted so the hottest lookup (``self.sim``)
+    hits a descriptor rather than a dict; subclasses that declare their
+    own ``__slots__`` drop the per-instance dict entirely.
     """
 
-    __slots__ = ("sim", "name", "stats", "__dict__")
+    __slots__ = ("sim", "name", "__dict__")
 
     def __init__(self, sim: Simulation, name: str) -> None:
         self.sim = sim
         self.name = name
-        self.stats: StatGroup = sim.stats.group(name)
         sim.register(self)
 
     @property

@@ -1,47 +1,18 @@
-"""Statistics framework.
+"""Sample statistics: distributions and histograms.
 
-Mirrors the part of gem5's stats system the paper's evaluation relies on:
-scalar counters, distributions with mean/stddev/percentiles, and histograms
-(EtherLoadGen reports "mean, median, standard deviation, and tail latency of
-network packets ... a packet drop percentage and a histogram of packet
-forwarding latency").
+Mirrors the part of gem5's stats system the paper's evaluation relies on
+beyond plain counts: distributions with mean/stddev/percentiles, and
+histograms (EtherLoadGen reports "mean, median, standard deviation, and
+tail latency of network packets ... a packet drop percentage and a
+histogram of packet forwarding latency").  A scalar count is a plain
+attribute of its component, named in the component's ``measured_fields``
+(:class:`repro.sim.checkpoint.Stateful`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List
-
-
-class Counter:
-    """A named scalar counter."""
-
-    __slots__ = ("name", "desc", "value")
-
-    def __init__(self, name: str, desc: str = "") -> None:
-        self.name = name
-        self.desc = desc
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        """Increment by ``amount`` (may be negative for corrections)."""
-        self.value += amount
-
-    def reset(self) -> None:
-        """Reset to the initial (empty) state."""
-        self.value = 0
-
-    def serialize_state(self):
-        return self.value
-
-    def deserialize_state(self, state) -> None:
-        self.value = state
-
-    def __int__(self) -> int:
-        return int(self.value)
-
-    def __repr__(self) -> str:
-        return f"<Counter {self.name}={self.value}>"
+from typing import Dict, List
 
 
 class Distribution:
@@ -231,130 +202,3 @@ class Histogram:
 
     def __repr__(self) -> str:
         return f"<Histogram {self.name} n={self.count}>"
-
-
-class StatGroup:
-    """A namespace of stats belonging to one SimObject."""
-
-    def __init__(self, owner_name: str) -> None:
-        self.owner_name = owner_name
-        self._stats: Dict[str, object] = {}
-
-    def counter(self, name: str, desc: str = "") -> Counter:
-        """Create a namespaced Counter."""
-        return self._add(Counter(f"{self.owner_name}.{name}", desc))
-
-    def distribution(self, name: str, desc: str = "") -> Distribution:
-        """Create a namespaced Distribution."""
-        return self._add(Distribution(f"{self.owner_name}.{name}", desc))
-
-    def histogram(
-        self, name: str, lo: float, hi: float, nbuckets: int = 32, desc: str = ""
-    ) -> Histogram:
-        """Create a namespaced Histogram."""
-        return self._add(
-            Histogram(f"{self.owner_name}.{name}", lo, hi, nbuckets, desc)
-        )
-
-    def _add(self, stat):
-        short = stat.name.rsplit(".", 1)[-1]
-        if short in self._stats:
-            raise ValueError(f"duplicate stat {stat.name}")
-        self._stats[short] = stat
-        return stat
-
-    def __getitem__(self, short_name: str):
-        return self._stats[short_name]
-
-    def __contains__(self, short_name: str) -> bool:
-        return short_name in self._stats
-
-    def all(self) -> Iterable[object]:
-        """All stats in this group."""
-        return self._stats.values()
-
-    def reset(self) -> None:
-        """Reset to the initial (empty) state."""
-        for stat in self._stats.values():
-            stat.reset()
-
-    def serialize_state(self):
-        return {short: stat.serialize_state()
-                for short, stat in self._stats.items()}
-
-    def deserialize_state(self, state) -> None:
-        if set(state) != set(self._stats):
-            missing = set(self._stats) - set(state)
-            extra = set(state) - set(self._stats)
-            raise ValueError(
-                f"stat group {self.owner_name}: schema mismatch "
-                f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
-        for short, value in state.items():
-            self._stats[short].deserialize_state(value)
-
-
-class StatRegistry:
-    """All stat groups of a simulation; supports dump and global reset.
-
-    ``reset()`` is how the harness implements gem5-style warm-up: run the
-    simulation for the warm-up period, reset statistics, then measure.
-    """
-
-    def __init__(self) -> None:
-        self._groups: List[StatGroup] = []
-
-    def group(self, owner_name: str) -> StatGroup:
-        """Create a stat group namespaced by an owner name."""
-        grp = StatGroup(owner_name)
-        self._groups.append(grp)
-        return grp
-
-    def reset(self) -> None:
-        """Reset to the initial (empty) state."""
-        for grp in self._groups:
-            grp.reset()
-
-    def serialize_state(self):
-        """Groups serialized positionally (creation order), name-checked
-        on restore so a layout drift fails loudly instead of silently
-        mapping counters to the wrong owner."""
-        return [[grp.owner_name, grp.serialize_state()]
-                for grp in self._groups]
-
-    def deserialize_state(self, state) -> None:
-        if len(state) != len(self._groups):
-            raise ValueError(
-                f"stat registry: group count changed "
-                f"({len(state)} -> {len(self._groups)})")
-        for (name, grp_state), grp in zip(state, self._groups):
-            if name != grp.owner_name:
-                raise ValueError(
-                    f"stat registry: group order changed "
-                    f"({name!r} -> {grp.owner_name!r})")
-            grp.deserialize_state(grp_state)
-
-    def dump(self) -> Dict[str, object]:
-        """Flatten all stats into a {full_name: value} mapping."""
-        out: Dict[str, object] = {}
-        for grp in self._groups:
-            for stat in grp.all():
-                if isinstance(stat, Counter):
-                    out[stat.name] = stat.value
-                elif isinstance(stat, Distribution):
-                    for key, val in stat.summary().items():
-                        out[f"{stat.name}.{key}"] = val
-                elif isinstance(stat, Histogram):
-                    out[stat.name] = stat.as_dict()
-        return out
-
-    def format(self) -> str:
-        """A gem5 stats.txt-style text rendering."""
-        lines = []
-        for name, value in sorted(self.dump().items()):
-            if isinstance(value, dict):
-                lines.append(f"{name:60s} <histogram n={sum(value['counts'])}>")
-            elif isinstance(value, float):
-                lines.append(f"{name:60s} {value:.6g}")
-            else:
-                lines.append(f"{name:60s} {value}")
-        return "\n".join(lines)

@@ -3,9 +3,9 @@
 ``REPRO_EVENT_BATCH=1`` (the default) turns on the same-tick FIFO run
 queue and pooled per-packet events; ``REPRO_EVENT_BATCH=0`` restores the
 reference one-fresh-event-per-packet pure-heap path.  The two must be
-*bit-identical* in everything observable: every stat, every latency
-percentile, and — the strongest check — the trace digest, which hashes
-the full ordered event stream of the run.
+*bit-identical* in everything observable: every measured counter, every
+latency percentile, and — the strongest check — the trace digest, which
+hashes the full ordered event stream of the run.
 
 Hypothesis drives the comparison across all the paper's applications
 (DPDK: testpmd / touchfwd / touchdrop / rxptx / memcached_dpdk; kernel:
@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.harness.fabric import run_fabric_sharded
 from repro.harness.runner import run_fixed_load, run_memcached
 from repro.loadgen.ether_load_gen import SyntheticConfig
+from repro.sim.checkpoint import Stateful, is_serializable
 from repro.system.node import DpdkNode
 from repro.system.presets import gem5_default
 
@@ -118,6 +119,21 @@ def test_fabric_batched_path_is_bit_identical(preset, stack, pattern,
     _assert_identical(fast, reference)
 
 
+def _measured(component, prefix: str):
+    """(path, value) of every measured field of ``component``, nested
+    :class:`Stateful` fields expanded; a distribution, histogram or drop
+    FSM as its serialized state, so values compare by content."""
+    for path in getattr(component, "measured_fields", ()):
+        value = component
+        for name in path.split("."):
+            value = getattr(value, name)
+        if isinstance(value, Stateful):
+            yield from _measured(value, f"{prefix}.{path}")
+        else:
+            yield f"{prefix}.{path}", (value.serialize_state()
+                                       if is_serializable(value) else value)
+
+
 def _run_pipeline(touch_payload: bool, seed: int) -> dict:
     """A traced pipeline-mode node (two cores and an ``rte_ring``; not a
     registry app, so it has no runner) forwarding a burst of frames."""
@@ -131,7 +147,9 @@ def _run_pipeline(touch_payload: bool, seed: int) -> dict:
     node.run_us(1500.0)
     node.sim.invariants.check(final=True)
     return {"trace_digest": node.sim.tracer.digest(),
-            "stats": node.sim.stats.dump(),
+            "measured": dict(item for label, component
+                             in node.topology.components()
+                             for item in _measured(component, label)),
             "fired": node.sim.events.fired,
             "forwarded": node.app.packets_forwarded,
             "latency_us": loadgen.latency.summary()}

@@ -31,7 +31,7 @@ def _minimal_document():
     return seal({
         "meta": {"label": "t", "app": "A", "seed": 0, "components": []},
         "sim": {"events": {"now": 7, "seq": 3, "fired": 2, "events": []},
-                "rng": {}, "stats": [], "trace": {}},
+                "rng": {}, "trace": {}},
         "objects": {"x": {"count": 1}},
     })
 
@@ -60,6 +60,16 @@ class TestFormat:
         doc["format"] = CHECKPOINT_FORMAT + 1
         doc["digest"] = compute_digest(doc)
         with pytest.raises(CheckpointError, match="format"):
+            verify(doc)
+
+    def test_verify_refuses_a_format_1_document(self):
+        """Format 1 carried a ``sim.stats`` block this build no longer
+        reads: an old file is refused by its format, not by a missing
+        key deep in a restore."""
+        doc = _minimal_document()
+        doc["format"] = 1
+        doc["digest"] = compute_digest(doc)
+        with pytest.raises(CheckpointError, match="format 1 not supported"):
             verify(doc)
 
     def test_digest_is_deterministic_across_key_order(self):

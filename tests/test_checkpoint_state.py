@@ -151,6 +151,25 @@ def test_warm_up_zeroes_every_measured_field(warmed, name):
             if not _reads_zero(value)] == []
 
 
+@pytest.mark.parametrize("name", ["memcached-dpdk", "memcached-kernel"])
+def test_warm_up_resets_requests_served(warmed, name):
+    """Both memcached servers count the requests of the measured window,
+    so the one name means one thing on either stack."""
+    _spec, rig = warmed(name)
+    assert rig.app.requests_served == 0
+
+
+@pytest.mark.parametrize("name", ["iperf-1518", "memcached-kernel"])
+def test_restore_carries_the_nic_interrupt_counters(warmed, name):
+    """A node restored from its warm-up checkpoint reads the interrupt
+    counters of the node that took it (both rigs post interrupts)."""
+    spec, rig = warmed(name)
+    twin = spec.build()
+    twin.restore(rig.checkpoint(extra_meta=spec.meta))
+    assert ((twin.nic.interrupts_posted, twin.nic.interrupts_suppressed)
+            == (rig.nic.interrupts_posted, rig.nic.interrupts_suppressed))
+
+
 # ----------------------------------------------------------------------
 # Per-component round trips
 # ----------------------------------------------------------------------

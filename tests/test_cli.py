@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.checkpoint import CHECKPOINT_FORMAT
 
 
 class TestParser:
@@ -94,7 +95,7 @@ class TestCheckpointCommands:
 
         assert main(["checkpoint", "info", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "format:  1" in out
+        assert f"format:  {CHECKPOINT_FORMAT}" in out
         assert "meta.app_name: testpmd" in out
 
         assert main(["checkpoint", "restore", str(path)]) == 0

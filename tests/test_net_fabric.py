@@ -88,7 +88,7 @@ def test_switch_queue_peak_tracks_depth():
     switch, _received = _switch_rig(sim, queue_capacity=8)
     for sport in range(5):
         switch.ports[0].deliver(_frame(dst_id=1, sport=50000 + sport))
-    assert switch.stat_queue_peak.value == 5
+    assert switch.queue_peak == 5
     _run(sim)
 
 

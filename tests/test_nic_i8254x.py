@@ -7,6 +7,7 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.xbar import BandwidthServer
 from repro.net.packet import Packet
 from repro.nic.dma import DmaConfig, DmaEngine
+from repro.nic.drop_fsm import DropCause
 from repro.nic.i8254x import (
     I8254xNic,
     ICR_RXT0,
@@ -89,7 +90,7 @@ class TestRxDataPath:
             nic.port.deliver(Packet(wire_len=256))
         sim.run(until=us_to_ticks(100))
         assert nic.rx_ring.completed_count == 8
-        assert nic.stat_rx_packets.value == 8
+        assert nic.rx_packets == 8
 
     def test_writeback_timer_flushes_partial_batch(self):
         sim, nic = build_nic()
@@ -136,8 +137,9 @@ class TestRxDataPath:
         attach_buffers(nic)
         for _ in range(60):
             nic.port.deliver(Packet(wire_len=256))
-        assert nic.stat_rx_drops.value > 0
-        assert nic.stat_dma_drops.value > 0   # rings empty: DMA's fault
+        assert nic.drop_fsm.total_drops > 0
+        # Rings empty: DMA's fault.
+        assert nic.drop_fsm.counts[DropCause.DMA] > 0
 
     def test_ring_exhaustion_classified_as_core_drop(self):
         """No driver harvesting: ring fills, then FIFO fills -> CoreDrop."""
@@ -147,7 +149,7 @@ class TestRxDataPath:
         for _ in range(80):
             nic.port.deliver(Packet(wire_len=256))
             sim.run(until=sim.now + us_to_ticks(1))
-        assert nic.stat_core_drops.value > 0
+        assert nic.drop_fsm.counts[DropCause.CORE] > 0
 
     def test_no_buffer_source_means_no_dma(self):
         sim, nic = build_nic()
@@ -169,7 +171,7 @@ class TestTxDataPath:
         assert nic.tx_enqueue(0x200000, packet)
         sim.run(until=us_to_ticks(100))
         assert sent == [packet]
-        assert nic.stat_tx_packets.value == 1
+        assert nic.tx_packets == 1
 
     def test_tx_complete_notify_fires(self):
         sim, nic = build_nic()
@@ -197,7 +199,6 @@ class TestStatsReset:
         attach_buffers(nic)
         for _ in range(60):
             nic.port.deliver(Packet(wire_len=256))
-        sim.stats.reset()
         nic.reset_measurement()
         assert nic.drop_fsm.total_drops == 0
-        assert nic.stat_rx_drops.value == 0
+        assert nic.rx_fifo.rejected == 0

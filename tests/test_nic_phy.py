@@ -76,8 +76,8 @@ def test_stats_counters():
     sim, link, port_a, _pb, _ra, _rb = build()
     port_a.send(Packet(wire_len=100))
     sim.run()
-    assert link.stat_frames.value == 1
-    assert link.stat_bytes.value == 100
+    assert link.frames_carried == 1
+    assert link.bytes_carried == 100
     assert port_a.frames_sent == 1
 
 

@@ -12,7 +12,6 @@ class Ticker(SimObject):
         super().__init__(sim, name)
         self.period = period
         self.fires = 0
-        self.count = self.stats.counter("fires")
         self._event = self.make_event(self._tick, "tick")
 
     def start(self):
@@ -20,7 +19,6 @@ class Ticker(SimObject):
 
     def _tick(self):
         self.fires += 1
-        self.count.inc()
         self.schedule_after(self._event, self.period)
 
 
@@ -43,14 +41,6 @@ def test_periodic_events():
     ticker.start()
     sim.run(until=100)
     assert ticker.fires == 10
-
-
-def test_stats_are_namespaced():
-    sim = Simulation()
-    ticker = Ticker(sim, "t0", 10)
-    ticker.start()
-    sim.run(until=50)
-    assert sim.stats.dump()["t0.fires"] == 5
 
 
 def test_now_tracks_queue():

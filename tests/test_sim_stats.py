@@ -2,35 +2,7 @@
 
 import pytest
 
-from repro.sim.stats import Counter, Distribution, Histogram, StatRegistry
-
-
-class TestCounter:
-    def test_starts_at_zero(self):
-        assert Counter("c").value == 0
-
-    def test_inc_default(self):
-        c = Counter("c")
-        c.inc()
-        c.inc()
-        assert c.value == 2
-
-    def test_inc_amount(self):
-        c = Counter("c")
-        c.inc(41)
-        c.inc(-1)
-        assert c.value == 40
-
-    def test_reset(self):
-        c = Counter("c")
-        c.inc(7)
-        c.reset()
-        assert c.value == 0
-
-    def test_int_conversion(self):
-        c = Counter("c")
-        c.inc(3)
-        assert int(c) == 3
+from repro.sim.stats import Distribution, Histogram
 
 
 class TestDistribution:
@@ -147,43 +119,3 @@ class TestHistogram:
         h.sample(1.0)
         h.reset()
         assert h.count == 0
-
-
-class TestStatRegistry:
-    def test_group_namespacing(self):
-        reg = StatRegistry()
-        grp = reg.group("nic0")
-        c = grp.counter("rxPackets")
-        assert c.name == "nic0.rxPackets"
-
-    def test_duplicate_stat_rejected(self):
-        reg = StatRegistry()
-        grp = reg.group("x")
-        grp.counter("a")
-        with pytest.raises(ValueError):
-            grp.counter("a")
-
-    def test_dump_flattens(self):
-        reg = StatRegistry()
-        grp = reg.group("x")
-        grp.counter("a").inc(3)
-        dist = grp.distribution("lat")
-        dist.sample(2.0)
-        dump = reg.dump()
-        assert dump["x.a"] == 3
-        assert dump["x.lat.mean"] == pytest.approx(2.0)
-
-    def test_global_reset(self):
-        reg = StatRegistry()
-        grp = reg.group("x")
-        c = grp.counter("a")
-        c.inc(5)
-        reg.reset()
-        assert c.value == 0
-
-    def test_format_renders_lines(self):
-        reg = StatRegistry()
-        grp = reg.group("x")
-        grp.counter("a").inc(1)
-        text = reg.format()
-        assert "x.a" in text
