@@ -80,31 +80,28 @@ class DpdkApp(Stateful, SimObject):
         pmd.nic.rx_notify = self._rx_hint
         self.driver_port = RequestPort(self, "driver_port", KIND_APP)
         self.driver_port.bind(pmd.app_side)
-        self._register_invariants()
 
-    def _register_invariants(self) -> None:
-        app = self
-
-        def conservation(final: bool):
-            fails = []
-            accounted = (app.total_forwarded + app.total_absorbed
-                         + app._holding)
-            if app.total_processed != accounted:
-                fails.append(
-                    f"processed {app.total_processed} != forwarded "
-                    f"{app.total_forwarded} + absorbed "
-                    f"{app.total_absorbed} + holding {app._holding}")
-            if app._holding < 0:
-                fails.append(f"negative holding count {app._holding}")
-            harvested = app.pmd.nic.rx_ring.harvested_total
-            if app.total_processed != harvested:
-                fails.append(
-                    f"app processed {app.total_processed} packets but the "
-                    f"RX ring released {harvested}")
-            return fails
-
-        self.sim.invariants.register(
-            f"{self.name}.packet-conservation", conservation, strict=True)
+    def invariant_failures(self, final: bool = True):
+        """Packet conservation: every harvested packet is forwarded,
+        absorbed or held."""
+        fails = []
+        accounted = (self.total_forwarded + self.total_absorbed
+                     + self._holding)
+        if self.total_processed != accounted:
+            fails.append(
+                f"packet-conservation: processed {self.total_processed} "
+                f"!= forwarded {self.total_forwarded} + absorbed "
+                f"{self.total_absorbed} + holding {self._holding}")
+        if self._holding < 0:
+            fails.append(f"packet-conservation: negative holding count "
+                         f"{self._holding}")
+        harvested = self.pmd.nic.rx_ring.harvested_total
+        if self.total_processed != harvested:
+            fails.append(
+                f"packet-conservation: app processed "
+                f"{self.total_processed} packets but the RX ring released "
+                f"{harvested}")
+        return fails
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -240,26 +237,22 @@ class KernelNetApp(Stateful, SimObject):
         driver.set_rx_handler(self._on_irq)
         self.driver_port = RequestPort(self, "driver_port", KIND_APP)
         self.driver_port.bind(driver.app_side)
-        self._register_invariants()
 
-    def _register_invariants(self) -> None:
-        app = self
-
-        def conservation(final: bool):
-            fails = []
-            harvested = app.driver.nic.rx_ring.harvested_total
-            if app.total_processed != harvested:
-                fails.append(
-                    f"app processed {app.total_processed} packets but the "
-                    f"RX ring released {harvested}")
-            if app.total_responses > app.total_processed:
-                fails.append(
-                    f"responses {app.total_responses} exceed processed "
-                    f"packets {app.total_processed}")
-            return fails
-
-        self.sim.invariants.register(
-            f"{self.name}.packet-conservation", conservation, strict=True)
+    def invariant_failures(self, final: bool = True):
+        """Packet conservation: the app processed what the RX ring
+        released, and answered at most that many."""
+        fails = []
+        harvested = self.driver.nic.rx_ring.harvested_total
+        if self.total_processed != harvested:
+            fails.append(
+                f"packet-conservation: app processed "
+                f"{self.total_processed} packets but the RX ring released "
+                f"{harvested}")
+        if self.total_responses > self.total_processed:
+            fails.append(
+                f"packet-conservation: responses {self.total_responses} "
+                f"exceed processed packets {self.total_processed}")
+        return fails
 
     @property
     def total_absorbed(self) -> int:

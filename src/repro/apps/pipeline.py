@@ -89,36 +89,29 @@ class PipelineForwarder(Stateful, SimObject):
         pmd.nic.rx_notify = self._rx_hint
         self.driver_port = RequestPort(self, "driver_port", KIND_APP)
         self.driver_port.bind(pmd.app_side)
-        self._register_invariants()
 
-    def _register_invariants(self) -> None:
-        app = self
-
-        def ring_conservation(final: bool):
-            return app.ring.invariant_failures()
-
-        def conservation(final: bool):
-            fails = []
-            accounted = (app.total_forwarded + app.total_absorbed
-                         + app.ring.count + app._holding)
-            if app.total_processed != accounted:
-                fails.append(
-                    f"harvested {app.total_processed} != forwarded "
-                    f"{app.total_forwarded} + absorbed "
-                    f"{app.total_absorbed} + ring {app.ring.count} + "
-                    f"holding {app._holding}")
-            harvested = app.pmd.nic.rx_ring.harvested_total
-            if app.total_processed != harvested:
-                fails.append(
-                    f"pipeline harvested {app.total_processed} packets "
-                    f"but the RX ring released {harvested}")
-            return fails
-
-        self.sim.invariants.register(
-            f"{self.name}.ring-conservation", ring_conservation,
-            strict=True)
-        self.sim.invariants.register(
-            f"{self.name}.packet-conservation", conservation, strict=True)
+    def invariant_failures(self, final: bool = True):
+        """The rte_ring's own conservation, and packet conservation:
+        every harvested frame is forwarded, absorbed, queued in the ring
+        or held by a stage."""
+        fails = []
+        for message in self.ring.invariant_failures(final):
+            fails.append(f"ring-conservation: {message}")
+        accounted = (self.total_forwarded + self.total_absorbed
+                     + self.ring.count + self._holding)
+        if self.total_processed != accounted:
+            fails.append(
+                f"packet-conservation: harvested {self.total_processed} != "
+                f"forwarded {self.total_forwarded} + absorbed "
+                f"{self.total_absorbed} + ring {self.ring.count} + "
+                f"holding {self._holding}")
+        harvested = self.pmd.nic.rx_ring.harvested_total
+        if self.total_processed != harvested:
+            fails.append(
+                f"packet-conservation: pipeline harvested "
+                f"{self.total_processed} packets but the RX ring released "
+                f"{harvested}")
+        return fails
 
     # -- lifecycle ---------------------------------------------------------
 

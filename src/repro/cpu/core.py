@@ -173,10 +173,13 @@ class CoreModel(Stateful):
                        "prefetch_covered")
     state_fields = measured_fields
 
-    def invariant_failures(self):
+    def invariant_failures(self, final: bool = True):
         """Core accounting sanity; a list of messages, empty when OK.
         All counters here are measured fields, reset together by
-        ``reset_measurement``, so their relations hold at any instant."""
+        ``reset_measurement``, so their relations hold at any instant;
+        they are checked at final checks only."""
+        if not final:
+            return []
         fails = []
         if self.busy_ns < 0:
             fails.append(f"negative busy time {self.busy_ns}ns")

@@ -143,12 +143,13 @@ class Mempool:
         self.puts = state["puts"]
         self.high_watermark = state["high_watermark"]
 
-    def invariant_failures(self, expect_idle: bool = False):
+    def invariant_failures(self, final: bool = True):
         """Mbuf conservation self-checks; a list of messages, empty when
         OK.  ``gets``/``puts`` are lifetime counters, so the accounting
-        equality is exact at any instant.  With ``expect_idle`` (checked
-        only once the datapath is quiescent) any mbuf still out is a leak.
-        """
+        equality is exact at any instant; it is checked at final checks
+        only."""
+        if not final:
+            return []
         fails = []
         if self.gets != self.puts + self.in_use:
             fails.append(
@@ -157,13 +158,18 @@ class Mempool:
         if not 0 <= self.in_use <= self.n_mbufs:
             fails.append(
                 f"in-use count {self.in_use} outside [0, {self.n_mbufs}]")
-        if expect_idle and self.in_use:
-            leaked = [mbuf_idx for mbuf_idx in range(self.n_mbufs)
-                      if mbuf_idx not in {m.index for m in self._free}]
-            fails.append(
-                f"{self.in_use} mbuf(s) leaked at quiescence "
-                f"(indices {leaked[:8]}{'...' if len(leaked) > 8 else ''})")
         return fails
+
+    def leak_failures(self):
+        """Any mbuf still out of the pool, as a message list: a leak
+        once the owner knows its datapath is quiescent."""
+        if not self.in_use:
+            return []
+        free = {m.index for m in self._free}
+        leaked = [idx for idx in range(self.n_mbufs) if idx not in free]
+        return [
+            f"{self.in_use} mbuf(s) leaked at quiescence "
+            f"(indices {leaked[:8]}{'...' if len(leaked) > 8 else ''})"]
 
     def __repr__(self) -> str:
         return (f"<Mempool {self.name} {self.available}/{self.n_mbufs} "

@@ -105,7 +105,7 @@ class RteRing(Stateful):
                 f"checkpoints require a quiescent (drained) node")
         return super().serialize_state()
 
-    def invariant_failures(self):
+    def invariant_failures(self, final: bool = True):
         """Ring conservation self-checks over lifetime counters; a list
         of messages, empty when OK."""
         fails = []

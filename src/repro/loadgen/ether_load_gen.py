@@ -174,32 +174,26 @@ class EtherLoadGen(Stateful, SimObject):
         # end-to-end packet-conservation invariant.
         self.total_tx_packets = 0
         self.total_rx_packets = 0
-        self._register_invariants()
 
-    def _register_invariants(self) -> None:
-        """The generator's own books must agree with its port's."""
-        gen = self
-
-        def port_accounting(final: bool):
-            fails = []
-            if gen.port.frames_sent != gen.total_tx_packets:
-                fails.append(
-                    f"port sent {gen.port.frames_sent} frames but "
-                    f"generator emitted {gen.total_tx_packets}")
-            if gen.port.frames_received != gen.total_rx_packets:
-                fails.append(
-                    f"port received {gen.port.frames_received} frames but "
-                    f"generator counted {gen.total_rx_packets}")
-            epoch_rx = gen.rx_packets + gen.stale_rx
-            if epoch_rx > gen.total_rx_packets:
-                fails.append(
-                    f"epoch rx ({gen.rx_packets}) + stale rx "
-                    f"({gen.stale_rx}) exceeds lifetime rx "
-                    f"({gen.total_rx_packets})")
-            return fails
-
-        self.sim.invariants.register(
-            f"{self.name}.port-accounting", port_accounting, strict=True)
+    def invariant_failures(self, final: bool = True):
+        """Port accounting: the generator's own books must agree with
+        its port's."""
+        fails = []
+        if self.port.frames_sent != self.total_tx_packets:
+            fails.append(
+                f"port-accounting: port sent {self.port.frames_sent} "
+                f"frames but generator emitted {self.total_tx_packets}")
+        if self.port.frames_received != self.total_rx_packets:
+            fails.append(
+                f"port-accounting: port received "
+                f"{self.port.frames_received} frames but generator "
+                f"counted {self.total_rx_packets}")
+        if self.rx_packets + self.stale_rx > self.total_rx_packets:
+            fails.append(
+                f"port-accounting: epoch rx ({self.rx_packets}) + stale rx "
+                f"({self.stale_rx}) exceeds lifetime rx "
+                f"({self.total_rx_packets})")
+        return fails
 
     # ------------------------------------------------------------------
     # Mode start/stop

@@ -20,11 +20,9 @@ class LatencyTracker(Stateful):
     def __init__(self, name: str, histogram_max_us: float = 2000.0,
                  nbuckets: int = 64) -> None:
         self.name = name
-        self.rtt_us = Distribution(f"{name}.rtt_us",
-                                   "per-packet round-trip latency")
+        self.rtt_us = Distribution(f"{name}.rtt_us")
         self.histogram = Histogram(f"{name}.rtt_hist_us", 0.0,
-                                   histogram_max_us, nbuckets,
-                                   "forwarding latency histogram")
+                                   histogram_max_us, nbuckets)
 
     def record(self, sent_tick: int, received_tick: int) -> float:
         """Record one RTT; returns the latency in microseconds."""

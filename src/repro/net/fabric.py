@@ -6,7 +6,7 @@ evaluation needs many hosts behind a switch fabric.  This module adds:
 - :class:`OutputQueuedSwitch`: a store-and-forward switch SimObject
   with one bounded FIFO per output port, ECMP hashing on the flow
   5-tuple across equal-cost uplinks, and per-cause drop accounting
-  wired into the invariant registry;
+  its conservation rule closes over;
 - :class:`FabricHost`: a lightweight flow endpoint whose DPDK/kernel
   personality is a per-frame service cost derived from the measured
   per-packet cycle costs of the full single-node models;
@@ -124,8 +124,8 @@ class OutputQueuedSwitch(Stateful, SimObject):
     name).  A frame that finds its output FIFO full is dropped and
     charged to :data:`DROP_SWITCH_QUEUE`; a frame with no route is
     charged to :data:`DROP_SWITCH_NO_ROUTE`.  The switch's conservation
-    law (``rx == tx + drops + queued``) is registered as a strict
-    invariant over lifetime counters.
+    law (``rx == tx + drops + queued``) is stated over lifetime counters
+    in :meth:`invariant_failures`.
     """
 
     def __init__(self, sim: Simulation, name: str,
@@ -151,36 +151,32 @@ class OutputQueuedSwitch(Stateful, SimObject):
         self.window_drops: Dict[str, int] = {}  # by cause, nonzero only
         self.queue_peak = 0     # deepest output FIFO occupancy seen
         self._depart_pool = EventPool(self._depart, f"{name}.depart")
-        self._register_invariants()
 
     def _receiver(self, index: int) -> Callable[[Packet], None]:
         def on_receive(packet: Packet, _index: int = index) -> None:
             self._on_receive(_index, packet)
         return on_receive
 
-    def _register_invariants(self) -> None:
-        switch = self
-
-        def conservation(final: bool):
-            fails = []
-            queued = 0
-            for i, depth in enumerate(switch._queued):
-                queued += depth
-                if depth < 0:
-                    fails.append(f"output {i}: negative queue depth {depth}")
-                elif depth > switch.config.queue_capacity:
-                    fails.append(
-                        f"output {i}: queue depth {depth} exceeds capacity "
-                        f"{switch.config.queue_capacity}")
-            dropped = sum(switch._drops.values())
-            if switch._rx != switch._tx + dropped + queued:
+    def invariant_failures(self, final: bool = True):
+        """Conservation: every frame received is forwarded, dropped or
+        queued, and no output queue is negative or over capacity."""
+        fails = []
+        queued = 0
+        for i, depth in enumerate(self._queued):
+            queued += depth
+            if depth < 0:
+                fails.append(f"conservation: output {i}: negative queue "
+                             f"depth {depth}")
+            elif depth > self.config.queue_capacity:
                 fails.append(
-                    f"received {switch._rx} != forwarded {switch._tx} + "
-                    f"dropped {dropped} + queued {queued}")
-            return fails
-
-        self.sim.invariants.register(f"{self.name}.conservation",
-                                     conservation, strict=True)
+                    f"conservation: output {i}: queue depth {depth} "
+                    f"exceeds capacity {self.config.queue_capacity}")
+        dropped = sum(self._drops.values())
+        if self._rx != self._tx + dropped + queued:
+            fails.append(
+                f"conservation: received {self._rx} != forwarded "
+                f"{self._tx} + dropped {dropped} + queued {queued}")
+        return fails
 
     # -- routing -------------------------------------------------------------
 
@@ -318,26 +314,20 @@ class FabricHost(Stateful, SimObject):
         self.window_processed = 0   # frames fully serviced by the stack
         self.window_dropped = 0     # RX queue overruns
         self._service_pool = EventPool(self._service, f"{name}.service")
-        self._register_invariants()
 
-    def _register_invariants(self) -> None:
-        host = self
-
-        def conservation(final: bool):
-            fails = []
-            if not 0 <= host._rx_queued <= host.queue_capacity:
-                fails.append(f"RX queue depth {host._rx_queued} outside "
-                             f"[0, {host.queue_capacity}]")
-            if host._rx != (host._processed + host._dropped
-                            + host._rx_queued):
-                fails.append(
-                    f"received {host._rx} != processed "
-                    f"{host._processed} + dropped {host._dropped} + "
-                    f"queued {host._rx_queued}")
-            return fails
-
-        self.sim.invariants.register(f"{self.name}.conservation",
-                                     conservation, strict=True)
+    def invariant_failures(self, final: bool = True):
+        """Conservation: every frame received is processed, dropped or
+        queued, within the RX queue's bounds."""
+        fails = []
+        if not 0 <= self._rx_queued <= self.queue_capacity:
+            fails.append(f"conservation: RX queue depth {self._rx_queued} "
+                         f"outside [0, {self.queue_capacity}]")
+        if self._rx != self._processed + self._dropped + self._rx_queued:
+            fails.append(
+                f"conservation: received {self._rx} != processed "
+                f"{self._processed} + dropped {self._dropped} + queued "
+                f"{self._rx_queued}")
+        return fails
 
     def set_peers(self, macs: Sequence[MacAddress]) -> None:
         """Host-index -> MAC resolution table (set by the builder)."""
@@ -529,6 +519,7 @@ class Fabric(Rig):
         #: The shard's link to its peers (``repro.dist.shard``); None
         #: when the whole fabric runs in this process.
         self.sync = None
+        self.sim.invariants.register(label, self.invariant_failures)
 
     # -- construction helpers (used by the builders) -------------------------
 
@@ -588,35 +579,26 @@ class Fabric(Rig):
         macs = [h.mac for h in self.hosts]
         for h in self.hosts:
             h.set_peers(macs)
-        self._register_invariants()
 
-    def _register_invariants(self) -> None:
-        fabric = self
-
-        def flow_conservation(final: bool):
-            # Exact only once every FIFO and wire has drained, so it
-            # asserts at final check time at quiescence.  Sharded, the
-            # law closes over the channel boundary: frames entering this
-            # shard (local sends + channel ingress) equal frames leaving
-            # it (serviced + dropped + channel egress).
-            if not final or not fabric.quiescent():
-                return None
-            sent = sum(h._tx for h in fabric.hosts)
-            processed = sum(h._processed for h in fabric.hosts)
-            host_drops = sum(h._dropped for h in fabric.hosts)
-            switch_drops = sum(sum(s._drops.values())
-                               for s in fabric.switches)
-            ch_in = sum(c.frames_in for c in fabric.channels)
-            ch_out = sum(c.frames_out for c in fabric.channels)
-            if sent + ch_in != processed + host_drops + switch_drops + ch_out:
-                return [
-                    f"sent {sent} + channel-in {ch_in} != processed "
-                    f"{processed} + host drops {host_drops} + switch drops "
-                    f"{switch_drops} + channel-out {ch_out}"]
-            return None
-
-        self.sim.invariants.register(f"{self.label}.flow-conservation",
-                                     flow_conservation)
+    def law_failures(self) -> List[str]:
+        """Flow conservation, exact only once every FIFO and wire has
+        drained.  Sharded, the law closes over the channel boundary:
+        frames entering this shard (local sends + channel ingress) equal
+        frames leaving it (serviced + dropped + channel egress)."""
+        if not self.quiescent():
+            return []
+        sent = sum(h._tx for h in self.hosts)
+        processed = sum(h._processed for h in self.hosts)
+        host_drops = sum(h._dropped for h in self.hosts)
+        switch_drops = sum(sum(s._drops.values()) for s in self.switches)
+        ch_in = sum(c.frames_in for c in self.channels)
+        ch_out = sum(c.frames_out for c in self.channels)
+        if sent + ch_in != processed + host_drops + switch_drops + ch_out:
+            return [
+                f"flow-conservation: sent {sent} + channel-in {ch_in} != "
+                f"processed {processed} + host drops {host_drops} + switch "
+                f"drops {switch_drops} + channel-out {ch_out}"]
+        return []
 
     def attach_generator(self, generator: FlowTrafficGenerator) -> None:
         if self.generator is not None:

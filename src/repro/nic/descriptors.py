@@ -190,7 +190,7 @@ class RxRing(DescriptorRing):
                 f"checkpoints require a quiescent (drained) node")
         return super().serialize_state()
 
-    def invariant_failures(self):
+    def invariant_failures(self, final: bool = True):
         """Descriptor conservation: every filled descriptor is either in
         the descriptor cache, visible to the driver, or harvested.  All
         counters are lifetime (never reset), so this is exact at any
@@ -271,7 +271,7 @@ class TxRing(DescriptorRing):
                 f"packets; checkpoints require a quiescent (drained) node")
         return super().serialize_state()
 
-    def invariant_failures(self):
+    def invariant_failures(self, final: bool = True):
         """TX descriptor conservation over lifetime counters."""
         fails = []
         if self.enqueued_total != self.consumed_total + len(self._queue):

@@ -105,26 +105,28 @@ class PacketByteFifo(Stateful):
                 f"checkpoints require a quiescent (drained) node")
         return super().serialize_state()
 
-    def invariant_failures(self):
+    def invariant_failures(self, final: bool = True):
         """Conservation self-checks; a list of messages, empty when OK.
 
         These hold *exactly at any instant*: ``enqueued``/``dequeued``
         are lifetime counters never touched by a stats reset
         (``requeue_front`` un-counts its dequeue, ``clear`` counts its
-        evictions).
+        evictions).  The byte total is walked over the held packets only
+        when ``final`` is true; the per-event path is integer compares.
         """
         fails = []
         if self.enqueued != self.dequeued + len(self._queue):
             fails.append(
                 f"enqueued ({self.enqueued}) != dequeued ({self.dequeued}) "
                 f"+ held ({len(self._queue)})")
-        held_bytes = sum(p.wire_len for p in self._queue)
-        if self._bytes != held_bytes:
-            fails.append(
-                f"byte accounting ({self._bytes}) != held packet bytes "
-                f"({held_bytes})")
         if not 0 <= self._bytes <= self.capacity_bytes:
             fails.append(
                 f"occupancy {self._bytes}B outside [0, "
                 f"{self.capacity_bytes}]B")
+        if final:
+            held_bytes = sum(p.wire_len for p in self._queue)
+            if self._bytes != held_bytes:
+                fails.append(
+                    f"byte accounting ({self._bytes}) != held packet bytes "
+                    f"({held_bytes})")
         return fails

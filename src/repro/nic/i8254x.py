@@ -187,91 +187,51 @@ class I8254xNic(Stateful, SimObject, PciDevice):
         self.total_rx_drops = 0
         self.total_tx_fifo_drops = 0
         self._tx_dma_in_flight = 0
-        self._register_invariants()
 
-    def _register_invariants(self) -> None:
+    def invariant_failures(self, final: bool = True):
         """Packet conservation along the Fig 3 RX lifecycle and the TX
-        path, plus drop-cause accounting (Fig 4 FSM vs. the RX FIFO's
-        rejections) and DMA byte conservation."""
-        reg = self.sim.invariants
-        nic = self
-
-        def rx_conservation(final: bool):
-            fails = []
-            if nic.port.frames_received != nic.total_wire_rx:
-                fails.append(
-                    f"port delivered {nic.port.frames_received} frames but "
-                    f"NIC observed {nic.total_wire_rx}")
-            held = len(nic.rx_fifo)
-            if nic.total_wire_rx != (nic.rx_fifo.enqueued
-                                     + nic.total_rx_drops):
-                fails.append(
-                    f"wire rx {nic.total_wire_rx} != fifo-accepted "
-                    f"{nic.rx_fifo.enqueued} + dropped "
-                    f"{nic.total_rx_drops} (fifo holds {held})")
-            if nic.rx_fifo.dequeued != nic.rx_ring.filled_total:
-                fails.append(
-                    f"fifo released {nic.rx_fifo.dequeued} packets but "
-                    f"ring filled {nic.rx_ring.filled_total}")
-            return fails
-
-        def tx_conservation(final: bool):
-            fails = []
-            consumed = nic.tx_ring.consumed_total
-            landed = nic.tx_fifo.enqueued + nic.total_tx_fifo_drops
-            if consumed != landed + nic._tx_dma_in_flight:
-                fails.append(
-                    f"tx ring released {consumed} packets but "
-                    f"{nic.tx_fifo.enqueued} reached the TX FIFO, "
-                    f"{nic.total_tx_fifo_drops} overflowed it and "
-                    f"{nic._tx_dma_in_flight} are in DMA flight")
-            if nic.port.frames_sent != nic.tx_fifo.dequeued:
-                fails.append(
-                    f"TX FIFO released {nic.tx_fifo.dequeued} frames but "
-                    f"port sent {nic.port.frames_sent}")
-            return fails
-
-        def fifo_fast(fifo, label):
-            def check(final: bool):
-                if final:
-                    return [f"{label}: {msg}"
-                            for msg in fifo.invariant_failures()]
-                # Per-event subset: integer compares only (the full check
-                # walks held packets, too slow for every event).
-                if fifo.enqueued != fifo.dequeued + len(fifo):
-                    return [f"{label}: enqueued {fifo.enqueued} != "
-                            f"dequeued {fifo.dequeued} + held {len(fifo)}"]
-                if not 0 <= fifo.occupancy_bytes <= fifo.capacity_bytes:
-                    return [f"{label}: occupancy {fifo.occupancy_bytes}B "
-                            f"out of range"]
-                return None
-            return check
-
-        def drop_cause_accounting(final: bool):
-            fsm_total = nic.drop_fsm.total_drops
-            if nic.rx_fifo.rejected != fsm_total:
-                return [f"RX FIFO rejected {nic.rx_fifo.rejected} != "
-                        f"drop-FSM total {fsm_total}"]
-            return None
-
-        reg.register(f"{self.name}.rx-conservation", rx_conservation,
-                     strict=True)
-        reg.register(f"{self.name}.tx-conservation", tx_conservation,
-                     strict=True)
-        reg.register(f"{self.name}.rx-fifo",
-                     fifo_fast(self.rx_fifo, "rx_fifo"), strict=True)
-        reg.register(f"{self.name}.tx-fifo",
-                     fifo_fast(self.tx_fifo, "tx_fifo"), strict=True)
-        reg.register(f"{self.name}.rx-ring",
-                     lambda final: self.rx_ring.invariant_failures(),
-                     strict=True)
-        reg.register(f"{self.name}.tx-ring",
-                     lambda final: self.tx_ring.invariant_failures(),
-                     strict=True)
-        reg.register(f"{self.name}.drop-cause-accounting",
-                     drop_cause_accounting, strict=True)
-        reg.register(f"{self.name}.dma-byte-conservation",
-                     lambda final: self.dma.invariant_failures())
+        path, both FIFOs and both rings, and drop-cause accounting (Fig 4
+        FSM vs. the RX FIFO's rejections); each message names its
+        rule.  The DMA engine states its own byte conservation."""
+        fails = []
+        rx_fifo, tx_fifo = self.rx_fifo, self.tx_fifo
+        if self.port.frames_received != self.total_wire_rx:
+            fails.append(
+                f"rx-conservation: port delivered "
+                f"{self.port.frames_received} frames but NIC observed "
+                f"{self.total_wire_rx}")
+        if self.total_wire_rx != rx_fifo.enqueued + self.total_rx_drops:
+            fails.append(
+                f"rx-conservation: wire rx {self.total_wire_rx} != "
+                f"fifo-accepted {rx_fifo.enqueued} + dropped "
+                f"{self.total_rx_drops} (fifo holds {len(rx_fifo)})")
+        if rx_fifo.dequeued != self.rx_ring.filled_total:
+            fails.append(
+                f"rx-conservation: fifo released {rx_fifo.dequeued} "
+                f"packets but ring filled {self.rx_ring.filled_total}")
+        consumed = self.tx_ring.consumed_total
+        landed = tx_fifo.enqueued + self.total_tx_fifo_drops
+        if consumed != landed + self._tx_dma_in_flight:
+            fails.append(
+                f"tx-conservation: tx ring released {consumed} packets "
+                f"but {tx_fifo.enqueued} reached the TX FIFO, "
+                f"{self.total_tx_fifo_drops} overflowed it and "
+                f"{self._tx_dma_in_flight} are in DMA flight")
+        if self.port.frames_sent != tx_fifo.dequeued:
+            fails.append(
+                f"tx-conservation: TX FIFO released {tx_fifo.dequeued} "
+                f"frames but port sent {self.port.frames_sent}")
+        for rule, part in (("rx-fifo", rx_fifo), ("tx-fifo", tx_fifo),
+                           ("rx-ring", self.rx_ring),
+                           ("tx-ring", self.tx_ring)):
+            for message in part.invariant_failures(final):
+                fails.append(f"{rule}: {message}")
+        fsm_total = self.drop_fsm.total_drops
+        if rx_fifo.rejected != fsm_total:
+            fails.append(
+                f"drop-cause-accounting: RX FIFO rejected "
+                f"{rx_fifo.rejected} != drop-FSM total {fsm_total}")
+        return fails
 
     # ------------------------------------------------------------------
     # Register file (MMIO)

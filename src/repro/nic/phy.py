@@ -90,10 +90,9 @@ class EtherLink(Stateful, SimObject):
     def connect(self, port_a: EtherPort, port_b: EtherPort) -> None:
         """Attach the two endpoint ports to this link.
 
-        This is a typed-port binding: direction/kind are validated, the
-        link's bandwidth and propagation delay become the binding's
-        metadata, and the wire's frame-conservation invariant is
-        registered against the connection.
+        This is a typed-port binding: direction/kind are validated, and
+        the link's bandwidth and propagation delay become the binding's
+        metadata.
         """
         if self._port_a is not None or self._port_b is not None:
             raise RuntimeError(f"{self.name} is already connected")
@@ -103,46 +102,44 @@ class EtherLink(Stateful, SimObject):
         self._port_a, self._port_b = port_a, port_b
         port_a.link = self
         port_b.link = self
-        self._register_invariants()
 
-    def _register_invariants(self) -> None:
-        """The wire loses nothing: every frame the link accepts is either
-        still serializing/propagating or has been delivered to the peer.
+    def invariant_failures(self, final: bool = True):
+        """Frame conservation: the wire loses nothing, so every frame the
+        link accepts is either still serializing/propagating or has been
+        delivered to the peer.  Nothing to check until connected.
 
         The equality is over the link's *own* lifetime counters, not the
         port counters: unit tests legitimately call ``port.deliver()``
         out-of-band, and a port may be driven by several sources.  The
         port counters are coupled by inequalities instead — out-of-band
         traffic can only add to them."""
-        link = self
-
-        def conservation(final: bool):
-            fails = []
-            for direction, src, dst in (("a", link._port_a, link._port_b),
-                                        ("b", link._port_b, link._port_a)):
-                sent = link._sent[direction]
-                delivered = link._delivered[direction]
-                in_flight = link._in_flight[direction]
-                if in_flight < 0:
-                    fails.append(f"direction {direction}: negative "
-                                 f"in-flight count {in_flight}")
-                if sent != delivered + in_flight:
-                    fails.append(
-                        f"direction {direction}: accepted {sent} frames "
-                        f"but delivered {delivered} with {in_flight} "
-                        f"in flight")
-                if src.frames_sent < sent:
-                    fails.append(
-                        f"{src.name} sent {src.frames_sent} frames but "
-                        f"the link carried {sent} from it")
-                if dst.frames_received < delivered:
-                    fails.append(
-                        f"{dst.name} received {dst.frames_received} frames "
-                        f"but the link delivered {delivered} to it")
-            return fails
-
-        self.sim.invariants.register(
-            f"{self.name}.frame-conservation", conservation, strict=True)
+        if self._port_a is None:
+            return []
+        fails = []
+        for direction, src, dst in (("a", self._port_a, self._port_b),
+                                    ("b", self._port_b, self._port_a)):
+            sent = self._sent[direction]
+            delivered = self._delivered[direction]
+            in_flight = self._in_flight[direction]
+            if in_flight < 0:
+                fails.append(f"frame-conservation: direction {direction}: "
+                             f"negative in-flight count {in_flight}")
+            if sent != delivered + in_flight:
+                fails.append(
+                    f"frame-conservation: direction {direction}: accepted "
+                    f"{sent} frames but delivered {delivered} with "
+                    f"{in_flight} in flight")
+            if src.frames_sent < sent:
+                fails.append(
+                    f"frame-conservation: {src.name} sent "
+                    f"{src.frames_sent} frames but the link carried {sent} "
+                    f"from it")
+            if dst.frames_received < delivered:
+                fails.append(
+                    f"frame-conservation: {dst.name} received "
+                    f"{dst.frames_received} frames but the link delivered "
+                    f"{delivered} to it")
+        return fails
 
     def transmit(self, src_port: EtherPort, packet: Packet) -> None:
         """Serialize the frame at line rate, then deliver after the

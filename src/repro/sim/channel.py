@@ -114,24 +114,19 @@ class ChannelHalf(Stateful, SimObject):
         self.frames_out = 0
         self.frames_in = 0
         self._deliver_pool = EventPool(self._deliver, f"{name}.deliver")
-        self._register_invariants()
 
-    def _register_invariants(self) -> None:
-        half = self
-
-        def sane(final: bool):
-            fails = []
-            if half._pending_in < 0:
-                fails.append(f"negative pending delivery count "
-                             f"{half._pending_in}")
-            if len(half._outbox) > half.frames_out:
-                fails.append(
-                    f"outbox holds {len(half._outbox)} frames but only "
-                    f"{half.frames_out} were ever posted")
-            return fails
-
-        self.sim.invariants.register(f"{self.name}.channel-sane", sane,
-                                     strict=True)
+    def invariant_failures(self, final: bool = True):
+        """Channel sanity: no negative pending count, and no more frames
+        in the outbox than were ever posted."""
+        fails = []
+        if self._pending_in < 0:
+            fails.append(f"channel-sane: negative pending delivery count "
+                         f"{self._pending_in}")
+        if len(self._outbox) > self.frames_out:
+            fails.append(
+                f"channel-sane: outbox holds {len(self._outbox)} frames "
+                f"but only {self.frames_out} were ever posted")
+        return fails
 
     # -- attachment ----------------------------------------------------------
 

@@ -44,7 +44,7 @@ import hashlib
 import itertools
 import json
 import os
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Version of the on-disk checkpoint schema.  Bump when the layout of
 #: the document (or any component's state dict) changes incompatibly.
@@ -282,10 +282,22 @@ class Rig:
 
     A subclass supplies ``label``, ``identity_app`` (the application a
     checkpoint records), ``quiescent()`` (no packet anywhere in the
-    datapath) and ``sources_active()`` (a traffic source still
-    offering load); readiness, checkpoint, restore, the identity they
-    check and the measurement reset are defined here once.
+    datapath), ``sources_active()`` (a traffic source still offering
+    load) and ``law_failures()`` (its whole-rig conservation laws);
+    readiness, checkpoint, restore, the identity they check, the
+    measurement reset and the invariant rule are defined here once.
     """
+
+    def invariant_failures(self, final: bool = True) -> List[str]:
+        """The rig's one invariant rule, which it registers under its
+        label: the rules every topology component states, and at a
+        final check the laws only the whole rig can see.  A component
+        added after construction is checked because it joins the
+        topology."""
+        fails = self.topology.invariant_failures(final)
+        if final:
+            fails.extend(self.law_failures())
+        return fails
 
     def validate_wiring(self) -> None:
         """Fail with the dangling ports named if the rig is half-wired."""

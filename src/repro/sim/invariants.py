@@ -1,9 +1,13 @@
 """Simulation invariant checking.
 
-Components register *conservation rules* — exact structural equalities
-over lifetime counters — into the simulation's
-:class:`InvariantRegistry`.  The registry runs them in one of three
-modes:
+Components state *conservation rules* — exact structural equalities
+over lifetime counters — in one method, ``invariant_failures(final)``,
+which returns a message per failed rule.  A
+:class:`repro.system.topology.Topology` collects that method from each
+component, and its rig (:class:`repro.sim.checkpoint.Rig`) registers
+one rule that runs them all with the simulation's
+:class:`InvariantRegistry`, next to the simulation's own two.  The
+registry runs its rules in one of three modes:
 
 ``final``  (default)
     Every rule is evaluated once when the harness finishes a run
@@ -12,11 +16,13 @@ modes:
     existing test and benchmark exercises the whole rule set for free.
 
 ``strict``
-    Additionally, rules registered with ``strict=True`` are re-evaluated
-    after **every simulation event** via the event queue's ``on_event``
-    hook.  This localises a violation to the exact tick and event that
+    Additionally, every rule is re-evaluated with ``final=False`` after
+    **every simulation event** via the event queue's ``on_event`` hook.
+    This localises a violation to the exact tick and event that
     introduced it, at the cost of extra wall-clock (bounded; see
-    docs/tracing_and_invariants.md for measured overhead).
+    docs/tracing_and_invariants.md for measured overhead).  Each rule
+    keeps that path to integer compares and saves O(n) walks, and laws
+    that only hold at quiescence, for ``final``.
 
 ``off``
     Nothing runs.  Useful to confirm a failure is the checker's and not
@@ -26,8 +32,8 @@ The mode comes from ``REPRO_CHECK_INVARIANTS`` (``--check-invariants``
 on the CLI simply sets that variable so forked sweep workers inherit
 it).
 
-Rule functions take one argument ``final`` (False during per-event
-strict checks, True at end of run) and report trouble by returning a
+A registered rule takes one argument ``final`` (False during per-event
+strict checks, True at end of run) and reports trouble by returning a
 string or list of strings; ``None``/empty means the invariant holds.
 Rules must be *exact at any instant* — they are built on lifetime
 counters that are never reset by the gem5-style warm-up stats reset, so
@@ -93,33 +99,18 @@ class InvariantRegistry:
         self.mode = mode
         self._event_queue = event_queue
         self._checks: List[Tuple[str, CheckFn]] = []
-        self._strict_checks: List[Tuple[str, CheckFn]] = []
-        #: Flat dispatch table for the per-event hook: just the strict
-        #: check functions, rebuilt on registration so the hot loop does
-        #: no tuple unpacking and no name handling on the success path.
-        self._strict_fns: List[CheckFn] = []
-        self._names = set()
         self.events_checked = 0
         self.final_checks_run = 0
         if mode == "strict" and event_queue is not None:
             event_queue.on_event = self._on_event
 
-    @property
-    def enabled(self) -> bool:
-        return self.mode != "off"
-
-    def register(self, name: str, check: CheckFn,
-                 strict: bool = False) -> None:
-        """Add a rule.  ``strict=True`` opts it into per-event checking
-        (keep such rules to a few integer compares — they run on every
-        simulation event under ``--check-invariants=strict``)."""
-        if name in self._names:
+    def register(self, name: str, check: CheckFn) -> None:
+        """Add a rule.  Under ``strict`` it runs after every simulation
+        event with ``final=False``, so it keeps that path to integer
+        compares and does any O(n) work only when ``final`` is true."""
+        if name in self.names:
             raise ValueError(f"invariant {name!r} registered twice")
-        self._names.add(name)
         self._checks.append((name, check))
-        if strict:
-            self._strict_checks.append((name, check))
-            self._strict_fns.append(check)
 
     @property
     def names(self) -> List[str]:
@@ -157,12 +148,11 @@ class InvariantRegistry:
             raise InvariantViolation(failed, tick=tick, phase="final")
 
     def _on_event(self, event) -> None:
-        """Event-queue hook: strict rules after every event callback."""
+        """Event-queue hook: every rule after every event callback."""
         self.events_checked += 1
-        for index, check in enumerate(self._strict_fns):
+        for name, check in self._checks:
             result = check(False)
             if result:
-                name = self._strict_checks[index][0]
                 raise InvariantViolation(
                     self._collect(name, result),
                     tick=self._event_queue.now, phase="strict")

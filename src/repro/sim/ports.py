@@ -6,9 +6,7 @@ where direction and type are checked.  This module is the equivalent for
 the reproduction: every connection between components — packet wires,
 memory requests, DMA channels, driver attachment, clock distribution —
 goes through a :class:`Port` pair whose :meth:`Port.bind` validates the
-pairing, carries per-link metadata (latency, bandwidth), and gives both
-owners a connection-time hook where cross-component conservation rules
-are registered with the invariant registry.
+pairing and records per-link metadata (latency, bandwidth).
 
 Port taxonomy (``kind``):
 
@@ -37,8 +35,9 @@ strictly point-to-point and a second ``bind`` raises
 The binding layer adds *no* runtime indirection to the data path: bound
 components keep calling each other directly, exactly as before.  What the
 ports add is build-time structure — the wiring graph a
-:class:`~repro.system.topology.Topology` validates, renders as DOT and
-uses to place connection-scoped invariants.
+:class:`~repro.system.topology.Topology` validates and renders as DOT.
+Conservation rules are not wired here: each component states its own
+in ``invariant_failures`` (see :mod:`repro.sim.invariants`).
 """
 
 from __future__ import annotations
@@ -93,10 +92,7 @@ def owner_label(owner) -> str:
 class Port:
     """One typed connection point on a component.
 
-    ``owner`` is the component the port belongs to; it may define an
-    ``on_port_bound(port, peer, **metadata)`` method which runs once at
-    bind time — the place to register connection-scoped invariants or
-    finish handshakes that need the peer.
+    ``owner`` is the component the port belongs to.
     """
 
     def __init__(self, owner, name: str, kind: str, role: str,
@@ -168,8 +164,7 @@ class Port:
         """Bind this port to ``peer`` after validating the pairing.
 
         ``metadata`` (link latency, bandwidth, ...) is recorded on both
-        sides and passed to each owner's ``on_port_bound`` hook.  Returns
-        ``self`` so wiring code chains naturally.
+        sides.  Returns ``self`` so wiring code chains naturally.
         """
         problem = self.bind_error(peer)
         if problem:
@@ -178,10 +173,6 @@ class Port:
         self.bind_metadata.append(dict(metadata))
         peer.peers.append(self)
         peer.bind_metadata.append(dict(metadata))
-        for port, other in ((self, peer), (peer, self)):
-            hook = getattr(port.owner, "on_port_bound", None)
-            if hook is not None:
-                hook(port, other, **metadata)
         return self
 
     def __repr__(self) -> str:

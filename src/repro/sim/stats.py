@@ -23,11 +23,10 @@ class Distribution:
     latency plots.
     """
 
-    __slots__ = ("name", "desc", "samples")
+    __slots__ = ("name", "samples")
 
-    def __init__(self, name: str, desc: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.desc = desc
         self.samples: List[float] = []
 
     def sample(self, value: float) -> None:
@@ -79,22 +78,27 @@ class Distribution:
         """Largest sample seen."""
         return max(self.samples) if self.samples else 0.0
 
+    def percentiles(self, *pcts: float) -> List[float]:
+        """Exact percentiles by linear interpolation, one per ``pct`` in
+        [0, 100], from one sort of the samples."""
+        if not self.samples:
+            return [0.0] * len(pcts)
+        for pct in pcts:
+            if not 0.0 <= pct <= 100.0:
+                raise ValueError(f"percentile {pct} out of range")
+        data = sorted(self.samples)
+        values = []
+        for pct in pcts:
+            rank = (pct / 100.0) * (len(data) - 1)
+            lo, hi = math.floor(rank), math.ceil(rank)
+            frac = rank - lo
+            values.append(data[lo] if lo == hi
+                          else data[lo] * (1 - frac) + data[hi] * frac)
+        return values
+
     def percentile(self, pct: float) -> float:
         """Exact percentile by linear interpolation; pct in [0, 100]."""
-        if not self.samples:
-            return 0.0
-        if not 0.0 <= pct <= 100.0:
-            raise ValueError(f"percentile {pct} out of range")
-        data = sorted(self.samples)
-        if len(data) == 1:
-            return data[0]
-        rank = (pct / 100.0) * (len(data) - 1)
-        lo = math.floor(rank)
-        hi = math.ceil(rank)
-        if lo == hi:
-            return data[lo]
-        frac = rank - lo
-        return data[lo] * (1 - frac) + data[hi] * frac
+        return self.percentiles(pct)[0]
 
     @property
     def median(self) -> float:
@@ -108,15 +112,16 @@ class Distribution:
 
     def summary(self) -> Dict[str, float]:
         """The summary EtherLoadGen reports in its statistics file."""
+        median, p95, p99 = self.percentiles(50.0, 95.0, 99.0)
         return {
             "count": float(self.count),
             "mean": self.mean,
-            "median": self.median,
+            "median": median,
             "stddev": self.stddev,
             "min": self.minimum,
             "max": self.maximum,
-            "p95": self.percentile(95.0),
-            "p99": self.p99,
+            "p95": p95,
+            "p99": p99,
         }
 
     def __repr__(self) -> str:
@@ -126,23 +131,16 @@ class Distribution:
 class Histogram:
     """Fixed-bucket histogram with overflow/underflow buckets."""
 
-    __slots__ = ("name", "desc", "lo", "hi", "nbuckets", "buckets",
+    __slots__ = ("name", "lo", "hi", "nbuckets", "buckets",
                  "underflow", "overflow", "_width")
 
-    def __init__(
-        self,
-        name: str,
-        lo: float,
-        hi: float,
-        nbuckets: int = 32,
-        desc: str = "",
-    ) -> None:
+    def __init__(self, name: str, lo: float, hi: float,
+                 nbuckets: int = 32) -> None:
         if hi <= lo:
             raise ValueError(f"histogram range [{lo}, {hi}) is empty")
         if nbuckets < 1:
             raise ValueError("need at least one bucket")
         self.name = name
-        self.desc = desc
         self.lo = lo
         self.hi = hi
         self.nbuckets = nbuckets

@@ -196,7 +196,8 @@ def run_dual_mode_comparison(config: SystemConfig, kernel: bool = False,
                              n_requests: int = 2000,
                              rate_rps: float = 150_000.0,
                              seed: int = 7) -> DualModeResult:
-    """Run both topologies and compare the host CPU time each costs."""
+    """Run both topologies and compare the host CPU time each costs;
+    each run's invariants are checked after its timed block."""
     # Generous drain horizon: the cold-started kernel server works through
     # its early-backlog before caches warm.
     horizon_us = n_requests / rate_rps * 1e6 + 5000.0
@@ -220,6 +221,7 @@ def run_dual_mode_comparison(config: SystemConfig, kernel: bool = False,
     client.start()
     _run_to_completion(server.sim, horizon_us)
     dual_cpu = time.process_time() - start
+    server.sim.invariants.check(final=True)
     dual_responses = client.responses_received
     del server, store, client       # the loadgen run must not carry them
 
@@ -242,6 +244,7 @@ def run_dual_mode_comparison(config: SystemConfig, kernel: bool = False,
     mc.start()
     _run_to_completion(node.sim, horizon_us)
     loadgen_cpu = time.process_time() - start
+    node.sim.invariants.check(final=True)
 
     return DualModeResult(
         dual_cpu_s=dual_cpu,

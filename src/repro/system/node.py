@@ -10,7 +10,7 @@ launch the DPDK application through the EAL.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Type
+from typing import List, Optional, Type
 
 from repro.cpu import make_core
 from repro.dpdk.eal import Eal
@@ -76,7 +76,8 @@ class _BaseNode(Rig):
     keeps the flat attribute API (``node.core``, ``node.nic``, ...) the
     harness and tests use, while ``node.topology`` holds the typed
     wiring graph for validation and rendering.  Checkpoint, restore, the
-    measurement reset and the wiring helpers come from
+    measurement reset, the invariant rule (every topology component's
+    rules plus :meth:`law_failures`) and the wiring helpers come from
     :class:`~repro.sim.checkpoint.Rig`.
     """
 
@@ -103,7 +104,7 @@ class _BaseNode(Rig):
         self.loadgen: Optional[EtherLoadGen] = None
         self.memcached_client: Optional[MemcachedClient] = None
         self.app = None
-        self._register_node_invariants()
+        self.sim.invariants.register(self.label, self.invariant_failures)
 
     def _nic_config(self):
         return self.config.nic
@@ -115,25 +116,26 @@ class _BaseNode(Rig):
 
     # -- invariants -------------------------------------------------------
 
-    def _register_node_invariants(self) -> None:
-        """Cross-component rules that only the node can see: DMA<->memory
-        byte conservation adjacency, core accounting sanity, and (for
-        DPDK nodes, via _extra_invariant_failures) mempool conservation."""
-        node = self
-
-        def node_sanity(final: bool):
-            fails = []
-            fails.extend(f"core: {msg}"
-                         for msg in node.core.invariant_failures())
-            fails.extend(f"hierarchy: {msg}"
-                         for msg in node.hierarchy.invariant_failures())
-            fails.extend(node._extra_invariant_failures(final))
-            return fails
-
-        self.sim.invariants.register("node.sanity", node_sanity)
-
-    def _extra_invariant_failures(self, final: bool):
-        """Subclass hook for stack-specific conservation rules."""
+    def law_failures(self) -> List[str]:
+        """The paper's headline conservation law (Figs 5-9): frames the
+        traffic source injected == returned + NIC drops + TX FIFO drops
+        + app-absorbed.  It reads the source's port, so an EtherLoadGen
+        and a memcached client are checked alike, and it is exact only
+        once every queue and wire between them and the app has
+        drained."""
+        source = self.loadgen or self.memcached_client
+        if source is None or not self.quiescent():
+            return []
+        port, nic = source.port, self.nic
+        absorbed = getattr(self.app, "total_absorbed", 0)
+        accounted = (port.frames_received + nic.total_rx_drops
+                     + nic.total_tx_fifo_drops + absorbed)
+        if port.frames_sent != accounted:
+            return [
+                f"end-to-end-conservation: injected {port.frames_sent} != "
+                f"returned {port.frames_received} + NIC drops "
+                f"{nic.total_rx_drops} + TX FIFO drops "
+                f"{nic.total_tx_fifo_drops} + app-absorbed {absorbed}"]
         return []
 
     def nic_quiescent(self) -> bool:
@@ -169,35 +171,7 @@ class _BaseNode(Rig):
                                     src_mac=DEFAULT_SRC_MAC)
         self.topology.add("loadgen", self.loadgen)
         self.link.connect(self.loadgen.port, self.nic.port)
-        self._register_end_to_end_invariant()
         return self.loadgen
-
-    def _register_end_to_end_invariant(self) -> None:
-        """The paper's headline conservation law (Figs 5-9): injected ==
-        delivered + Σ drops-by-cause.  Only exact once every queue and
-        wire between the generator and the app has drained, so it asserts
-        at final check time and only at full quiescence."""
-        node = self
-
-        def end_to_end(final: bool):
-            if not final or not node.quiescent():
-                return None
-            gen = node.loadgen
-            nic = node.nic
-            absorbed = getattr(node.app, "total_absorbed", 0) \
-                if node.app is not None else 0
-            accounted = (gen.total_rx_packets + nic.total_rx_drops
-                         + nic.total_tx_fifo_drops + absorbed)
-            if gen.total_tx_packets != accounted:
-                return [
-                    f"injected {gen.total_tx_packets} != returned "
-                    f"{gen.total_rx_packets} + NIC drops "
-                    f"{nic.total_rx_drops} + TX FIFO drops "
-                    f"{nic.total_tx_fifo_drops} + app-absorbed {absorbed}"]
-            return None
-
-        self.sim.invariants.register("node.end-to-end-conservation",
-                                     end_to_end)
 
     def quiescent(self) -> bool:
         """Quiescent NIC, empty app pipeline, and nothing on the wire."""
@@ -327,14 +301,16 @@ class DpdkNode(_BaseNode):
         if app_class is not None:
             self.install_app(app_class, **(app_kwargs or {}))
 
-    def _extra_invariant_failures(self, final: bool):
-        """Mbuf conservation, plus leak detection once the datapath is
+    def law_failures(self) -> List[str]:
+        """The end-to-end law, plus leak detection once the datapath is
         quiescent (a held mbuf is legitimate while packets are in
         flight; at quiescence it is a leak — DPDK's classic failure
         mode, which surfaces as ``MempoolEmptyError`` much later)."""
-        expect_idle = (final and self.quiescent())
-        return [f"mempool: {msg}" for msg in
-                self.mempool.invariant_failures(expect_idle=expect_idle)]
+        fails = super().law_failures()
+        if self.quiescent():
+            fails.extend(f"mbuf_pool: {message}"
+                         for message in self.mempool.leak_failures())
+        return fails
 
     def install_app(self, app_class: Type, **kwargs):
         """Instantiate the DPDK application on this node's core."""

@@ -20,7 +20,7 @@ bit-identical across builders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cpu import make_core
 from repro.cpu.core import CoreModel
@@ -66,12 +66,17 @@ class Topology:
     def __init__(self, name: str = "topology") -> None:
         self.name = name
         self._components: Dict[str, object] = {}
+        #: (label, ``invariant_failures``) per component that has one,
+        #: collected at :meth:`add` so strict mode walks no components.
+        self._invariant_checks: List[Tuple[str, Callable]] = []
 
     # -- construction ------------------------------------------------------
 
     def add(self, label: str, component):
         """Register ``component`` under ``label``; returns the component
-        so builders can assign and register in one expression."""
+        so builders can assign and register in one expression.  Its
+        ``invariant_failures``, if it has one, joins
+        :meth:`invariant_failures`."""
         if label in self._components:
             raise TopologyError(
                 f"{self.name}: duplicate component label {label!r}")
@@ -85,11 +90,23 @@ class Topology:
         except Exception as exc:
             raise TopologyError(f"{self.name}: {exc}") from None
         self._components[label] = component
+        check = getattr(component, "invariant_failures", None)
+        if check is not None:
+            self._invariant_checks.append((label, check))
         return component
 
     def connect(self, a: Port, b: Port, **metadata) -> None:
         """Bind two ports (see :meth:`repro.sim.ports.Port.bind`)."""
         a.bind(b, **metadata)
+
+    def invariant_failures(self, final: bool = True) -> List[str]:
+        """Every component's failed rules, each message prefixed with
+        the component's label (``nic0: drop-cause-accounting: ...``)."""
+        fails = []
+        for label, check in self._invariant_checks:
+            for message in check(final):
+                fails.append(f"{label}: {message}")
+        return fails
 
     # -- introspection -----------------------------------------------------
 

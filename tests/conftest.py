@@ -11,6 +11,16 @@ from repro.harness import parallel
 from repro.sim.invariants import InvariantViolation
 
 
+def check_components(sim, *components) -> None:
+    """Register the rules of components built outside a rig with
+    ``sim``, one rule under each component's name, as a rig registers
+    its topology's: strict mode then re-checks them after every event,
+    and ``sim.invariants.check(final=True)`` checks them at the end."""
+    for component in components:
+        sim.invariants.register(component.name,
+                                component.invariant_failures)
+
+
 def _in_worker() -> bool:
     return multiprocessing.parent_process() is not None
 

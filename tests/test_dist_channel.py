@@ -31,6 +31,7 @@ from repro.sim.channel import (
     encode_frame,
 )
 from repro.sim.simobject import Simulation
+from tests.conftest import check_components
 
 MAC_A = MacAddress.parse("02:00:00:00:00:01")
 MAC_B = MacAddress.parse("02:00:00:00:00:02")
@@ -66,6 +67,8 @@ def _run_pair(schedule, quantum=None, latency=LATENCY):
         "n1.port",
         lambda p: received.append((sim1.now,
                                    int.from_bytes(p.data, "big")))))
+    check_components(sim0, half0)
+    check_components(sim1, half1)
     sends = []
     when = 0
     for i, (gap, size) in enumerate(schedule):
@@ -107,6 +110,7 @@ def _run_etherlink(schedule, latency=LATENCY):
         lambda p: received.append((sim.now,
                                    int.from_bytes(p.data, "big"))))
     link.connect(port_a, port_b)
+    check_components(sim, link)
     when = 0
     for i, (gap, size) in enumerate(schedule):
         when += gap
@@ -192,6 +196,7 @@ def test_injecting_into_the_past_is_rejected():
     sim = Simulation(seed=0)
     half = ChannelHalf(sim, "link", peer_shard=1, delay_ticks=100)
     half.attach(EtherPort("n0.port", lambda p: None))
+    check_components(sim, half)
     sim.events.call_at(500, lambda: None, name="test.noop")
     sim.run(until=500)
     with pytest.raises(ChannelError, match="epoch skew"):

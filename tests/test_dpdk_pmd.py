@@ -14,6 +14,7 @@ from repro.nic.i8254x import I8254xNic, NicConfig, NicQuirks
 from repro.pci.uio import UioPciGeneric
 from repro.sim.simobject import Simulation
 from repro.sim.ticks import us_to_ticks
+from tests.conftest import check_components
 
 
 def build(nic_config=None, bind=True, mbufs=64):
@@ -23,6 +24,7 @@ def build(nic_config=None, bind=True, mbufs=64):
     bus = BandwidthServer("iobus", 7.6e9)
     dma = DmaEngine(DmaConfig(), bus, hierarchy)
     nic = I8254xNic(sim, "nic0", nic_config or NicConfig(), dma, space)
+    check_components(sim, nic, dma)
     if bind:
         UioPciGeneric().bind(nic)
     pool = Mempool("p", HugepageAllocator(space, 256), n_mbufs=mbufs)
@@ -83,6 +85,7 @@ def test_tx_burst_and_buffer_recycling():
     from repro.nic.phy import EtherLink, EtherPort
     link = EtherLink(sim, "link")
     link.connect(nic.port, EtherPort("sink", lambda p: None))
+    check_components(sim, link)
     pmd = E1000Pmd(nic, pool)
     for _ in range(4):
         nic.port.deliver(Packet(wire_len=128))

@@ -15,12 +15,16 @@ under overload).
 import pytest
 
 from repro.dpdk.pmd import E1000Pmd
-from repro.harness.runner import run_fixed_load
+from repro.harness.runner import run_fixed_load, run_memcached
+from repro.kernelstack.driver import InterruptNicDriver
+from repro.loadgen.ether_load_gen import SyntheticConfig
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.nic.dma import DmaEngine
 from repro.nic.drop_fsm import DropClassifier
 from repro.nic.fifo import PacketByteFifo
 from repro.sim.invariants import InvariantViolation
+from repro.system import dual_mode
+from repro.system.node import DpdkNode
 from repro.system.presets import gem5_default
 
 # Fast runs: accuracy is irrelevant here, only whether the checker fires.
@@ -140,8 +144,66 @@ class TestCoResetMutations:
                        if field != "lines_written")
         monkeypatch.setattr(DmaEngine, "measured_fields", fields)
         with pytest.raises(InvariantViolation,
-                           match="nic0.dma-byte-conservation"):
+                           match=r"gem5: dma: hierarchy saw \d+ DMA line "
+                                 r"writes"):
             _run(**LIGHT_LOAD)
+
+
+class TestEveryComponentIsChecked:
+    """Components that joined a topology after construction, and runs
+    outside the single-node harness, are checked like the rest: the
+    rig's one rule walks every component of its topology."""
+
+    def test_pipeline_worker_core_is_checked(self):
+        node = DpdkNode(gem5_default(), seed=21)
+        node.install_pipeline_app()
+        loadgen = node.attach_loadgen()
+        node.start()
+        loadgen.start_synthetic(SyntheticConfig(packet_size=256,
+                                                rate_gbps=2.0, count=60))
+        node.run_us(4000.0)
+        node.sim.invariants.check(final=True)
+        worker = node.worker_core
+        worker.l1_hits = worker.accesses + 1
+        with pytest.raises(InvariantViolation, match="worker_core: L1 hits"):
+            node.sim.invariants.check(final=True)
+
+    def test_lost_memcached_response_trips_end_to_end(self, monkeypatch):
+        """Mutant: the kernel driver reports one response sent but never
+        queues it, so the client's port sees one frame fewer than the
+        server answered."""
+        orig = InterruptNicDriver.transmit
+        lost = {"done": False}
+
+        def mutant(self, skb_addr, packet):
+            if not lost["done"]:
+                lost["done"] = True
+                return True
+            return orig(self, skb_addr, packet)
+
+        monkeypatch.setattr(InterruptNicDriver, "transmit", mutant)
+        with pytest.raises(InvariantViolation,
+                           match="end-to-end-conservation"):
+            run_memcached(gem5_default(), kernel=True, rate_rps=100_000.0,
+                          n_requests=300)
+
+    def test_fig20_run_checks_the_client_side(self, monkeypatch):
+        """Mutant: the dual-mode DPDK client's core counts more L1 hits
+        than accesses, once.  The dual-mode run checks its topology,
+        ``client.*`` included."""
+        orig = dual_mode._DpdkClientApp._send
+        corrupted = {"done": False}
+
+        def mutant(self):
+            orig(self)
+            if not corrupted["done"]:
+                corrupted["done"] = True
+                self.core.l1_hits += self.core.accesses + 10**6
+
+        monkeypatch.setattr(dual_mode._DpdkClientApp, "_send", mutant)
+        with pytest.raises(InvariantViolation, match="client.core: L1 hits"):
+            dual_mode.run_dual_mode_comparison(gem5_default(),
+                                               n_requests=100)
 
 
 class TestPositiveControls:

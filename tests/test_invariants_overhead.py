@@ -1,9 +1,9 @@
 """Acceptance bound on strict-mode overhead.
 
-Strict mode re-evaluates the strict-flagged invariants after *every*
-simulated event, so its cost is the product of event rate and per-check
-cost.  The checks are deliberately pure integer compares (the O(n)
-walks are final-only) — the contract is that strict mode stays under 2x
+Strict mode re-evaluates every invariant rule after *every* simulated
+event, so its cost is the product of event rate and per-check cost.
+Each rule keeps that path to integer compares (the O(n) walks run only
+at final checks) — the contract is that strict mode stays under 2x
 the wall-clock of the default final-only mode on a drop-heavy fig-5
 style point, keeping it usable as a routine debugging tool.
 """

@@ -15,6 +15,7 @@ from repro.net.pcap import PcapRecord
 from repro.nic.phy import EtherLink, EtherPort
 from repro.sim.simobject import Simulation
 from repro.sim.ticks import us_to_ticks
+from tests.conftest import check_components
 
 
 class Reflector:
@@ -42,6 +43,7 @@ def build(drop_every=0, link_delay=0):
     reflector = Reflector(sim, drop_every=drop_every)
     link = EtherLink(sim, "link", delay_ticks=link_delay)
     link.connect(loadgen.port, reflector.port)
+    check_components(sim, loadgen, link)
     return sim, loadgen, reflector
 
 
@@ -83,6 +85,7 @@ class TestSynthetic:
         reflector = Reflector(sim, delay_ticks=us_to_ticks(10))
         link = EtherLink(sim, "link", delay_ticks=us_to_ticks(100))
         link.connect(loadgen.port, reflector.port)
+        check_components(sim, loadgen, link)
         loadgen.start_synthetic(SyntheticConfig(packet_size=64,
                                                 rate_gbps=1.0, count=10))
         sim.run(until=us_to_ticks(10_000))
@@ -128,6 +131,7 @@ class TestEpoch:
         reflector = Reflector(sim, delay_ticks=us_to_ticks(500))
         link = EtherLink(sim, "link")
         link.connect(loadgen.port, reflector.port)
+        check_components(sim, loadgen, link)
         loadgen.start_synthetic(SyntheticConfig(packet_size=64,
                                                 rate_gbps=1.0, count=None))
         sim.run(until=us_to_ticks(100))
@@ -224,6 +228,7 @@ class TestTraceMode:
         sink = EtherPort("sink", received.append)
         link = EtherLink(sim, "link")
         link.connect(loadgen.port, sink)
+        check_components(sim, loadgen, link)
         loadgen.start_trace(TraceConfig(records=self._records(3)))
         sim.run(until=us_to_ticks(10_000))
         assert all(str(p.dst) == "02:00:00:00:00:02" for p in received)
@@ -235,6 +240,7 @@ class TestTraceMode:
         received = []
         link = EtherLink(sim, "link")
         link.connect(loadgen.port, EtherPort("sink", received.append))
+        check_components(sim, loadgen, link)
         loadgen.start_trace(TraceConfig(records=self._records(1),
                                         rewrite_dst=False))
         sim.run(until=us_to_ticks(10_000))

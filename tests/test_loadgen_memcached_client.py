@@ -20,6 +20,7 @@ from repro.net.pcap import PcapReader
 from repro.nic.phy import EtherLink, EtherPort
 from repro.sim.simobject import Simulation
 from repro.sim.ticks import us_to_ticks
+from tests.conftest import check_components
 
 CLIENT_MAC = MacAddress.parse("02:00:00:00:00:01")
 SERVER_MAC = MacAddress.parse("02:00:00:00:00:02")
@@ -64,6 +65,7 @@ def build(config=None):
     server = MiniServer(sim)
     link = EtherLink(sim, "link")
     link.connect(client.port, server.port)
+    check_components(sim, link)
     return sim, client, server
 
 

@@ -21,6 +21,7 @@ from repro.sim.checkpoint import CheckpointError
 from repro.sim.invariants import InvariantViolation
 from repro.sim.simobject import Simulation
 from repro.sim.ticks import us_to_ticks
+from tests.conftest import check_components
 
 
 def _frame(dst_id: int, src_id: int = 0, sport: int = 50000,
@@ -37,6 +38,7 @@ def _switch_rig(sim, radix=2, queue_capacity=4):
     sink = EtherPort("sink", received.append)
     link = EtherLink(sim, "sw-sink")
     link.connect(switch.ports[1], sink)
+    check_components(sim, switch, link)
     switch.add_route(host_mac(1), (1,))
     return switch, received
 

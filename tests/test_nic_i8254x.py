@@ -20,6 +20,7 @@ from repro.nic.i8254x import (
 )
 from repro.sim.simobject import Simulation
 from repro.sim.ticks import us_to_ticks
+from tests.conftest import check_components
 
 
 def build_nic(config=None, bw=7.6e9):
@@ -29,6 +30,7 @@ def build_nic(config=None, bw=7.6e9):
     bus = BandwidthServer("iobus", bw)
     dma = DmaEngine(DmaConfig(), bus, hierarchy)
     nic = I8254xNic(sim, "nic0", config or NicConfig(), dma, space)
+    check_components(sim, nic, dma)
     return sim, nic
 
 
@@ -167,6 +169,7 @@ class TestTxDataPath:
         sink = EtherPort("sink", sent.append)
         link = EtherLink(sim, "link")
         link.connect(nic.port, sink)
+        check_components(sim, link)
         packet = Packet(wire_len=512)
         assert nic.tx_enqueue(0x200000, packet)
         sim.run(until=us_to_ticks(100))
@@ -178,6 +181,7 @@ class TestTxDataPath:
         from repro.nic.phy import EtherLink, EtherPort
         link = EtherLink(sim, "link")
         link.connect(nic.port, EtherPort("sink", lambda p: None))
+        check_components(sim, link)
         done = []
         nic.tx_complete_notify = done.append
         nic.tx_enqueue(0x200000, Packet(wire_len=64))

@@ -8,6 +8,7 @@ from repro.nic.dma import DmaConfig, DmaEngine
 from repro.nic.i8254x import I8254xNic, NicConfig
 from repro.sim.simobject import Simulation
 from repro.sim.ticks import us_to_ticks
+from tests.conftest import check_components
 
 
 def build(itr_us=0.0, wb_threshold=1):
@@ -17,6 +18,7 @@ def build(itr_us=0.0, wb_threshold=1):
     nic = I8254xNic(sim, "nic0", NicConfig(itr_us=itr_us,
                                            writeback_threshold=wb_threshold),
                     dma, AddressSpace())
+    check_components(sim, nic, dma)
     state = {"next": 0x100000}
 
     def source(packet):

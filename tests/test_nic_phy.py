@@ -6,6 +6,7 @@ from repro.net.packet import Packet
 from repro.nic.phy import EtherLink, EtherPort
 from repro.sim.simobject import Simulation
 from repro.sim.ticks import us_to_ticks
+from tests.conftest import check_components
 
 
 def build(bandwidth=100e9, delay=0):
@@ -16,6 +17,7 @@ def build(bandwidth=100e9, delay=0):
     link = EtherLink(sim, "link", bandwidth_bits_per_sec=bandwidth,
                      delay_ticks=delay)
     link.connect(port_a, port_b)
+    check_components(sim, link)
     return sim, link, port_a, port_b, rx_a, rx_b
 
 

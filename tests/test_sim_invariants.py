@@ -1,10 +1,11 @@
 """Unit tests for the invariant-checker registry.
 
-The registry is the enforcement core: components register conservation
-rules, the harness asserts them at the end of every run (``final``
-mode), and ``strict`` mode re-checks the cheap subset after every
-simulated event.  Mutation-style tests that break *real* components and
-watch the checker fire live in ``test_invariants_mutation.py``.
+The registry is the enforcement core: the simulation and each rig
+register conservation rules, the harness asserts them at the end of
+every run (``final`` mode), and ``strict`` mode re-checks every rule
+with ``final=False`` after every simulated event.  Mutation-style tests
+that break *real* components and watch the checker fire live in
+``test_invariants_mutation.py``.
 """
 
 import pytest
@@ -100,8 +101,7 @@ class TestStrictMode:
         reg = InvariantRegistry(queue, mode="strict")
         broken = {"flag": False}
         reg.register("tripwire",
-                     lambda final: "tripped" if broken["flag"] else None,
-                     strict=True)
+                     lambda final: "tripped" if broken["flag"] else None)
 
         def breaker():
             broken["flag"] = True
@@ -115,21 +115,18 @@ class TestStrictMode:
         assert info.value.tick == 100
         assert info.value.phase == "strict"
 
-    def test_non_strict_checks_skipped_per_event(self):
+    def test_every_rule_runs_per_event_with_final_false(self):
         queue = EventQueue()
         reg = InvariantRegistry(queue, mode="strict")
-        calls = {"expensive": 0}
-
-        def expensive(final):
-            calls["expensive"] += 1
-
-        reg.register("expensive-walk", expensive)   # final-only
+        seen = {"a": [], "b": []}
+        reg.register("a", lambda final: seen["a"].append(final))
+        reg.register("b", lambda final: seen["b"].append(final))
         for when in (10, 20, 30):
             queue.schedule(Event(lambda: None), when)
         queue.run()
-        assert calls["expensive"] == 0
+        assert seen == {"a": [False] * 3, "b": [False] * 3}
         reg.check(final=True)
-        assert calls["expensive"] == 1
+        assert seen == {"a": [False] * 3 + [True], "b": [False] * 3 + [True]}
         assert reg.events_checked == 3
 
 
@@ -141,6 +138,18 @@ class TestSimulationIntegration:
         assert "sim.event-queue-sane" in names
         sim.run(until=1000)
         sim.invariants.check(final=True)
+
+    def test_a_node_registers_one_rule(self):
+        """Components state their rules and the rig registers one rule
+        that runs them all: a testpmd node with a load generator adds
+        exactly one rule, under its label, to the simulation's two."""
+        from repro.harness.runner import build_node
+        from repro.system.presets import gem5_default
+
+        node = build_node(gem5_default(), "testpmd")
+        node.attach_loadgen()
+        assert node.sim.invariants.names == [
+            "sim.tick-monotonic", "sim.event-queue-sane", node.label]
 
     def test_strict_simulation_detects_time_rewind(self):
         sim = Simulation(invariant_mode="strict")

@@ -92,19 +92,6 @@ class TestBindMetadata:
         assert a.bind_metadata[0]["bandwidth_bits_per_sec"] == 100e9
         assert b.bind_metadata[0]["delay_ticks"] == 5
 
-    def test_on_port_bound_hook_runs_for_both_owners(self):
-        calls = []
-
-        class Hooked(Owner):
-            def on_port_bound(self, port, peer, **metadata):
-                calls.append((self.name, port.port_name, metadata))
-
-        a = PacketPort(Hooked("a"), "wire")
-        b = PacketPort(Hooked("b"), "wire")
-        a.bind(b, delay_ticks=7)
-        assert ("a", "wire", {"delay_ticks": 7}) in calls
-        assert ("b", "wire", {"delay_ticks": 7}) in calls
-
     def test_failed_bind_leaves_no_trace(self):
         req = RequestPort(Owner("a"), "out", KIND_MEM)
         rsp = ResponsePort(Owner("b"), "in", KIND_DMA)

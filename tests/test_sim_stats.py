@@ -1,8 +1,27 @@
 """Unit tests for the statistics framework."""
 
-import pytest
+import builtins
+import math
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim import stats
 from repro.sim.stats import Distribution, Histogram
+
+
+def _reference_percentile(samples, pct):
+    """One percentile from its own sort: the interpolation every
+    summary must reproduce exactly."""
+    data = builtins.sorted(samples)
+    if len(data) == 1:
+        return data[0]
+    rank = (pct / 100.0) * (len(data) - 1)
+    lo, hi = math.floor(rank), math.ceil(rank)
+    if lo == hi:
+        return data[lo]
+    frac = rank - lo
+    return data[lo] * (1 - frac) + data[hi] * frac
 
 
 class TestDistribution:
@@ -76,6 +95,37 @@ class TestDistribution:
         d.sample(1.0)
         d.reset()
         assert d.count == 0
+
+    def test_summary_sorts_once(self, monkeypatch):
+        calls = []
+
+        def counting_sorted(data, **kwargs):
+            calls.append(len(data))
+            return builtins.sorted(data, **kwargs)
+
+        monkeypatch.setattr(stats, "sorted", counting_sorted, raising=False)
+        d = Distribution("d")
+        for x in range(1000):
+            d.sample((x * 7919) % 1000)
+        d.summary()
+        assert calls == [1000]
+
+
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
+                          allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=300))
+@settings(max_examples=50)
+def test_summary_equals_each_percentile(samples):
+    d = Distribution("d")
+    for x in samples:
+        d.sample(x)
+    summary = d.summary()
+    for key, pct in (("median", 50.0), ("p95", 95.0), ("p99", 99.0)):
+        assert summary[key] == _reference_percentile(samples, pct)
+        assert d.percentile(pct) == summary[key]
+    assert d.percentiles(50.0, 99.9) == [
+        _reference_percentile(samples, 50.0),
+        _reference_percentile(samples, 99.9)]
 
 
 class TestHistogram:

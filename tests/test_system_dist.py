@@ -21,6 +21,7 @@ from repro.sim.channel import (
 )
 from repro.sim.simobject import Simulation
 from repro.sim.ticks import us_to_ticks
+from tests.conftest import check_components
 
 MAC_A = MacAddress.parse("02:00:00:00:00:01")
 MAC_B = MacAddress.parse("02:00:00:00:00:02")
@@ -41,6 +42,7 @@ def _couple(ends, delay_ticks, bandwidth=BANDWIDTH):
                            bandwidth_bits_per_sec=bandwidth,
                            delay_ticks=delay_ticks)
         half.attach(port)
+        check_components(sim, half)
         groups[shard] = ChannelGroup(sim, [half])
     return InProcessCoupler(groups)
 
@@ -179,6 +181,7 @@ class TestDistNodeTopology:
         node.install_app(TestPmd)
         client_sim = Simulation(seed=42)
         loadgen = EtherLoadGen(client_sim, "dist_loadgen")
+        check_components(client_sim, loadgen)
         coupler = _couple([(client_sim, loadgen.port),
                            (node.sim, node.nic.port)],
                           us_to_ticks(config.link_delay_us),
