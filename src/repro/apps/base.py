@@ -29,7 +29,7 @@ from repro.kernelstack.driver import InterruptNicDriver
 from repro.kernelstack.stack import KernelStackModel
 from repro.mem.address import AddressSpace
 from repro.net.packet import Packet
-from repro.sim.checkpoint import CheckpointError, Stateful
+from repro.sim.checkpoint import Stateful
 from repro.sim.event_queue import EventPool
 from repro.sim.ports import KIND_APP, RequestPort
 from repro.sim.simobject import SimObject, Simulation
@@ -102,6 +102,10 @@ class DpdkApp(Stateful, SimObject):
                 f"{self.total_processed} packets but the RX ring released "
                 f"{harvested}")
         return fails
+
+    def held(self) -> int:
+        """Packets between harvest and burst completion."""
+        return self._holding
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -203,13 +207,6 @@ class DpdkApp(Stateful, SimObject):
     state_fields = ("_idle", "_running", "total_processed",
                     "total_forwarded", "total_absorbed") + measured_fields
 
-    def serialize_state(self) -> dict:
-        if self._holding:
-            raise CheckpointError(
-                f"{self.name} holds {self._holding} packets mid-burst; "
-                f"checkpoints require a quiescent (drained) node")
-        return super().serialize_state()
-
 
 class KernelNetApp(Stateful, SimObject):
     """Interrupt-driven kernel-stack application (NAPI loop)."""
@@ -259,6 +256,10 @@ class KernelNetApp(Stateful, SimObject):
         """Packets consumed without a response leaving the node."""
         return self.total_processed - self.total_responses
 
+    def held(self) -> int:
+        """1 while a NAPI poll round is in flight, else 0."""
+        return int(self._processing)
+
     def _on_irq(self, count: int) -> None:
         self.interrupts += 1
         if self._processing:
@@ -307,10 +308,3 @@ class KernelNetApp(Stateful, SimObject):
     measured_fields = ("packets_processed", "interrupts")
     state_fields = ("_processing", "total_processed",
                     "total_responses") + measured_fields
-
-    def serialize_state(self) -> dict:
-        if self._processing:
-            raise CheckpointError(
-                f"{self.name} has a NAPI poll round in flight; "
-                f"checkpoints require a quiescent (drained) node")
-        return super().serialize_state()

@@ -22,7 +22,7 @@ from repro.cpu.kernels import KernelCosts, touch_lines
 from repro.dpdk.pmd import E1000Pmd, RxMbuf
 from repro.dpdk.ring import RteRing
 from repro.mem.address import AddressSpace
-from repro.sim.checkpoint import CheckpointError, Stateful
+from repro.sim.checkpoint import Stateful
 from repro.sim.event_queue import EventPool
 from repro.sim.ports import KIND_APP, RequestPort
 from repro.sim.simobject import SimObject, Simulation
@@ -98,12 +98,12 @@ class PipelineForwarder(Stateful, SimObject):
         for message in self.ring.invariant_failures(final):
             fails.append(f"ring-conservation: {message}")
         accounted = (self.total_forwarded + self.total_absorbed
-                     + self.ring.count + self._holding)
+                     + self.ring.held() + self._holding)
         if self.total_processed != accounted:
             fails.append(
                 f"packet-conservation: harvested {self.total_processed} != "
                 f"forwarded {self.total_forwarded} + absorbed "
-                f"{self.total_absorbed} + ring {self.ring.count} + "
+                f"{self.total_absorbed} + ring {self.ring.held()} + "
                 f"holding {self._holding}")
         harvested = self.pmd.nic.rx_ring.harvested_total
         if self.total_processed != harvested:
@@ -112,6 +112,10 @@ class PipelineForwarder(Stateful, SimObject):
                 f"{self.total_processed} packets but the RX ring released "
                 f"{harvested}")
         return fails
+
+    def held(self) -> int:
+        """Frames queued in the ring or held by the worker mid-burst."""
+        return self._holding + self.ring.held()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -235,15 +239,8 @@ class PipelineForwarder(Stateful, SimObject):
     measured_fields = ("packets_received", "packets_processed",
                        "packets_forwarded", "ring_full_drops",
                        "tx_ring_drops")
-    # Both stages' flags/counters plus the inter-core ring (which
-    # enforces its own emptiness — queued frames are live packets).
+    # Both stages' flags/counters plus the inter-core ring's cursors
+    # (its queued frames are live packets, counted in held()).
     state_fields = ("_running", "_rx_idle", "_worker_idle",
                     "total_processed", "total_forwarded", "total_absorbed",
                     "ring") + measured_fields
-
-    def serialize_state(self) -> dict:
-        if self._holding:
-            raise CheckpointError(
-                f"{self.name} worker holds {self._holding} packets "
-                f"mid-burst; checkpoints require a quiescent node")
-        return super().serialize_state()

@@ -555,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(PLATFORMS))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=_positive_int,
-                       default=int(os.environ.get("REPRO_JOBS", "1")),
+                       default=os.environ.get("REPRO_JOBS", "1"),
                        help="worker processes for independent sweep "
                             "points (default: REPRO_JOBS or 1)")
         p.add_argument("--cache-dir", dest="cache_dir",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.sim.checkpoint import CheckpointError, Stateful
+from repro.sim.checkpoint import Stateful
 
 
 class RteRing(Stateful):
@@ -30,9 +30,8 @@ class RteRing(Stateful):
         self.dequeued = 0
         self.enqueue_failures = 0
 
-    @property
-    def count(self) -> int:
-        """Number of items currently held."""
+    def held(self) -> int:
+        """Number of items currently held (each a live packet)."""
         return self._count
 
     @property
@@ -93,17 +92,10 @@ class RteRing(Stateful):
     # -- checkpoint support --------------------------------------------------
 
     # Cursors and lifetime counters.  Held items are live packets, so the
-    # ring must be empty (its slots are then all None and the cursors
-    # alone reproduce the state).
+    # ring is checkpointed empty (its slots are then all None and the
+    # cursors alone reproduce the state).
     state_fields = ("_head", "_tail", "enqueued", "dequeued",
                     "enqueue_failures")
-
-    def serialize_state(self) -> dict:
-        if self._count:
-            raise CheckpointError(
-                f"rte_ring {self.name} holds {self._count} items; "
-                f"checkpoints require a quiescent (drained) node")
-        return super().serialize_state()
 
     def invariant_failures(self, final: bool = True):
         """Ring conservation self-checks over lifetime counters; a list

@@ -233,13 +233,12 @@ def fixed_load_warm_start(config: SystemConfig, app_name: str,
 
 def _drain_nic(node, config: SystemConfig) -> None:
     """Let the node work off its queued backlog, then wait out the last
-    round trip.  Checks only the NIC rings and FIFO: the node's full
-    quiescence test covers more and would move the drain timing."""
+    round trip.  Checks only the RX FIFO and the two rings: the rig's
+    full quiescence walk covers more and would move the drain timing."""
     for _ in range(40):
         nic = node.nic
-        if (len(nic.rx_fifo) == 0 and nic.rx_ring.completed_count == 0
-                and nic.rx_ring.pending_writeback_count == 0
-                and nic.tx_ring.occupancy == 0):
+        if (nic.rx_fifo.held() == 0 and nic.rx_ring.held() == 0
+                and nic.tx_ring.held() == 0):
             break
         node.run_us(200.0)
     node.run_us(2 * config.link_delay_us + 100.0)

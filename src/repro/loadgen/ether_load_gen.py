@@ -22,7 +22,7 @@ from repro.net.packet import (
 )
 from repro.net.pcap import PcapRecord
 from repro.nic.phy import EtherPort
-from repro.sim.checkpoint import CheckpointError, Stateful
+from repro.sim.checkpoint import Stateful
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.ticks import TICKS_PER_SEC, ns_to_ticks
 
@@ -450,19 +450,12 @@ class EtherLoadGen(Stateful, SimObject):
         self.last_tx_tick = None
         self._epoch += 1
 
-    # Counters, epoch, and sequence state.  The generator must be stopped:
-    # mode configs and the inter-arrival sampler are rebuilt by the next
-    # ``start_*`` call, so an in-progress generation phase cannot be
-    # captured faithfully.
+    # Counters, epoch, and sequence state.  The generator must be stopped
+    # (the rig refuses while it is ``active``): mode configs and the
+    # inter-arrival sampler are rebuilt by the next ``start_*`` call, so
+    # an in-progress generation phase cannot be captured faithfully.
     state_fields = ("_seq", "_epoch", "stale_rx", "total_tx_packets",
                     "total_rx_packets", "first_tx_tick", "last_tx_tick",
                     "_remaining", "_trace_index", "_trace_base_tick",
                     "_ramp_step", "_step_sent", "_step_received",
                     "port") + measured_fields
-
-    def serialize_state(self) -> dict:
-        if self._sending or self._send_event.scheduled:
-            raise CheckpointError(
-                f"{self.name} is actively generating traffic; "
-                f"checkpoints require a stopped (drained) load generator")
-        return super().serialize_state()

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.loadgen.distributions import ExponentialInterArrival
-from repro.sim.checkpoint import CheckpointError, Stateful
+from repro.sim.checkpoint import Stateful
 from repro.sim.rng import DeterministicRng
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.stats import Distribution
@@ -492,10 +492,6 @@ class FlowTrafficGenerator(Stateful, SimObject):
     state_fields = ("_starts", "_next_flow_id", "_window_started")
 
     def serialize_state(self) -> dict:
-        if self.active:
-            raise CheckpointError(
-                f"{self.name} is mid-phase ({len(self._pending) - self._cursor}"
-                f" flows unstarted); checkpoints require a finished phase")
         state = super().serialize_state()
         state["records"] = [r.as_tuple() for r in self._records]
         return state

@@ -35,7 +35,7 @@ from repro.net.headers import build_udp_frame, parse_udp_frame
 from repro.net.packet import MacAddress, Packet
 from repro.net.pcap import PcapWriter
 from repro.nic.phy import EtherPort
-from repro.sim.checkpoint import CheckpointError, Stateful
+from repro.sim.checkpoint import Stateful
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.ticks import TICKS_PER_SEC
 
@@ -290,16 +290,13 @@ class MemcachedClient(Stateful, SimObject):
     # function of the workload RNG's initial state, so a restored client
     # rebuilds them in ``__init__`` and only the RNG is repositioned.  The
     # client must be stopped (the inter-arrival sampler is rebuilt by the
-    # next ``start``/``run_warmup`` call).
+    # next ``start``/``run_warmup`` call; the rig refuses while it is
+    # ``active``).
     state_fields = ("_workload_rng", "_next_request_id", "_warm_remaining",
                     "first_tx_tick", "last_tx_tick",
                     "port") + measured_fields
 
     def serialize_state(self) -> dict:
-        if self._sending or self._send_event.scheduled:
-            raise CheckpointError(
-                f"{self.name} is actively sending requests; "
-                f"checkpoints require a stopped (drained) client")
         state = super().serialize_state()
         state["outstanding"] = [[request_id, sent_tick, kind]
                                 for request_id, (sent_tick, kind)

@@ -45,7 +45,7 @@ from repro.net.packet import (
 )
 from repro.nic.phy import EtherLink, EtherPort
 from repro.sim.channel import ChannelHalf
-from repro.sim.checkpoint import CheckpointError, Rig, Stateful
+from repro.sim.checkpoint import Rig, Stateful
 from repro.sim.event_queue import EventPool
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.ticks import ns_to_ticks, us_to_ticks
@@ -239,8 +239,7 @@ class OutputQueuedSwitch(Stateful, SimObject):
 
     # -- introspection -------------------------------------------------------
 
-    @property
-    def occupancy(self) -> int:
+    def held(self) -> int:
         """Frames currently queued across all outputs."""
         return sum(self._queued)
 
@@ -254,10 +253,6 @@ class OutputQueuedSwitch(Stateful, SimObject):
     state_fields = ("_free_at", "_rx", "_tx", "_drops") + measured_fields
 
     def serialize_state(self) -> dict:
-        if self.occupancy:
-            raise CheckpointError(
-                f"switch {self.name} has {self.occupancy} frames queued; "
-                f"checkpoints require a drained fabric")
         state = super().serialize_state()
         state["port_counters"] = [[p.frames_sent, p.frames_received]
                                   for p in self.ports]
@@ -400,8 +395,9 @@ class FabricHost(Stateful, SimObject):
 
     # -- introspection -------------------------------------------------------
 
-    def quiescent(self) -> bool:
-        return self._rx_queued == 0
+    def held(self) -> int:
+        """Frames in the RX queue awaiting service."""
+        return self._rx_queued
 
     def drop_counts(self) -> Dict[str, int]:
         value = self.window_dropped
@@ -415,10 +411,6 @@ class FabricHost(Stateful, SimObject):
                     + measured_fields)
 
     def serialize_state(self) -> dict:
-        if self._rx_queued:
-            raise CheckpointError(
-                f"host {self.name} has {self._rx_queued} frames awaiting "
-                f"service; checkpoints require a drained fabric")
         state = super().serialize_state()
         # Flows that will never complete (a segment was dropped) keep
         # their partial counts across a checkpoint.
@@ -582,11 +574,10 @@ class Fabric(Rig):
 
     def law_failures(self) -> List[str]:
         """Flow conservation, exact only once every FIFO and wire has
-        drained.  Sharded, the law closes over the channel boundary:
-        frames entering this shard (local sends + channel ingress) equal
-        frames leaving it (serviced + dropped + channel egress)."""
-        if not self.quiescent():
-            return []
+        drained (the rig checks it only then).  Sharded, the law closes
+        over the channel boundary: frames entering this shard (local
+        sends + channel ingress) equal frames leaving it (serviced +
+        dropped + channel egress)."""
         sent = sum(h._tx for h in self.hosts)
         processed = sum(h._processed for h in self.hosts)
         host_drops = sum(h._dropped for h in self.hosts)
@@ -612,20 +603,6 @@ class Fabric(Rig):
 
     def host_groups(self) -> List[int]:
         return [h.group for h in self.hosts]
-
-    def quiescent(self) -> bool:
-        """No frame anywhere: switch FIFOs, host RX queues, wires, and
-        (sharded) the channel boundary this shard is responsible for."""
-        return (all(s.occupancy == 0 for s in self.switches)
-                and all(h.quiescent() for h in self.hosts)
-                and all(count == 0
-                        for link in self.links
-                        for count in link._in_flight.values())
-                and all(half.in_flight == 0 for half in self.channels))
-
-    def sources_active(self) -> bool:
-        """Whether the flow generator still injects flows."""
-        return self.generator is not None and self.generator.active
 
     def per_switch_drops(self) -> Dict[str, Dict[str, int]]:
         """Window drop counts by switch name and cause (nonzero only)."""

@@ -25,7 +25,7 @@ from typing import Deque, List, Optional
 
 from repro.mem.address import Region
 from repro.net.packet import Packet
-from repro.sim.checkpoint import CheckpointError, Stateful
+from repro.sim.checkpoint import Stateful
 
 DESC_SIZE = 16   # legacy e1000 descriptor: 16 bytes
 
@@ -153,6 +153,10 @@ class RxRing(DescriptorRing):
         """Filled descriptors still in the descriptor cache."""
         return len(self._pending_wb)
 
+    def held(self) -> int:
+        """Filled descriptors not yet harvested: cached or completed."""
+        return len(self._pending_wb) + len(self._completed)
+
     def harvest(self, max_count: int) -> List[RxDescriptor]:
         """Driver collects up to ``max_count`` completed descriptors
         (an rx_burst)."""
@@ -176,19 +180,11 @@ class RxRing(DescriptorRing):
     # -- checkpoint support --------------------------------------------------
 
     # Cursor/counter state.  Descriptors in the descriptor cache or
-    # awaiting harvest reference live packets, so a quiescent ring has
-    # both queues empty.  The writeback threshold is mutated at runtime by
-    # the PMD's writeback quirk path.
+    # awaiting harvest reference live packets (held()), so a quiescent
+    # ring has both queues empty.  The writeback threshold is mutated at
+    # runtime by the PMD's writeback quirk path.
     state_fields = ("_posted", "_fill_cursor", "filled_total",
                     "harvested_total", "writebacks", "writeback_threshold")
-
-    def serialize_state(self) -> dict:
-        if self._pending_wb or self._completed:
-            raise CheckpointError(
-                f"RX ring {self.name} holds {len(self._pending_wb)} cached "
-                f"+ {len(self._completed)} completed descriptors; "
-                f"checkpoints require a quiescent (drained) node")
-        return super().serialize_state()
 
     def invariant_failures(self, final: bool = True):
         """Descriptor conservation: every filled descriptor is either in
@@ -224,9 +220,8 @@ class TxRing(DescriptorRing):
         self.enqueued_total = 0
         self.consumed_total = 0
 
-    @property
-    def occupancy(self) -> int:
-        """Entries currently queued."""
+    def held(self) -> int:
+        """Packets queued for transmission."""
         return len(self._queue)
 
     @property
@@ -263,13 +258,6 @@ class TxRing(DescriptorRing):
     # -- checkpoint support --------------------------------------------------
 
     state_fields = ("_tail", "enqueued_total", "consumed_total")
-
-    def serialize_state(self) -> dict:
-        if self._queue:
-            raise CheckpointError(
-                f"TX ring {self.name} holds {len(self._queue)} queued "
-                f"packets; checkpoints require a quiescent (drained) node")
-        return super().serialize_state()
 
     def invariant_failures(self, final: bool = True):
         """TX descriptor conservation over lifetime counters."""

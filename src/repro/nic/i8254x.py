@@ -233,6 +233,13 @@ class I8254xNic(Stateful, SimObject, PciDevice):
                 f"{rx_fifo.rejected} != drop-FSM total {fsm_total}")
         return fails
 
+    def held(self) -> int:
+        """Packets inside the NIC: in either FIFO, in either ring, or in
+        TX DMA flight."""
+        return (self.rx_fifo.held() + self.tx_fifo.held()
+                + self.rx_ring.held() + self.tx_ring.held()
+                + self._tx_dma_in_flight)
+
     # ------------------------------------------------------------------
     # Register file (MMIO)
     # ------------------------------------------------------------------
@@ -331,7 +338,7 @@ class I8254xNic(Stateful, SimObject, PciDevice):
                 and self.rx_buffer_source is not None)
 
     def _tx_work_ready(self) -> bool:
-        return self.tx_ring.occupancy > 0 and self.tx_fifo.free_bytes >= 1518
+        return self.tx_ring.held() > 0 and self.tx_fifo.free_bytes >= 1518
 
     def _rx_service(self) -> None:
         """DMA one received packet from the RX FIFO into host memory."""
@@ -466,9 +473,8 @@ class I8254xNic(Stateful, SimObject, PciDevice):
                        "drop_fsm", "rx_fifo.rejected")
 
     # Register file, interrupt/ITR state, window and lifetime counters,
-    # and the nested FIFO/ring/FSM state.  The nested serializers raise
-    # if any packet is still held, so quiescence is enforced
-    # transitively.
+    # and the nested FIFO/ring/FSM state.  Packets are not serialized:
+    # the rig checkpoints the NIC only while held() reads 0.
     state_fields = ("_ims", "_icr", "_itr_pending", "_last_notify_tick",
                     "_wb_timer_disabled", "rx_packets", "tx_packets",
                     "rx_buffer_starved", "interrupts_posted",

@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.packet import MacAddress, Packet, serialization_ticks
-from repro.sim.checkpoint import CheckpointError, Stateful
+from repro.sim.checkpoint import Stateful
 from repro.sim.event_queue import EventPool
 from repro.sim.ports import PacketPort
 from repro.sim.simobject import SimObject, Simulation
@@ -199,8 +199,7 @@ class ChannelHalf(Stateful, SimObject):
 
     # -- introspection -------------------------------------------------------
 
-    @property
-    def in_flight(self) -> int:
+    def held(self) -> int:
         """Frames this half is responsible for that have not been
         handed to a device yet: posted-but-undrained plus
         injected-but-undelivered."""
@@ -209,13 +208,6 @@ class ChannelHalf(Stateful, SimObject):
     # -- checkpoint support --------------------------------------------------
 
     state_fields = ("_tx_free_at", "_out_seq", "frames_out", "frames_in")
-
-    def serialize_state(self) -> dict:
-        if self.in_flight:
-            raise CheckpointError(
-                f"channel {self.name} has {self.in_flight} frames in "
-                f"flight; checkpoints require a drained fabric")
-        return super().serialize_state()
 
 
 #: One epoch's outgoing batches, keyed by peer shard id: each entry is a

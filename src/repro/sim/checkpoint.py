@@ -114,9 +114,11 @@ class Stateful:
       every restore), so no component may share a list with it;
     - any other value passes through unchanged.
 
-    A subclass extends its parent's tuple.  A component that must refuse
-    to checkpoint while it holds packets overrides ``serialize_state``
-    with only that check, then calls ``super().serialize_state()``.
+    A subclass extends its parent's tuple.  A component that can hold a
+    packet, a frame, a descriptor or a DMA in flight says how many in
+    ``held()``; the owning :class:`Rig` refuses a checkpoint while any
+    component's ``held()`` is nonzero, so no ``serialize_state`` needs a
+    refusal of its own.
 
     ``measured_fields`` lists the counters a measurement window covers
     the same way; :meth:`reset_measurement` resets them after warm-up.
@@ -281,21 +283,24 @@ class Rig:
     components, checkpointed and restored as a whole.
 
     A subclass supplies ``label``, ``identity_app`` (the application a
-    checkpoint records), ``quiescent()`` (no packet anywhere in the
-    datapath), ``sources_active()`` (a traffic source still offering
-    load) and ``law_failures()`` (its whole-rig conservation laws);
+    checkpoint records) and ``law_failures()`` (its whole-rig
+    conservation laws).  Drained is stated by the components: each one
+    that can hold a packet says how many in ``held()``, and each traffic
+    source says whether it still offers load in ``active``.  Quiescence,
     readiness, checkpoint, restore, the identity they check, the
-    measurement reset and the invariant rule are defined here once.
+    measurement reset and the invariant rule are defined here once, as
+    walks over the topology.
     """
 
     def invariant_failures(self, final: bool = True) -> List[str]:
         """The rig's one invariant rule, which it registers under its
         label: the rules every topology component states, and at a
-        final check the laws only the whole rig can see.  A component
-        added after construction is checked because it joins the
-        topology."""
+        final check of a drained rig the laws only the whole rig can
+        see (they close only once nothing is held in between).  A
+        component added after construction is checked because it joins
+        the topology."""
         fails = self.topology.invariant_failures(final)
-        if final:
+        if final and self.quiescent():
             fails.extend(self.law_failures())
         return fails
 
@@ -316,6 +321,26 @@ class Rig:
             if reset is not None:
                 reset()
 
+    def holders(self) -> List[Tuple[str, int]]:
+        """(label, count) of every topology component whose ``held()``
+        is nonzero, in registration order."""
+        out = []
+        for label, component in self.topology.components():
+            held = getattr(component, "held", None)
+            count = held() if held is not None else 0
+            if count:
+                out.append((label, count))
+        return out
+
+    def quiescent(self) -> bool:
+        """No packet anywhere: every component's ``held()`` is 0."""
+        return not self.holders()
+
+    def sources_active(self) -> bool:
+        """Whether some traffic source still offers load."""
+        return any(getattr(component, "active", False)
+                   for _label, component in self.topology.components())
+
     def _checkpoint_ready(self) -> bool:
         """Quiescent datapath, idle traffic sources, and every pending
         event re-creatable by name on restore."""
@@ -327,20 +352,25 @@ class Rig:
     def checkpoint(self, extra_meta: Optional[dict] = None) -> dict:
         """The rig's complete state as a sealed :func:`snapshot` (the
         gem5 drain-then-serialize flow).  A rig that is not drained
-        raises :class:`CheckpointError`; taking a checkpoint reads state
-        only — it never perturbs the run."""
+        raises :class:`CheckpointError` naming what still holds
+        packets; taking a checkpoint reads state only — it never
+        perturbs the run."""
         if not self._checkpoint_ready():
-            _registered, unregistered = self.sim.named_event_status()
             detail = []
-            if not self.quiescent():
-                detail.append("packets are still in flight")
+            holders = self.holders()
+            if holders:
+                detail.append("packets are still held: " + ", ".join(
+                    f"{label} {count}" for label, count in holders))
+            if self.sources_active():
+                detail.append("a traffic source is active")
+            _registered, unregistered = self.sim.named_event_status()
             if unregistered:
                 detail.append(
                     "anonymous one-shot events pending: "
                     + ", ".join(sorted(e.name for e in unregistered)))
             raise CheckpointError(
                 f"{self.label} is not checkpoint-ready "
-                f"({'; '.join(detail) or 'a traffic source is active'})")
+                f"({'; '.join(detail)})")
         return snapshot(self.sim, self.topology,
                         {**self._identity(), **(extra_meta or {})})
 

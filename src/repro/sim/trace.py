@@ -72,8 +72,14 @@ class TraceOptions:
         spec = env.get("REPRO_TRACE", "").strip()
         if not spec or spec == "0":
             return cls(enabled=False)
-        buffer_size = int(env.get("REPRO_TRACE_BUFFER",
-                                  str(DEFAULT_BUFFER_SIZE)))
+        raw = env.get("REPRO_TRACE_BUFFER", str(DEFAULT_BUFFER_SIZE))
+        try:
+            buffer_size = int(raw)
+            if buffer_size < 1:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"REPRO_TRACE_BUFFER={raw!r}: expected a "
+                             f"positive integer") from None
         if spec in ("1", "all", "on"):
             return cls(enabled=True, buffer_size=buffer_size)
         categories = frozenset(

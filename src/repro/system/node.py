@@ -121,10 +121,10 @@ class _BaseNode(Rig):
         traffic source injected == returned + NIC drops + TX FIFO drops
         + app-absorbed.  It reads the source's port, so an EtherLoadGen
         and a memcached client are checked alike, and it is exact only
-        once every queue and wire between them and the app has
-        drained."""
+        once every queue and wire between them and the app has drained
+        (the rig checks it only then)."""
         source = self.loadgen or self.memcached_client
-        if source is None or not self.quiescent():
+        if source is None:
             return []
         port, nic = source.port, self.nic
         absorbed = getattr(self.app, "total_absorbed", 0)
@@ -138,28 +138,6 @@ class _BaseNode(Rig):
                 f"{nic.total_tx_fifo_drops} + app-absorbed {absorbed}"]
         return []
 
-    def nic_quiescent(self) -> bool:
-        """True when no packet is anywhere inside the NIC: the FIFOs and
-        rings are empty and no DMA is in flight.  Quiescence-conditional
-        invariants (mbuf leaks, end-to-end conservation) only assert once
-        this and the app's own pipeline are drained."""
-        nic = self.nic
-        return (len(nic.rx_fifo) == 0
-                and len(nic.tx_fifo) == 0
-                and nic.rx_ring.completed_count == 0
-                and nic.rx_ring.pending_writeback_count == 0
-                and nic.tx_ring.occupancy == 0
-                and nic._tx_dma_in_flight == 0)
-
-    def app_holding(self) -> int:
-        """Packets currently held inside the application between harvest
-        and burst completion (0 for synchronous kernel apps)."""
-        held = getattr(self.app, "_holding", 0) if self.app else 0
-        ring = getattr(self.app, "ring", None)
-        if ring is not None:
-            held += ring.count
-        return held
-
     # -- client attachment -------------------------------------------------
 
     def attach_loadgen(self) -> EtherLoadGen:
@@ -172,18 +150,6 @@ class _BaseNode(Rig):
         self.topology.add("loadgen", self.loadgen)
         self.link.connect(self.loadgen.port, self.nic.port)
         return self.loadgen
-
-    def quiescent(self) -> bool:
-        """Quiescent NIC, empty app pipeline, and nothing on the wire."""
-        link_idle = all(count == 0
-                        for count in self.link._in_flight.values())
-        return (self.nic_quiescent() and self.app_holding() == 0
-                and link_idle)
-
-    def sources_active(self) -> bool:
-        """Whether the load generator or memcached client still sends."""
-        return any(source is not None and source.active
-                   for source in (self.loadgen, self.memcached_client))
 
     def attach_memcached_client(
             self, client_config: MemcachedClientConfig) -> MemcachedClient:
@@ -302,14 +268,13 @@ class DpdkNode(_BaseNode):
             self.install_app(app_class, **(app_kwargs or {}))
 
     def law_failures(self) -> List[str]:
-        """The end-to-end law, plus leak detection once the datapath is
-        quiescent (a held mbuf is legitimate while packets are in
-        flight; at quiescence it is a leak — DPDK's classic failure
-        mode, which surfaces as ``MempoolEmptyError`` much later)."""
+        """The end-to-end law, plus leak detection (a held mbuf is
+        legitimate while packets are in flight; at quiescence it is a
+        leak — DPDK's classic failure mode, which surfaces as
+        ``MempoolEmptyError`` much later)."""
         fails = super().law_failures()
-        if self.quiescent():
-            fails.extend(f"mbuf_pool: {message}"
-                         for message in self.mempool.leak_failures())
+        fails.extend(f"mbuf_pool: {message}"
+                     for message in self.mempool.leak_failures())
         return fails
 
     def install_app(self, app_class: Type, **kwargs):

@@ -10,6 +10,7 @@ its class repeats the refusal and identity cases on a fabric.
 """
 
 import json
+import re
 
 import pytest
 
@@ -243,6 +244,27 @@ class TestNodeCheckpoint:
         node.run_us(50.0)
         with pytest.raises(CheckpointError, match="not checkpoint-ready"):
             node.checkpoint()
+
+    def test_refusal_names_what_still_holds_packets(self):
+        """With the load generator stopped mid-flight, the refusal names
+        the components that still hold frames and how many."""
+        from repro.harness.runner import build_node
+        from repro.loadgen.ether_load_gen import SyntheticConfig
+        from repro.system.presets import gem5_default
+
+        node = build_node(gem5_default(), "testpmd", seed=0)
+        loadgen = node.attach_loadgen()
+        node.start()
+        loadgen.start_synthetic(SyntheticConfig(
+            packet_size=256, rate_gbps=5.0, count=None,
+            expect_responses=True))
+        node.run_us(50.0)
+        loadgen.stop()
+        with pytest.raises(CheckpointError,
+                           match="not checkpoint-ready") as refused:
+            node.checkpoint()
+        assert re.search(r"packets are still held: .*\b(nic0|link0) [1-9]",
+                         str(refused.value))
 
 
 class TestFabricCheckpoint:

@@ -151,6 +151,34 @@ def test_warm_up_zeroes_every_measured_field(warmed, name):
             if not _reads_zero(value)] == []
 
 
+@pytest.mark.parametrize("name", sorted(RIGS))
+def test_every_holder_blocks_checkpoint_and_laws(warmed, name, monkeypatch):
+    """The rig's one quiescence walk sees every component that states
+    ``held()``: one held item refuses the checkpoint, naming that
+    component, and keeps the whole-rig laws out of a final check."""
+    _spec, rig = warmed(name)
+    monkeypatch.setattr(rig, "law_failures", lambda: ["law checked"])
+    assert rig.invariant_failures(final=True) == ["law checked"]
+    holders = [(label, component)
+               for label, component in rig.topology.components()
+               if callable(getattr(component, "held", None))]
+    if hasattr(rig, "switches"):
+        expected = {part.name for part in
+                    rig.switches + rig.hosts + rig.links}
+    else:
+        expected = {"nic0", "link0", "app"}
+    assert expected <= {label for label, _component in holders}
+    for label, component in holders:
+        with monkeypatch.context() as patch:
+            patch.setattr(component, "held", lambda: 1)
+            with pytest.raises(CheckpointError,
+                               match="not checkpoint-ready") as refused:
+                rig.checkpoint()
+            assert f"(packets are still held: {label} 1)" \
+                in str(refused.value)
+            assert rig.invariant_failures(final=True) == []
+
+
 @pytest.mark.parametrize("name", ["memcached-dpdk", "memcached-kernel"])
 def test_warm_up_resets_requests_served(warmed, name):
     """Both memcached servers count the requests of the measured window,

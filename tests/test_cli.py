@@ -26,6 +26,18 @@ class TestParser:
         assert args.gbps == 10.0
         assert args.platform == "gem5"
 
+    def test_bad_repro_jobs_leaves_other_commands_alone(self, monkeypatch):
+        """REPRO_JOBS is parsed as the default of --jobs, not while the
+        parser is built."""
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        assert main(["apps"]) == 0
+
+    def test_repro_jobs_zero_is_a_usage_error(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "testpmd", "--rates", "2", "--packets", "300"])
+        assert exited.value.code == 2
+
 
 class TestCommands:
     def test_apps_lists_registry(self, capsys):

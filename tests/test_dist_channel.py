@@ -89,11 +89,11 @@ def _run_pair(schedule, quantum=None, latency=LATENCY):
     coupler.advance(target)
     chunk = max(4 * latency, 2_000)
     for _ in range(400):
-        if half0.in_flight == 0 and half1.in_flight == 0:
+        if half0.held() == 0 and half1.held() == 0:
             break
         target += chunk
         coupler.advance(target)
-    assert half0.in_flight == 0 and half1.in_flight == 0
+    assert half0.held() == 0 and half1.held() == 0
     assert half0.frames_out == len(schedule) == half1.frames_in
     return sends, received
 

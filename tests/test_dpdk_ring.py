@@ -56,7 +56,7 @@ def test_counts():
     ring = RteRing("r", 8)
     ring.enqueue_burst([1, 2, 3])
     ring.dequeue()
-    assert ring.count == 2
+    assert ring.held() == 2
     assert ring.free_count == 6
     assert ring.enqueued == 3
     assert ring.dequeued == 1

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.cpu.kernels import KernelCosts
-from repro.kernelstack.socket import UdpSocketModel
 from repro.kernelstack.stack import KernelStackModel
 from repro.mem.address import AddressSpace
-from repro.net.packet import Packet
 
 
 @pytest.fixture
@@ -91,31 +89,3 @@ class TestWorkingSet:
         total = (stack.SKB_POOL_BYTES + stack.KERNEL_TEXT_BYTES
                  + stack.USER_BUFFER_BYTES)
         assert total > 1024 * 1024
-
-
-class TestUdpSocket:
-    def test_fifo_delivery(self):
-        sock = UdpSocketModel()
-        a, b = Packet(wire_len=64), Packet(wire_len=64)
-        sock.enqueue(a)
-        sock.enqueue(b)
-        assert sock.recv() is a
-        assert sock.recv() is b
-        assert sock.recv() is None
-
-    def test_overflow_drops(self):
-        sock = UdpSocketModel(rcvbuf_packets=2)
-        for _ in range(3):
-            sock.enqueue(Packet(wire_len=64))
-        assert sock.overflow_drops == 1
-        assert sock.queued == 2
-
-    def test_counters(self):
-        sock = UdpSocketModel()
-        sock.enqueue(Packet(wire_len=64))
-        sock.recv()
-        assert sock.delivered == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            UdpSocketModel(rcvbuf_packets=0)

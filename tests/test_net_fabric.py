@@ -58,7 +58,7 @@ def test_switch_forwards_to_routed_port():
     _run(sim)
     assert len(received) == 1
     assert switch._rx == 1 and switch._tx == 1
-    assert switch.occupancy == 0
+    assert switch.held() == 0
     assert switch.drop_counts() == {}
     sim.invariants.check(final=True)
 
@@ -168,11 +168,21 @@ def test_switch_serialize_round_trip():
 
 
 def test_switch_refuses_checkpoint_with_queued_frames():
+    """A queued frame is held by its switch, so the fabric refuses a
+    checkpoint and names that switch; once the frame leaves, it
+    checkpoints."""
     sim = Simulation(seed=0)
-    switch, _received = _switch_rig(sim)
+    fabric = build_leaf_spine(sim, FabricConfig(topology="leaf_spine"))
+    switch = fabric.switches[0]
     switch.ports[0].deliver(_frame(dst_id=1))
-    with pytest.raises(CheckpointError):
-        switch.serialize_state()
+    assert switch.held() == 1
+    with pytest.raises(CheckpointError,
+                       match="not checkpoint-ready") as refused:
+        fabric.checkpoint()
+    assert f"packets are still held: {switch.name} 1" in str(refused.value)
+    _run(sim)
+    assert switch.held() == 0
+    assert fabric.checkpoint()["meta"]["label"] == fabric.label
 
 
 # ----------------------------------------------------------------------

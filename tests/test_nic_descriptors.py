@@ -143,7 +143,7 @@ class TestTxRing:
         ring = make_tx(space, size=4)
         ring.enqueue(0, pkt())
         assert ring.free_slots == 3
-        assert ring.occupancy == 1
+        assert ring.held() == 1
 
     def test_consume_empty_raises(self, space):
         with pytest.raises(IndexError):
@@ -154,4 +154,4 @@ class TestTxRing:
         a = pkt()
         ring.enqueue(0x10, a)
         assert ring.peek() == (0x10, a)
-        assert ring.occupancy == 1
+        assert ring.held() == 1

@@ -10,6 +10,7 @@ review the diff.
 
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,13 @@ class TestTraceOptions:
         opts = TraceOptions.from_env({"REPRO_TRACE": "1",
                                       "REPRO_TRACE_BUFFER": "64"})
         assert opts.buffer_size == 64
+
+    @pytest.mark.parametrize("raw", ["x", "0", "-3"])
+    def test_bad_buffer_env_names_the_variable(self, raw):
+        with pytest.raises(ValueError, match=re.escape(
+                f"REPRO_TRACE_BUFFER={raw!r}: expected a positive integer")):
+            TraceOptions.from_env({"REPRO_TRACE": "1",
+                                   "REPRO_TRACE_BUFFER": raw})
 
     def test_zero_buffer_rejected(self):
         with pytest.raises(ValueError, match="buffer"):
