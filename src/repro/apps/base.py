@@ -70,9 +70,9 @@ class DpdkApp(Stateful, SimObject):
         self.tx_ring_drops = 0
         self.bursts = 0
         # Lifetime accounting (never reset) for the conservation layer:
-        # every harvested packet is forwarded, absorbed (app drop or TX
-        # ring overflow) or still held between poll and burst completion.
-        self.total_processed = 0
+        # every packet the RX ring released (its harvested_total) is
+        # forwarded, absorbed (app drop or TX ring overflow) or still held
+        # between poll and burst completion.
         self.total_forwarded = 0
         self.total_absorbed = 0
         self._holding = 0
@@ -82,25 +82,20 @@ class DpdkApp(Stateful, SimObject):
         self.driver_port.bind(pmd.app_side)
 
     def invariant_failures(self, final: bool = True):
-        """Packet conservation: every harvested packet is forwarded,
-        absorbed or held."""
+        """Packet conservation: every packet the RX ring released is
+        forwarded, absorbed or held."""
         fails = []
+        harvested = self.pmd.nic.rx_ring.harvested_total
         accounted = (self.total_forwarded + self.total_absorbed
                      + self._holding)
-        if self.total_processed != accounted:
+        if harvested != accounted:
             fails.append(
-                f"packet-conservation: processed {self.total_processed} "
+                f"packet-conservation: harvested {harvested} "
                 f"!= forwarded {self.total_forwarded} + absorbed "
                 f"{self.total_absorbed} + holding {self._holding}")
         if self._holding < 0:
             fails.append(f"packet-conservation: negative holding count "
                          f"{self._holding}")
-        harvested = self.pmd.nic.rx_ring.harvested_total
-        if self.total_processed != harvested:
-            fails.append(
-                f"packet-conservation: app processed "
-                f"{self.total_processed} packets but the RX ring released "
-                f"{harvested}")
         return fails
 
     def held(self) -> int:
@@ -158,7 +153,6 @@ class DpdkApp(Stateful, SimObject):
                     frame.packet = response
                 outgoing.append(frame)
         self.packets_processed += len(frames)
-        self.total_processed += len(frames)
         self._holding += len(outgoing)
         if self.sim.tracer.enabled:
             self.trace("app", "burst", harvested=len(frames),
@@ -204,8 +198,8 @@ class DpdkApp(Stateful, SimObject):
 
     measured_fields = ("packets_processed", "packets_forwarded",
                        "packets_dropped_by_app", "tx_ring_drops", "bursts")
-    state_fields = ("_idle", "_running", "total_processed",
-                    "total_forwarded", "total_absorbed") + measured_fields
+    state_fields = ("_idle", "_running", "total_forwarded",
+                    "total_absorbed") + measured_fields
 
 
 class KernelNetApp(Stateful, SimObject):
@@ -228,33 +222,27 @@ class KernelNetApp(Stateful, SimObject):
         self.interrupts = 0
         # Lifetime accounting for the conservation layer.  Subclasses
         # that transmit responses count them in ``total_responses``;
-        # everything else is absorbed (receive-only service).
-        self.total_processed = 0
+        # everything else the RX ring released is absorbed (receive-only
+        # service).
         self.total_responses = 0
         driver.set_rx_handler(self._on_irq)
         self.driver_port = RequestPort(self, "driver_port", KIND_APP)
         self.driver_port.bind(driver.app_side)
 
     def invariant_failures(self, final: bool = True):
-        """Packet conservation: the app processed what the RX ring
-        released, and answered at most that many."""
-        fails = []
+        """Packet conservation: the app answered at most as many packets
+        as the RX ring released."""
         harvested = self.driver.nic.rx_ring.harvested_total
-        if self.total_processed != harvested:
-            fails.append(
-                f"packet-conservation: app processed "
-                f"{self.total_processed} packets but the RX ring released "
-                f"{harvested}")
-        if self.total_responses > self.total_processed:
-            fails.append(
+        if self.total_responses > harvested:
+            return [
                 f"packet-conservation: responses {self.total_responses} "
-                f"exceed processed packets {self.total_processed}")
-        return fails
+                f"exceed harvested packets {harvested}"]
+        return []
 
     @property
     def total_absorbed(self) -> int:
         """Packets consumed without a response leaving the node."""
-        return self.total_processed - self.total_responses
+        return self.driver.nic.rx_ring.harvested_total - self.total_responses
 
     def held(self) -> int:
         """1 while a NAPI poll round is in flight, else 0."""
@@ -290,7 +278,6 @@ class KernelNetApp(Stateful, SimObject):
             total_ns += self.core.execute(stack_work.app)
             total_ns += self.handle_packet(desc, batch)
         self.packets_processed += batch
-        self.total_processed += batch
         if self.sim.tracer.enabled:
             self.trace("app", "napi", harvested=batch,
                        ns=round(total_ns, 3))
@@ -306,5 +293,4 @@ class KernelNetApp(Stateful, SimObject):
     # -- measurement and checkpoint support --------------------------------
 
     measured_fields = ("packets_processed", "interrupts")
-    state_fields = ("_processing", "total_processed",
-                    "total_responses") + measured_fields
+    state_fields = ("_processing", "total_responses") + measured_fields

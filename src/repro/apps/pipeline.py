@@ -80,9 +80,9 @@ class PipelineForwarder(Stateful, SimObject):
         self.ring_full_drops = 0
         self.tx_ring_drops = 0
         # Lifetime accounting for the conservation layer: every frame the
-        # RX stage harvests is forwarded, absorbed (ring/TX-ring drop),
-        # queued in the rte_ring, or held by one of the two stages.
-        self.total_processed = 0
+        # RX stage harvests (the RX ring's harvested_total) is forwarded,
+        # absorbed (ring/TX-ring drop), queued in the rte_ring, or held by
+        # one of the two stages.
         self.total_forwarded = 0
         self.total_absorbed = 0
         self._holding = 0
@@ -97,20 +97,15 @@ class PipelineForwarder(Stateful, SimObject):
         fails = []
         for message in self.ring.invariant_failures(final):
             fails.append(f"ring-conservation: {message}")
+        harvested = self.pmd.nic.rx_ring.harvested_total
         accounted = (self.total_forwarded + self.total_absorbed
                      + self.ring.held() + self._holding)
-        if self.total_processed != accounted:
+        if harvested != accounted:
             fails.append(
-                f"packet-conservation: harvested {self.total_processed} != "
+                f"packet-conservation: harvested {harvested} != "
                 f"forwarded {self.total_forwarded} + absorbed "
                 f"{self.total_absorbed} + ring {self.ring.held()} + "
                 f"holding {self._holding}")
-        harvested = self.pmd.nic.rx_ring.harvested_total
-        if self.total_processed != harvested:
-            fails.append(
-                f"packet-conservation: pipeline harvested "
-                f"{self.total_processed} packets but the RX ring released "
-                f"{harvested}")
         return fails
 
     def held(self) -> int:
@@ -151,7 +146,6 @@ class PipelineForwarder(Stateful, SimObject):
             self._rx_idle = True
             return
         self.packets_received += len(frames)
-        self.total_processed += len(frames)
         total_ns = self.rx_core.execute(Work(
             compute_cycles=self.costs.pmd_rx_burst_cycles,
             ifetch=self._code[:4]))
@@ -242,5 +236,5 @@ class PipelineForwarder(Stateful, SimObject):
     # Both stages' flags/counters plus the inter-core ring's cursors
     # (its queued frames are live packets, counted in held()).
     state_fields = ("_running", "_rx_idle", "_worker_idle",
-                    "total_processed", "total_forwarded", "total_absorbed",
+                    "total_forwarded", "total_absorbed",
                     "ring") + measured_fields

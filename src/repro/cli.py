@@ -753,7 +753,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--proc-time-ns is the RXpTX processing interval; "
                      f"it applies only to rxptx, not {args.app}")
     _apply_diagnostics_env(args)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``): point stdout at
+        # devnull so the interpreter's exit flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

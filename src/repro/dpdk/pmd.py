@@ -69,12 +69,12 @@ class E1000Pmd(Stateful):
         # both edges in the wiring graph once the launch has succeeded.
         self.device_port.bind(nic.driver_side)
         self.mempool_port.bind(mempool.client_side)
+        # Packets are counted by the rings they cross (the RX ring's
+        # harvested_total, the TX ring's enqueued_total); the PMD counts
+        # only its bursts.
         self.rx_bursts = 0
         self.empty_rx_bursts = 0
-        self.rx_packets = 0
-        self.tx_packets = 0
         self.tx_ring_full_events = 0
-        self._harvest_cursor = 0
 
     def _launch(self) -> None:
         # A PMD's first act is masking all interrupts; if the device's mask
@@ -128,7 +128,6 @@ class E1000Pmd(Stateful):
             self.empty_rx_bursts += 1
             return []
         self.nic.rx_replenish(len(descs))
-        self.rx_packets += len(descs)
         out: List[RxMbuf] = []
         for desc in descs:
             mbuf = desc.packet.meta.get("mbuf")
@@ -146,7 +145,6 @@ class E1000Pmd(Stateful):
                 self.tx_ring_full_events += 1
                 break
             sent += 1
-        self.tx_packets += sent
         return sent
 
     def free(self, frame: RxMbuf) -> None:
@@ -156,5 +154,4 @@ class E1000Pmd(Stateful):
 
     # -- checkpoint support --------------------------------------------------
 
-    state_fields = ("rx_bursts", "empty_rx_bursts", "rx_packets", "tx_packets",
-                    "tx_ring_full_events", "_harvest_cursor")
+    state_fields = ("rx_bursts", "empty_rx_bursts", "tx_ring_full_events")

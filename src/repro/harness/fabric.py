@@ -76,8 +76,6 @@ class FabricWarmupPlan:
     warm_load: float = 0.15
     warm_pattern: str = "uniform"
     warm_size_cdf: str = "smoke"
-    drain_chunk_us: float = 200.0
-    max_drain_chunks: int = 400
 
 
 @dataclass
@@ -154,32 +152,31 @@ def build_fabric_rig(config: SystemConfig, preset: str, stack: str,
     return fabric
 
 
-def _run_phase(fabric: Fabric, plan: FabricWarmupPlan,
-               chunk_us: float = 50.0, max_chunks: int = 4000) -> None:
+#: A flow phase advances in chunks of this much simulated time, at most
+#: :data:`_MAX_FLOW_CHUNKS` of them, before its drain.
+_FLOW_CHUNK_US = 50.0
+_MAX_FLOW_CHUNKS = 4000
+
+
+def _run_phase(fabric: Fabric) -> None:
     """Advance in fixed chunks until every flow is injected and no frame
-    is in flight, then in drain chunks until the fabric is
-    checkpoint-ready.  The one phase loop of the single-process run and
-    of every shard: each decision goes through
+    is in flight, then :meth:`~repro.sim.checkpoint.Rig.drain` until the
+    fabric is checkpoint-ready.  The one phase loop of the
+    single-process run and of every shard: each decision goes through
     :meth:`~repro.net.fabric.Fabric.everywhere`, so all shards stop
     together, and ``run(until)`` ends every chunk exactly at its target,
     so they stop at the single-process tick.
     """
-    for _ in range(max_chunks):
+    for _ in range(_MAX_FLOW_CHUNKS):
         if fabric.everywhere(not fabric.generator.active
                              and fabric.quiescent()):
             break
-        fabric.run_us(chunk_us)
+        fabric.run_us(_FLOW_CHUNK_US)
     else:
         raise CheckpointError(
             f"{fabric.label}: flow phase failed to drain after "
-            f"{max_chunks} chunks of {chunk_us}us")
-    for _ in range(plan.max_drain_chunks):
-        if fabric.everywhere(fabric._checkpoint_ready()):
-            return
-        fabric.run_us(plan.drain_chunk_us)
-    raise CheckpointError(
-        f"{fabric.label}: fabric failed to reach quiescence after "
-        f"{plan.max_drain_chunks} drain chunks of {plan.drain_chunk_us}us")
+            f"{_MAX_FLOW_CHUNKS} chunks of {_FLOW_CHUNK_US}us")
+    fabric.drain()
 
 
 def _warm_gen_config(plan: FabricWarmupPlan) -> FlowGenConfig:
@@ -199,7 +196,7 @@ def fabric_warm_start(config: SystemConfig, preset: str, stack: str,
 
     def warm(fabric: Fabric) -> None:
         fabric.generator.start(_warm_gen_config(plan))
-        _run_phase(fabric, plan)
+        _run_phase(fabric)
         fabric.reset_measurement()
 
     app_options = {
@@ -240,7 +237,7 @@ def _measure(fabric: Fabric, gen_cfg: FlowGenConfig) -> Tuple[dict, str]:
     of it: offer ``gen_cfg``'s flows, run until drained, assert the
     invariants.  Returns the :func:`_fabric_tally` and trace digest."""
     fabric.generator.start(gen_cfg)
-    _run_phase(fabric, FabricWarmupPlan())
+    _run_phase(fabric)
     trace_digest = _finalize_run(fabric)
     return _fabric_tally(fabric), trace_digest
 

@@ -100,7 +100,6 @@ class MemcachedClient(Stateful, SimObject):
             key: bytes(self._size_gen.sample()) for key in self._keys}
         self.outstanding: Dict[int, Tuple[int, str]] = {}
         self._next_request_id = 1
-        self._sent = 0
         self._warm_remaining = 0
         self._inter_arrival = None
         self._send_event = self.make_event(self._send_next, "send")
@@ -209,8 +208,7 @@ class MemcachedClient(Stateful, SimObject):
             self.last_tx_tick = self.now
             self.requests_sent += 1
             self.port.send(packet)
-            self._sent += 1
-            if self._sent >= self.config.n_requests:
+            if self.requests_sent >= self.config.n_requests:
                 self._sending = False
                 return
         self.schedule_after(self._send_event,
@@ -277,7 +275,7 @@ class MemcachedClient(Stateful, SimObject):
     # ------------------------------------------------------------------
 
     measured_fields = ("latency", "requests_sent", "responses_received",
-                       "get_hits", "get_misses", "sets_acked", "_sent")
+                       "get_hits", "get_misses", "sets_acked")
 
     def reset_measurement(self) -> None:
         """Also forget the window's first/last send."""

@@ -299,10 +299,9 @@ class FabricHost(Stateful, SimObject):
         self._rx_queued = 0
         self._svc_free_at = 0
         self._flow_rx: Dict[int, int] = {}
-        # Lifetime counters close the conservation law; the window_*
-        # counters are the per-measurement view.
-        self._tx = 0
-        self._rx = 0
+        # Lifetime counters close the conservation law over the port's
+        # frames_sent / frames_received; the window_* counters are the
+        # per-measurement view.
         self._processed = 0
         self._dropped = 0
         self.window_tx = 0
@@ -311,15 +310,16 @@ class FabricHost(Stateful, SimObject):
         self._service_pool = EventPool(self._service, f"{name}.service")
 
     def invariant_failures(self, final: bool = True):
-        """Conservation: every frame received is processed, dropped or
-        queued, within the RX queue's bounds."""
+        """Conservation: every frame the port received is processed,
+        dropped or queued, within the RX queue's bounds."""
         fails = []
         if not 0 <= self._rx_queued <= self.queue_capacity:
             fails.append(f"conservation: RX queue depth {self._rx_queued} "
                          f"outside [0, {self.queue_capacity}]")
-        if self._rx != self._processed + self._dropped + self._rx_queued:
+        received = self.port.frames_received
+        if received != self._processed + self._dropped + self._rx_queued:
             fails.append(
-                f"conservation: received {self._rx} != processed "
+                f"conservation: received {received} != processed "
                 f"{self._processed} + dropped {self._dropped} + queued "
                 f"{self._rx_queued}")
         return fails
@@ -359,14 +359,12 @@ class FabricHost(Stateful, SimObject):
                     "nsegs": nsegs,
                     "seg": seg,
                 })
-            self._tx += 1
             self.window_tx += 1
             self.port.send(packet)
 
     # -- receive -------------------------------------------------------------
 
     def _on_receive(self, packet: Packet) -> None:
-        self._rx += 1
         if self._rx_queued >= self.queue_capacity:
             self._dropped += 1
             self.window_dropped += 1
@@ -406,7 +404,7 @@ class FabricHost(Stateful, SimObject):
     # -- measurement and checkpoint support ----------------------------------
 
     measured_fields = ("window_tx", "window_processed", "window_dropped")
-    state_fields = (("_svc_free_at", "_tx", "_rx", "_processed", "_dropped",
+    state_fields = (("_svc_free_at", "_processed", "_dropped",
                      "port.frames_sent", "port.frames_received")
                     + measured_fields)
 
@@ -578,7 +576,7 @@ class Fabric(Rig):
         over the channel boundary: frames entering this shard (local
         sends + channel ingress) equal frames leaving it (serviced +
         dropped + channel egress)."""
-        sent = sum(h._tx for h in self.hosts)
+        sent = sum(h.port.frames_sent for h in self.hosts)
         processed = sum(h._processed for h in self.hosts)
         host_drops = sum(h._dropped for h in self.hosts)
         switch_drops = sum(sum(s._drops.values()) for s in self.switches)

@@ -173,19 +173,15 @@ class I8254xNic(Stateful, SimObject, PciDevice):
         self._rx_wb_pool = EventPool(self._notify_rx,
                                      f"{name}.rx_writeback")
 
-        # Measurement-window counts (see measured_fields); drops per
+        # Measurement-window count (see measured_fields); drops per
         # cause are the drop FSM's.
-        self.rx_packets = 0
-        self.tx_packets = 0
         self.rx_buffer_starved = 0  # RX DMA stalls for lack of buffers
 
-        # Lifetime accounting (never reset): the invariant layer's view of
-        # the datapath.  The window counts above reset at the measurement
-        # boundary; these do not, so conservation equalities over them are
-        # exact at any instant.
-        self.total_wire_rx = 0
+        # Lifetime accounting (never reset).  Frames and descriptors are
+        # counted by the port, FIFO or ring they cross; the NIC adds only
+        # what none of them sees: RX drops (the lifetime twin of the RX
+        # FIFO's window ``rejected``) and frames in TX DMA flight.
         self.total_rx_drops = 0
-        self.total_tx_fifo_drops = 0
         self._tx_dma_in_flight = 0
 
     def invariant_failures(self, final: bool = True):
@@ -195,14 +191,10 @@ class I8254xNic(Stateful, SimObject, PciDevice):
         rule.  The DMA engine states its own byte conservation."""
         fails = []
         rx_fifo, tx_fifo = self.rx_fifo, self.tx_fifo
-        if self.port.frames_received != self.total_wire_rx:
+        wire_rx = self.port.frames_received
+        if wire_rx != rx_fifo.enqueued + self.total_rx_drops:
             fails.append(
-                f"rx-conservation: port delivered "
-                f"{self.port.frames_received} frames but NIC observed "
-                f"{self.total_wire_rx}")
-        if self.total_wire_rx != rx_fifo.enqueued + self.total_rx_drops:
-            fails.append(
-                f"rx-conservation: wire rx {self.total_wire_rx} != "
+                f"rx-conservation: wire rx {wire_rx} != "
                 f"fifo-accepted {rx_fifo.enqueued} + dropped "
                 f"{self.total_rx_drops} (fifo holds {len(rx_fifo)})")
         if rx_fifo.dequeued != self.rx_ring.filled_total:
@@ -210,12 +202,12 @@ class I8254xNic(Stateful, SimObject, PciDevice):
                 f"rx-conservation: fifo released {rx_fifo.dequeued} "
                 f"packets but ring filled {self.rx_ring.filled_total}")
         consumed = self.tx_ring.consumed_total
-        landed = tx_fifo.enqueued + self.total_tx_fifo_drops
+        landed = tx_fifo.enqueued + tx_fifo.rejected
         if consumed != landed + self._tx_dma_in_flight:
             fails.append(
                 f"tx-conservation: tx ring released {consumed} packets "
                 f"but {tx_fifo.enqueued} reached the TX FIFO, "
-                f"{self.total_tx_fifo_drops} overflowed it and "
+                f"{tx_fifo.rejected} overflowed it and "
                 f"{self._tx_dma_in_flight} are in DMA flight")
         if self.port.frames_sent != tx_fifo.dequeued:
             fails.append(
@@ -294,7 +286,6 @@ class I8254xNic(Stateful, SimObject, PciDevice):
     # ------------------------------------------------------------------
 
     def _on_wire_rx(self, packet: Packet) -> None:
-        self.total_wire_rx += 1
         accepted = self.rx_fifo.try_enqueue(packet)
         state = self.drop_fsm.on_packet_rx(
             rx_fifo_full=not accepted or self.rx_fifo.full_for_min_frame,
@@ -356,7 +347,6 @@ class I8254xNic(Stateful, SimObject, PciDevice):
             return
         self.rx_ring.fill(buffer_addr, packet)
         finish = self.dma.write_packet(now, buffer_addr, packet.wire_len)
-        self.rx_packets += 1
         if self.sim.tracer.enabled:
             self.trace("dma", "rx_write", bytes=packet.wire_len,
                        addr=buffer_addr, finish=finish)
@@ -435,16 +425,13 @@ class I8254xNic(Stateful, SimObject, PciDevice):
             # Drain immediately onto the wire; the link serializes.
             self.tx_fifo.dequeue()
             self.port.send(packet)
-            self.tx_packets += 1
             if self.sim.tracer.enabled:
                 self.trace("nic", "tx_wire", bytes=packet.wire_len)
             if self.tx_complete_notify is not None:
                 self.tx_complete_notify(packet)
-        else:
-            # The TX FIFO had no room for the DMA-read frame (cannot
-            # happen while _tx_work_ready gates on free space, but the
-            # conservation layer must account for every packet).
-            self.total_tx_fifo_drops += 1
+        # Otherwise the TX FIFO had no room for the DMA-read frame and
+        # counted it rejected (cannot happen while _tx_work_ready gates on
+        # free space, but the conservation layer accounts for it).
         self._kick_tx()
 
     # ------------------------------------------------------------------
@@ -468,18 +455,18 @@ class I8254xNic(Stateful, SimObject, PciDevice):
     # Measurement and checkpoint support
     # ------------------------------------------------------------------
 
-    measured_fields = ("rx_packets", "tx_packets", "rx_buffer_starved",
-                       "interrupts_posted", "interrupts_suppressed",
-                       "drop_fsm", "rx_fifo.rejected")
+    # The TX FIFO's ``rejected`` stays lifetime: the tx-conservation rule
+    # and the node's end-to-end law read it.
+    measured_fields = ("rx_buffer_starved", "interrupts_posted",
+                       "interrupts_suppressed", "drop_fsm",
+                       "rx_fifo.rejected")
 
     # Register file, interrupt/ITR state, window and lifetime counters,
     # and the nested FIFO/ring/FSM state.  Packets are not serialized:
     # the rig checkpoints the NIC only while held() reads 0.
     state_fields = ("_ims", "_icr", "_itr_pending", "_last_notify_tick",
-                    "_wb_timer_disabled", "rx_packets", "tx_packets",
-                    "rx_buffer_starved", "interrupts_posted",
-                    "interrupts_suppressed", "total_wire_rx",
-                    "total_rx_drops", "total_tx_fifo_drops",
-                    "_tx_dma_in_flight", "port.frames_sent",
-                    "port.frames_received", "rx_fifo", "tx_fifo", "rx_ring",
-                    "tx_ring", "drop_fsm")
+                    "_wb_timer_disabled", "rx_buffer_starved",
+                    "interrupts_posted", "interrupts_suppressed",
+                    "total_rx_drops", "_tx_dma_in_flight",
+                    "port.frames_sent", "port.frames_received", "rx_fifo",
+                    "tx_fifo", "rx_ring", "tx_ring", "drop_fsm")

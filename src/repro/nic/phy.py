@@ -81,7 +81,6 @@ class EtherLink(Stateful, SimObject):
         self._sent = {"a": 0, "b": 0}
         self._delivered = {"a": 0, "b": 0}
         # Both directions, in the measurement window.
-        self.frames_carried = 0
         self.bytes_carried = 0
         # Pooled per-frame delivery events (see EventPool): same firing
         # order as a fresh event per frame, no allocation.
@@ -156,7 +155,6 @@ class EtherLink(Stateful, SimObject):
         finish = start + serialization_ticks(packet.wire_len,
                                              self.bandwidth_bits_per_sec)
         self._tx_free_at[direction] = finish
-        self.frames_carried += 1
         self.bytes_carried += packet.wire_len
         self._sent[direction] += 1
         self._in_flight[direction] += 1
@@ -176,7 +174,7 @@ class EtherLink(Stateful, SimObject):
 
     # -- checkpoint support --------------------------------------------------
 
-    measured_fields = ("frames_carried", "bytes_carried")
+    measured_fields = ("bytes_carried",)
 
     # Busy horizons, window and lifetime frame counters; frames still on
     # the wire (held()) would need their payloads serialized, so the

@@ -53,6 +53,11 @@ CHECKPOINT_FORMAT = 2
 #: Top-level keys every checkpoint document must carry.
 _REQUIRED_KEYS = ("format", "meta", "sim", "objects", "digest")
 
+#: :meth:`Rig.drain` advances in chunks of this much simulated time, at
+#: most :data:`MAX_DRAIN_CHUNKS` of them.
+DRAIN_CHUNK_US = 200.0
+MAX_DRAIN_CHUNKS = 400
+
 #: Numbers this process's :func:`write_atomic` temp files.
 _write_ids = itertools.count()
 
@@ -80,8 +85,8 @@ def assert_serializable(label: str, component: Any) -> None:
 def state_key(path: str) -> str:
     """The document key of attribute path ``path``: one leading
     underscore dropped, dots turned into underscores
-    (``_harvest_cursor`` -> ``harvest_cursor``, ``port.frames_sent`` ->
-    ``port_frames_sent``)."""
+    (``_tx_dma_in_flight`` -> ``tx_dma_in_flight``, ``port.frames_sent``
+    -> ``port_frames_sent``)."""
     return path[path.startswith("_"):].replace(".", "_")
 
 
@@ -348,6 +353,23 @@ class Rig:
             return False
         _registered, unregistered = self.sim.named_event_status()
         return not unregistered
+
+    def everywhere(self, flag: bool) -> bool:
+        """``flag`` as the whole run decides it: a rig in one process
+        decides alone (a sharded fabric ANDs it over its shards)."""
+        return flag
+
+    def drain(self) -> None:
+        """Run in fixed deterministic chunks until the rig is
+        checkpoint-ready everywhere; raise :class:`CheckpointError` if
+        it is not after :data:`MAX_DRAIN_CHUNKS` chunks."""
+        for _ in range(MAX_DRAIN_CHUNKS):
+            if self.everywhere(self._checkpoint_ready()):
+                return
+            self.run_us(DRAIN_CHUNK_US)
+        raise CheckpointError(
+            f"{self.label}: failed to reach quiescence after "
+            f"{MAX_DRAIN_CHUNKS} drain chunks of {DRAIN_CHUNK_US}us")
 
     def checkpoint(self, extra_meta: Optional[dict] = None) -> dict:
         """The rig's complete state as a sealed :func:`snapshot` (the

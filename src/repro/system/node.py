@@ -30,7 +30,7 @@ from repro.nic.i8254x import E1000_DEVICE_ID, INTEL_VENDOR_ID
 from repro.nic.phy import EtherLink
 from repro.pci.bus import PciBus
 from repro.pci.uio import UioBindError, UioPciGeneric
-from repro.sim.checkpoint import CheckpointError, Rig
+from repro.sim.checkpoint import DRAIN_CHUNK_US, Rig
 from repro.sim.simobject import Simulation
 from repro.sim.ticks import us_to_ticks
 from repro.system.config import SystemConfig
@@ -63,9 +63,6 @@ class WarmupPlan:
     #: Memcached warm traffic; 0 requests disables it.
     warm_requests: int = 0
     warm_rate_rps: float = 0.0
-    #: Post-warm-up drain: run in fixed chunks until checkpoint-ready.
-    drain_chunk_us: float = 200.0
-    max_drain_chunks: int = 400
 
 
 class _BaseNode(Rig):
@@ -128,14 +125,15 @@ class _BaseNode(Rig):
             return []
         port, nic = source.port, self.nic
         absorbed = getattr(self.app, "total_absorbed", 0)
+        tx_fifo_drops = nic.tx_fifo.rejected
         accounted = (port.frames_received + nic.total_rx_drops
-                     + nic.total_tx_fifo_drops + absorbed)
+                     + tx_fifo_drops + absorbed)
         if port.frames_sent != accounted:
             return [
                 f"end-to-end-conservation: injected {port.frames_sent} != "
                 f"returned {port.frames_received} + NIC drops "
                 f"{nic.total_rx_drops} + TX FIFO drops "
-                f"{nic.total_tx_fifo_drops} + app-absorbed {absorbed}"]
+                f"{tx_fifo_drops} + app-absorbed {absorbed}"]
         return []
 
     # -- client attachment -------------------------------------------------
@@ -202,27 +200,14 @@ class _BaseNode(Rig):
             for _ in range(60):
                 if self.app.packets_processed >= plan.warm_packet_target:
                     break
-                self.run_us(plan.drain_chunk_us)
+                self.run_us(DRAIN_CHUNK_US)
         for source in (self.loadgen, self.memcached_client):
             if source is not None and source.active:
                 source.stop()
-        self.drain_to_quiescence(chunk_us=plan.drain_chunk_us,
-                                 max_chunks=plan.max_drain_chunks)
-        self.reset_measurement()
-
-    def drain_to_quiescence(self, chunk_us: float = 200.0,
-                            max_chunks: int = 400) -> None:
-        """Run in fixed deterministic chunks until the node is
-        checkpoint-ready (every queue empty, nothing on the wire, no
-        anonymous one-shot event pending)."""
+        # The last round trip, then drain.
         self.run_us(2 * self.config.link_delay_us + 200.0)
-        for _ in range(max_chunks):
-            if self._checkpoint_ready():
-                return
-            self.run_us(chunk_us)
-        raise CheckpointError(
-            f"{self.config.label}: node failed to reach quiescence after "
-            f"{max_chunks} drain chunks of {chunk_us}us")
+        self.drain()
+        self.reset_measurement()
 
 
 class DpdkNode(_BaseNode):

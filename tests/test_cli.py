@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.sim.checkpoint import CHECKPOINT_FORMAT
 
@@ -51,6 +57,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "gem5" in out and "altra" in out
         assert "3GHz" in out
+
+    def test_closed_stdout_exits_quietly(self):
+        """A reader that closes the pipe before the command writes
+        (``| head`` exiting early) gets exit status 1, no traceback."""
+        src_root = Path(repro.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src_root))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "repro", "table1"],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr, proc.stderr.decode()
 
     def test_run(self, capsys):
         assert main(["run", "testpmd", "--size", "256", "--gbps", "2",

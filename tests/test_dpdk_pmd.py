@@ -126,7 +126,7 @@ def test_counters():
         nic.port.deliver(Packet(wire_len=64))
     sim.run(until=us_to_ticks(50))
     pmd.rx_burst(32)
-    assert pmd.rx_packets == 3
+    assert nic.rx_ring.harvested_total == 3
     assert pmd.rx_bursts == 1
 
 

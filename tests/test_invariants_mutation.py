@@ -14,11 +14,16 @@ under overload).
 
 import pytest
 
+from repro.apps.base import DpdkApp
+from repro.apps.memcached_kernel import MemcachedKernel
+from repro.apps.testpmd import TestPmd as PmdApp  # noqa: N811
 from repro.dpdk.pmd import E1000Pmd
+from repro.harness.fabric import run_fabric
 from repro.harness.runner import run_fixed_load, run_memcached
 from repro.kernelstack.driver import InterruptNicDriver
-from repro.loadgen.ether_load_gen import SyntheticConfig
+from repro.loadgen.ether_load_gen import EtherLoadGen, SyntheticConfig
 from repro.mem.hierarchy import MemoryHierarchy
+from repro.net.fabric import FabricHost
 from repro.nic.dma import DmaEngine
 from repro.nic.drop_fsm import DropClassifier
 from repro.nic.fifo import PacketByteFifo
@@ -204,6 +209,94 @@ class TestEveryComponentIsChecked:
         with pytest.raises(InvariantViolation, match="client.core: L1 hits"):
             dual_mode.run_dual_mode_comparison(gem5_default(),
                                                n_requests=100)
+
+
+class TestOneCountPerCrossing:
+    """The rules read the count the port, FIFO or ring a frame crosses
+    keeps; a component that loses or double-counts one frame breaks the
+    rule that closes over that count."""
+
+    def test_dpdk_app_losing_an_outgoing_frame_trips(self, monkeypatch):
+        """Mutant: one outgoing frame is freed at burst completion but
+        counted neither forwarded nor absorbed, so the RX ring released
+        one packet more than the app accounts for."""
+        orig = DpdkApp._finish_burst
+        lost = {"done": False}
+
+        def mutant(self, outgoing):
+            if outgoing and not lost["done"]:
+                lost["done"] = True
+                self._holding -= 1
+                self.pmd.free(outgoing.pop())
+            orig(self, outgoing)
+
+        monkeypatch.setattr(DpdkApp, "_finish_burst", mutant)
+        with pytest.raises(InvariantViolation,
+                           match="app: packet-conservation: harvested"):
+            _run(**LIGHT_LOAD)
+
+    def test_kernel_server_counting_a_response_twice_trips(self,
+                                                           monkeypatch):
+        """Mutant: the kernel memcached server counts one response
+        twice, so it claims more responses than the RX ring released
+        requests."""
+        orig = MemcachedKernel.handle_packet
+        doubled = {"done": False}
+
+        def mutant(self, desc, batch_size):
+            ns = orig(self, desc, batch_size)
+            if not doubled["done"]:
+                doubled["done"] = True
+                self.total_responses += 1
+            return ns
+
+        monkeypatch.setattr(MemcachedKernel, "handle_packet", mutant)
+        with pytest.raises(InvariantViolation,
+                           match="app: packet-conservation: responses"):
+            run_memcached(gem5_default(), kernel=True, rate_rps=100_000.0,
+                          n_requests=300)
+
+    def test_fabric_host_discarding_a_frame_trips(self, monkeypatch):
+        """Mutant: a fabric host discards one received frame without
+        counting it processed, dropped or queued, so its port received
+        one frame more than the host accounts for."""
+        orig = FabricHost._on_receive
+        lost = {"done": False}
+
+        def mutant(self, packet):
+            if not lost["done"]:
+                lost["done"] = True
+                return
+            orig(self, packet)
+
+        monkeypatch.setattr(FabricHost, "_on_receive", mutant)
+        with pytest.raises(InvariantViolation,
+                           match=r"\.h\d+: conservation: received"):
+            run_fabric(gem5_default(), "leaf-spine", "dpdk", n_flows=20)
+
+    def test_loadgen_counting_a_response_twice_trips(self, monkeypatch):
+        """Mutant: the generator counts one response twice.  Before any
+        measurement reset its window count is its lifetime count, so it
+        exceeds what its port received."""
+        orig = EtherLoadGen._on_rx
+        doubled = {"done": False}
+
+        def mutant(self, packet):
+            orig(self, packet)
+            if not doubled["done"]:
+                doubled["done"] = True
+                self.rx_packets += 1
+
+        monkeypatch.setattr(EtherLoadGen, "_on_rx", mutant)
+        node = DpdkNode(gem5_default(), PmdApp, seed=3)
+        loadgen = node.attach_loadgen()
+        node.start()
+        loadgen.start_synthetic(SyntheticConfig(packet_size=256,
+                                                rate_gbps=2.0, count=40))
+        node.run_us(3000.0)
+        with pytest.raises(InvariantViolation,
+                           match="loadgen: port-accounting"):
+            node.sim.invariants.check(final=True)
 
 
 class TestPositiveControls:

@@ -92,7 +92,7 @@ class TestRxDataPath:
             nic.port.deliver(Packet(wire_len=256))
         sim.run(until=us_to_ticks(100))
         assert nic.rx_ring.completed_count == 8
-        assert nic.rx_packets == 8
+        assert nic.rx_ring.filled_total == 8
 
     def test_writeback_timer_flushes_partial_batch(self):
         sim, nic = build_nic()
@@ -174,7 +174,7 @@ class TestTxDataPath:
         assert nic.tx_enqueue(0x200000, packet)
         sim.run(until=us_to_ticks(100))
         assert sent == [packet]
-        assert nic.tx_packets == 1
+        assert nic.port.frames_sent == 1
 
     def test_tx_complete_notify_fires(self):
         sim, nic = build_nic()
