@@ -57,9 +57,9 @@ class DpdkApp(Stateful, SimObject):
         region = address_space.allocate(f"{name}.text", 16 * 1024)
         self._code = [region.addr(i * 64) for i in range(self.code_lines)]
         self._poll_event = self.make_event(self._poll, "poll")
-        # Pooled burst-completion event: at most one in flight (the loop
-        # is run-to-completion), so the pool never grows past one event,
-        # but each burst skips an Event + closure + f-string allocation.
+        # Pooled burst completion: at most one in flight (the loop is
+        # run-to-completion), and each burst skips an Event + closure +
+        # f-string allocation.
         self._finish_pool = EventPool(self._finish_burst,
                                       f"{name}.finish_burst")
         self._idle = True

@@ -65,8 +65,8 @@ class PipelineForwarder(Stateful, SimObject):
         self._rx_event = self.make_event(self._rx_poll, "rx_poll")
         self._worker_event = self.make_event(self._worker_poll,
                                              "worker_poll")
-        # The two stages' burst completions, recycled instead of a
-        # fresh event and closure per burst.
+        # The two stages' burst completions, bare queue entries instead
+        # of a fresh event and closure per burst.
         self._rx_resume_pool = EventPool(self._rx_resume,
                                          f"{name}.rx_resume")
         self._worker_finish_pool = EventPool(self._worker_finish,

@@ -173,6 +173,10 @@ class CoreModel(Stateful):
                        "prefetch_covered")
     state_fields = measured_fields
 
+    #: The rule below checks nothing unless ``final``, so the topology
+    #: does not call it in strict mode's per-event pass.
+    final_checks_only = True
+
     def invariant_failures(self, final: bool = True):
         """Core accounting sanity; a list of messages, empty when OK.
         All counters here are measured fields, reset together by

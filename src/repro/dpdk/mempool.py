@@ -143,6 +143,10 @@ class Mempool:
         self.puts = state["puts"]
         self.high_watermark = state["high_watermark"]
 
+    #: The rule below checks nothing unless ``final``, so the topology
+    #: does not call it in strict mode's per-event pass.
+    final_checks_only = True
+
     def invariant_failures(self, final: bool = True):
         """Mbuf conservation self-checks; a list of messages, empty when
         OK.  ``gets``/``puts`` are lifetime counters, so the accounting

@@ -170,15 +170,19 @@ class EtherLoadGen(Stateful, SimObject):
         # sent before the reset (still in flight) are not miscounted.
         self._epoch = 0
         self.stale_rx = 0
+        # The port's lifetime frames_received at the last reset, so the
+        # window's responses are checked against the window's frames.
+        self._rx_at_reset = 0
 
     def invariant_failures(self, final: bool = True):
-        """Port accounting: the epoch's responses and the stale ones
-        cannot outnumber what the port received (its lifetime count)."""
-        received = self.port.frames_received
-        if self.rx_packets + self.stale_rx > received:
+        """Port accounting: every frame the port received since the last
+        measurement reset is one of the epoch's responses or a stale
+        one."""
+        received = self.port.frames_received - self._rx_at_reset
+        if self.rx_packets + self.stale_rx != received:
             return [
                 f"port-accounting: epoch rx ({self.rx_packets}) + stale rx "
-                f"({self.stale_rx}) exceeds port rx ({received})"]
+                f"({self.stale_rx}) != port rx since reset ({received})"]
         return []
 
     # ------------------------------------------------------------------
@@ -424,21 +428,23 @@ class EtherLoadGen(Stateful, SimObject):
     # -- measurement and checkpoint support --------------------------------
 
     measured_fields = ("tx_packets", "tx_bytes", "rx_packets", "rx_bytes",
-                       "latency")
+                       "stale_rx", "latency")
 
     def reset_measurement(self) -> None:
-        """Also forget the window's first/last send and start a new
-        epoch, so responses to earlier sends count as stale."""
+        """Also forget the window's first/last send, start a new epoch,
+        so responses to earlier sends count as stale, and note where the
+        port's receive count stands."""
         super().reset_measurement()
         self.first_tx_tick = None
         self.last_tx_tick = None
         self._epoch += 1
+        self._rx_at_reset = self.port.frames_received
 
     # Counters, epoch, and sequence state.  The generator must be stopped
     # (the rig refuses while it is ``active``): mode configs and the
     # inter-arrival sampler are rebuilt by the next ``start_*`` call, so
     # an in-progress generation phase cannot be captured faithfully.
-    state_fields = ("_seq", "_epoch", "stale_rx", "first_tx_tick",
+    state_fields = ("_seq", "_epoch", "_rx_at_reset", "first_tx_tick",
                     "last_tx_tick", "_remaining", "_trace_index",
                     "_trace_base_tick", "_ramp_step", "_step_sent",
                     "_step_received", "port") + measured_fields

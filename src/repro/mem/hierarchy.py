@@ -256,6 +256,10 @@ class MemoryHierarchy(Stateful):
                        "dma_llc_hits", "dma_leaked_lines")
     state_fields = measured_fields
 
+    #: The rule below checks nothing unless ``final``, so the topology
+    #: does not call it in strict mode's per-event pass.
+    final_checks_only = True
+
     def invariant_failures(self, final: bool = True):
         """DMA-side accounting sanity; a list of messages, empty when OK.
         These counters are all measured fields, reset together by

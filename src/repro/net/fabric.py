@@ -141,6 +141,10 @@ class OutputQueuedSwitch(Stateful, SimObject):
             self.ports.append(port)
         self._routes: Dict[int, Tuple[int, ...]] = {}
         self._default_route: Tuple[int, ...] = ()
+        # ecmp_select() per (route set, flow 5-tuple): a flow's path is a
+        # pure function of both, so each flow is hashed once, not once
+        # per frame.  Derived, so never checkpointed.
+        self._ecmp_memo: Dict[Tuple[Tuple[int, ...], Tuple], int] = {}
         self._queued = [0] * config.radix
         self._free_at = [0] * config.radix
         # Lifetime counters (never reset) close the conservation law;
@@ -201,7 +205,12 @@ class OutputQueuedSwitch(Stateful, SimObject):
             return None
         if len(outs) == 1:
             return outs[0]
-        return ecmp_select(packet_five_tuple(packet), outs, salt=self.name)
+        key = (outs, packet_five_tuple(packet))
+        out = self._ecmp_memo.get(key)
+        if out is None:
+            out = self._ecmp_memo[key] = ecmp_select(key[1], outs,
+                                                     salt=self.name)
+        return out
 
     # -- datapath ------------------------------------------------------------
 

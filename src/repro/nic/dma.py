@@ -191,6 +191,10 @@ class DmaEngine(Stateful):
                        "desc_lines_written")
     state_fields = ("_rx_busy_until", "_tx_busy_until") + measured_fields
 
+    #: The rule below checks nothing unless ``final``, so the topology
+    #: does not call it in strict mode's per-event pass.
+    final_checks_only = True
+
     def invariant_failures(self, final: bool = True):
         """Byte/line conservation between this engine and the memory
         hierarchy it writes through; empty list when consistent.

@@ -126,6 +126,12 @@ class I8254xNic(Stateful, SimObject, PciDevice):
         # used" (§III.A.3).
         self._wb_timer_disabled = False
         self.tx_ring = TxRing(config.tx_ring_size, tx_region)
+        # The four parts that state their own rules, under the rule name
+        # invariant_failures() prefixes their messages with.
+        self._rule_parts = (("rx-fifo", self.rx_fifo),
+                            ("tx-fifo", self.tx_fifo),
+                            ("rx-ring", self.rx_ring),
+                            ("tx-ring", self.tx_ring))
         self.drop_fsm = DropClassifier()
         self.port = EtherPort(f"{name}.port", self._on_wire_rx, owner=self)
         # Typed wiring: the NIC is a requestor toward its DMA engine, and
@@ -160,12 +166,11 @@ class I8254xNic(Stateful, SimObject, PciDevice):
         self._itr_pending = 0
         self._last_notify_tick = -(1 << 62)
 
-        # Pooled one-shot completion events for the per-packet DMA paths.
-        # Recycled events with precomputed names replace a fresh
-        # Event + closure + f-string allocation per packet; scheduling
-        # still goes through EventQueue.schedule, so firing order (and
-        # trace digests) is identical to the pool's non-recycling
-        # reference path (REPRO_EVENT_BATCH=0).
+        # Pooled one-shot completions for the per-packet DMA paths: each
+        # firing is a bare queue entry under a precomputed name instead
+        # of a fresh Event + closure + f-string per packet, with the
+        # same firing order (and trace digests) as the pool's
+        # fresh-event reference path (REPRO_EVENT_BATCH=0).
         self._rx_done_pool = EventPool(self._after_rx_dma,
                                        f"{name}.rx_dma_done")
         self._tx_done_pool = EventPool(self._after_tx_dma,
@@ -213,9 +218,7 @@ class I8254xNic(Stateful, SimObject, PciDevice):
             fails.append(
                 f"tx-conservation: TX FIFO released {tx_fifo.dequeued} "
                 f"frames but port sent {self.port.frames_sent}")
-        for rule, part in (("rx-fifo", rx_fifo), ("tx-fifo", tx_fifo),
-                           ("rx-ring", self.rx_ring),
-                           ("tx-ring", self.tx_ring)):
+        for rule, part in self._rule_parts:
             for message in part.invariant_failures(final):
                 fails.append(f"{rule}: {message}")
         fsm_total = self.drop_fsm.total_drops

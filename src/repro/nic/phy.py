@@ -72,6 +72,8 @@ class EtherLink(Stateful, SimObject):
         self.delay_ticks = delay_ticks
         self._port_a: Optional[EtherPort] = None
         self._port_b: Optional[EtherPort] = None
+        # (direction, source port, destination port), set by connect().
+        self._directions: tuple = ()
         # Independent serialization horizon per direction (full duplex).
         self._tx_free_at = {"a": 0, "b": 0}
         # Frames accepted for transmission but not yet delivered, per
@@ -99,6 +101,7 @@ class EtherLink(Stateful, SimObject):
                     bandwidth_bits_per_sec=self.bandwidth_bits_per_sec,
                     delay_ticks=self.delay_ticks)
         self._port_a, self._port_b = port_a, port_b
+        self._directions = (("a", port_a, port_b), ("b", port_b, port_a))
         port_a.link = self
         port_b.link = self
 
@@ -112,11 +115,8 @@ class EtherLink(Stateful, SimObject):
         out-of-band, and a port may be driven by several sources.  The
         port counters are coupled by inequalities instead — out-of-band
         traffic can only add to them."""
-        if self._port_a is None:
-            return []
         fails = []
-        for direction, src, dst in (("a", self._port_a, self._port_b),
-                                    ("b", self._port_b, self._port_a)):
+        for direction, src, dst in self._directions:
             sent = self._sent[direction]
             delivered = self._delivered[direction]
             in_flight = self._in_flight[direction]

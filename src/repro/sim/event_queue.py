@@ -7,24 +7,29 @@ guarantees and that reproducible experiments depend on.
 
 Two hot-path mechanisms keep the queue cheap without changing that order:
 
-- a **same-tick FIFO run queue**: events scheduled at the current tick with
-  default priority skip the heap entirely.  A newly scheduled event always
-  has a larger sequence number than everything already pending, so a plain
-  append keeps the FIFO sorted by the global (tick, priority, seq) key and
-  the run loop only has to compare the two queue heads.
-- :class:`EventPool`: a free-list of reusable one-shot events sharing one
-  precomputed name and dispatch callback, replacing a fresh event per
-  packet.  Sequence numbers are assigned at ``schedule()`` time, so a
-  pooled event scheduled at the same call site sorts identically to a
-  freshly constructed one — firing order (and hence trace digests) is
+- a **same-tick FIFO run queue**: entries scheduled at the current tick
+  with default priority skip the heap entirely.  A newly scheduled entry
+  always has a larger sequence number than everything already pending,
+  so a plain append keeps the FIFO sorted by the global (tick, priority,
+  seq) key and the run loop only has to compare the two queue heads.
+- :class:`EventPool`: a per-packet firing is a **bare queue entry**
+  ``(tick, 0, seq, payload, pool)``, and the run loop calls
+  ``pool.callback(payload)``: no event object, no free list and no
+  trampoline per packet.  A named :class:`Event` keeps its
+  ``(tick, priority, seq, event, generation)`` entry, which
+  :meth:`EventQueue.deschedule` cancels lazily; a pooled firing is never
+  cancelled.  Sequence numbers are taken at schedule time in both cases,
+  so a bare entry sorts exactly where a freshly constructed event from
+  the same call site would — firing order (and hence trace digests) is
   bit-identical either way.
 
 Setting ``REPRO_EVENT_BATCH=0`` disables both and restores the reference
-one-fresh-event-per-packet pure-heap path.  This module is the only
-reader of that switch: components always schedule their per-packet
-events through an :class:`EventPool`, and the pool alone decides whether
-to recycle.  The equivalence suite in ``tests/perf`` checks the two
-paths produce identical results.
+path: a pure heap, and one fresh ``Event(partial(dispatch, payload))``
+per pooled firing.  This module is the only reader of that switch:
+components always schedule their per-packet firings through an
+:class:`EventPool`, and the pool alone decides how a firing is stored.
+The equivalence suite in ``tests/perf`` checks the two paths produce
+identical results.
 """
 
 from __future__ import annotations
@@ -33,14 +38,14 @@ import heapq
 import os
 from collections import deque
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.sim.checkpoint import CheckpointError
 
 
 def batching_enabled() -> bool:
-    """Whether the batched hot path (same-tick FIFO + event recycling) is
-    on.
+    """Whether the batched hot path (same-tick FIFO + bare pooled
+    entries) is on.
 
     Read once per queue and per pool at construction time so a single
     simulation never mixes the two paths mid-run.
@@ -90,62 +95,60 @@ class Event:
         return f"<Event {self.name} {state}>"
 
 
-class _PooledEvent(Event):
-    """A reusable one-shot event owned by an :class:`EventPool`.
-
-    Carries its payload in a slot so no closure is allocated per
-    scheduling; returns itself to the pool's free list when it fires.
-    """
-
-    __slots__ = ("pool", "payload")
-
-    def __init__(self, pool: "EventPool") -> None:
-        super().__init__(self._fire, name=pool.name)
-        self.pool = pool
-        self.payload = None
-
-    def _fire(self) -> None:
-        payload = self.payload
-        self.payload = None
-        pool = self.pool
-        # Recycle before dispatch: the callback may immediately schedule
-        # another completion from the same pool and can reuse this object.
-        pool._free.append(self)
-        pool.dispatch(payload)
-
-
 class EventPool:
-    """A free-list of one-shot events sharing a dispatch callback and name.
+    """One dispatch callback and name shared by many one-shot firings.
 
     Hot paths call :meth:`schedule_at` with the per-firing state as a
     payload instead of allocating ``Event`` + closure + f-string name per
-    packet.  Recycled events are rescheduled through the normal
-    ``EventQueue.schedule`` path, so ordering is identical to fresh events.
-    With ``REPRO_EVENT_BATCH=0`` the pool recycles nothing: each firing
-    gets a fresh :class:`Event` under the pool's name (the reference path).
+    packet.  A firing is a bare queue entry that takes its sequence
+    number at :meth:`schedule_at`, exactly as ``EventQueue.schedule``
+    would, so ordering is identical to fresh events.  The queue's
+    ``on_event`` hook is handed the pool itself, which carries the
+    ``name`` and ``callback`` an :class:`Event` would.  With
+    ``REPRO_EVENT_BATCH=0`` each firing is a fresh :class:`Event` under
+    the pool's name instead (the reference path).
     """
 
-    __slots__ = ("_free", "_recycle", "dispatch", "name")
+    __slots__ = ("_batched", "callback", "name")
 
     def __init__(self, dispatch: Callable, name: str) -> None:
-        self._free: List[_PooledEvent] = []
-        self._recycle = batching_enabled()
-        self.dispatch = dispatch   # called as dispatch(payload)
+        self._batched = batching_enabled()
+        self.callback = dispatch   # called as callback(payload)
         self.name = name
 
     def schedule_at(self, queue: "EventQueue", when: int,
-                    payload=None) -> Event:
-        if not self._recycle:
-            return queue.schedule(
-                Event(partial(self.dispatch, payload), name=self.name), when)
-        free = self._free
-        event = free.pop() if free else _PooledEvent(self)
-        event.payload = payload
-        return queue.schedule(event, when)
+                    payload=None) -> None:
+        """Fire ``callback(payload)`` at absolute tick ``when``."""
+        if not self._batched:
+            queue.schedule(
+                Event(partial(self.callback, payload), name=self.name), when)
+            return
+        now = queue._now
+        if when < now:
+            raise ValueError(
+                f"cannot schedule {self!r} at {when}, now is {now}")
+        seq = queue._seq
+        queue._seq = seq + 1
+        queue._live += 1
+        if when == now and queue._use_fifo:
+            queue._fifo.append((when, 0, seq, payload, self))
+        else:
+            heapq.heappush(queue._heap, (when, 0, seq, payload, self))
+
+    def __repr__(self) -> str:
+        return f"<EventPool {self.name}>"
 
 
 class EventQueue:
-    """A deterministic priority queue of :class:`Event` objects."""
+    """A deterministic priority queue of :class:`Event` objects and
+    pooled firings.
+
+    Each queued entry is a tuple ``(tick, priority, seq, x, tag)``.  For
+    a named event ``x`` is the :class:`Event` and ``tag`` the int
+    generation it had when scheduled (a stale generation marks a
+    cancelled entry); for a pooled firing ``x`` is the payload and
+    ``tag`` the :class:`EventPool`.
+    """
 
     def __init__(self) -> None:
         self._heap: List[tuple] = []
@@ -158,10 +161,12 @@ class EventQueue:
         self._seq = 0
         self._fired = 0
         self._live = 0
-        #: Optional hook fired after every executed event callback.  Used
-        #: by the invariant registry's strict mode; None (the default)
-        #: costs one attribute read per event.
-        self.on_event: Optional[Callable[["Event"], None]] = None
+        #: Optional hook fired after every executed event callback, with
+        #: the :class:`Event`, or for a pooled firing its
+        #: :class:`EventPool`.  Used by the invariant registry's strict
+        #: mode; None (the default) costs one attribute read per event.
+        self.on_event: Optional[
+            Callable[[Union[Event, EventPool]], None]] = None
 
     @property
     def now(self) -> int:
@@ -175,7 +180,8 @@ class EventQueue:
 
     @property
     def pending(self) -> int:
-        """Number of live (not descheduled) events still queued."""
+        """Number of live (not descheduled) events and pooled firings
+        still queued."""
         return self._live
 
     @property
@@ -239,21 +245,23 @@ class EventQueue:
         """Convenience: wrap ``callback`` in a fresh event ``delay`` ticks out."""
         return self.schedule_after(Event(callback, name=name), delay)
 
+    @staticmethod
+    def _is_live(entry: tuple) -> bool:
+        """Whether a queued entry will fire: a pooled firing always
+        does, a named event unless descheduled since."""
+        tag = entry[4]
+        if type(tag) is not int:
+            return True
+        event = entry[3]
+        return event._scheduled and tag == event._gen
+
     def _head(self) -> Optional[tuple]:
         """The next live entry (not popped), or None.  Discards dead
         entries from both queue heads on the way."""
         fifo, heap = self._fifo, self._heap
-        while fifo:
-            entry = fifo[0]
-            event = entry[3]
-            if event._scheduled and entry[4] == event._gen:
-                break
+        while fifo and not self._is_live(fifo[0]):
             fifo.popleft()
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event._scheduled and entry[4] == event._gen:
-                break
+        while heap and not self._is_live(heap[0]):
             heapq.heappop(heap)
         if fifo and (not heap or fifo[0] < heap[0]):
             return fifo[0]
@@ -284,39 +292,51 @@ class EventQueue:
         fifo, heap = self._fifo, self._heap
         while budget != 0:
             # Drop dead entries from both heads, then take the lesser.
+            # The liveness test is _is_live() inlined: this loop is the
+            # hottest code in the simulator.
             while fifo:
                 entry = fifo[0]
+                tag = entry[4]
+                if type(tag) is not int:
+                    break
                 event = entry[3]
-                if event._scheduled and entry[4] == event._gen:
+                if event._scheduled and tag == event._gen:
                     break
                 fifo.popleft()
             while heap:
                 entry = heap[0]
+                tag = entry[4]
+                if type(tag) is not int:
+                    break
                 event = entry[3]
-                if event._scheduled and entry[4] == event._gen:
+                if event._scheduled and tag == event._gen:
                     break
                 heapq.heappop(heap)
             if fifo and (not heap or fifo[0] < heap[0]):
                 if until is not None and fifo[0][0] > until:
                     self._now = until
                     break
-                when, _prio, _seq, event, _gen = fifo.popleft()
+                when, _prio, _seq, target, tag = fifo.popleft()
             elif heap:
                 if until is not None and heap[0][0] > until:
                     self._now = until
                     break
-                when, _prio, _seq, event, _gen = heapq.heappop(heap)
+                when, _prio, _seq, target, tag = heapq.heappop(heap)
             else:
                 break
             self._now = when
-            event._scheduled = False
-            event._gen += 1
             self._live -= 1
             self._fired += 1
-            event.callback()
+            if type(tag) is int:
+                target._scheduled = False
+                target._gen += 1
+                target.callback()
+            else:
+                tag.callback(target)
+                target = tag
             hook = self.on_event
             if hook is not None:
-                hook(event)
+                hook(target)
             if budget > 0:
                 budget -= 1
         if until is not None and self._now < until \
@@ -326,22 +346,23 @@ class EventQueue:
 
     # -- checkpoint support ----------------------------------------------
 
-    def live_events(self) -> List[Event]:
-        """Live (scheduled) events in firing order."""
-        entries = [entry for entry in self._heap
-                   if entry[3]._scheduled and entry[4] == entry[3]._gen]
-        entries.extend(entry for entry in self._fifo
-                       if entry[3]._scheduled and entry[4] == entry[3]._gen)
-        return [entry[3] for entry in sorted(entries)]
+    def live_events(self) -> List[Union[Event, EventPool]]:
+        """What will fire, in firing order: each live :class:`Event`, and
+        for each pending pooled firing its :class:`EventPool`."""
+        entries = sorted(entry for queue in (self._heap, self._fifo)
+                         for entry in queue if self._is_live(entry))
+        return [entry[3] if type(entry[4]) is int else entry[4]
+                for entry in entries]
 
     def serialize_state(self, names_by_event: Dict[int, str]) -> dict:
         """Snapshot the queue: clock, counters, and pending events by name.
 
         ``names_by_event`` maps ``id(event)`` to the registry name the
         restoring side will use to find the callback again.  A pending
-        event absent from the map — a one-shot ``call_after`` closure —
-        cannot be re-bound after restore, so it is a checkpoint error:
-        the simulation has not been drained to a checkpointable point.
+        event absent from the map — a one-shot ``call_after`` closure or
+        a pooled firing, named by its pool — cannot be re-bound after
+        restore, so it is a checkpoint error: the simulation has not
+        been drained to a checkpointable point.
         """
         events = []
         for event in self.live_events():

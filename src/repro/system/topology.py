@@ -67,8 +67,10 @@ class Topology:
         self.name = name
         self._components: Dict[str, object] = {}
         #: (label, ``invariant_failures``) per component that has one,
-        #: collected at :meth:`add` so strict mode walks no components.
+        #: collected at :meth:`add` so strict mode walks no components;
+        #: the per-event pass leaves out ``final_checks_only`` ones.
         self._invariant_checks: List[Tuple[str, Callable]] = []
+        self._event_checks: List[Tuple[str, Callable]] = []
 
     # -- construction ------------------------------------------------------
 
@@ -76,7 +78,8 @@ class Topology:
         """Register ``component`` under ``label``; returns the component
         so builders can assign and register in one expression.  Its
         ``invariant_failures``, if it has one, joins
-        :meth:`invariant_failures`."""
+        :meth:`invariant_failures`, at final checks only if the component
+        declares ``final_checks_only``."""
         if label in self._components:
             raise TopologyError(
                 f"{self.name}: duplicate component label {label!r}")
@@ -93,6 +96,8 @@ class Topology:
         check = getattr(component, "invariant_failures", None)
         if check is not None:
             self._invariant_checks.append((label, check))
+            if not getattr(component, "final_checks_only", False):
+                self._event_checks.append((label, check))
         return component
 
     def connect(self, a: Port, b: Port, **metadata) -> None:
@@ -101,9 +106,12 @@ class Topology:
 
     def invariant_failures(self, final: bool = True) -> List[str]:
         """Every component's failed rules, each message prefixed with
-        the component's label (``nic0: drop-cause-accounting: ...``)."""
+        the component's label (``nic0: drop-cause-accounting: ...``).
+        A per-event check (``final`` false) skips the components that
+        declare ``final_checks_only``."""
         fails = []
-        for label, check in self._invariant_checks:
+        checks = self._invariant_checks if final else self._event_checks
+        for label, check in checks:
             for message in check(final):
                 fails.append(f"{label}: {message}")
         return fails

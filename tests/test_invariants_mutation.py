@@ -298,6 +298,28 @@ class TestOneCountPerCrossing:
                            match="loadgen: port-accounting"):
             node.sim.invariants.check(final=True)
 
+    def test_loadgen_double_counting_after_warm_up_trips(self, monkeypatch):
+        """Mutant: after the warm-up reset the generator counts 5
+        measured responses twice.  The warm-up's responses give no
+        cover: the window's counts are checked against the frames the
+        port received since the reset, not over its lifetime."""
+        orig = EtherLoadGen._on_rx
+        left = {"doubles": 5}
+
+        def mutant(self, packet):
+            orig(self, packet)
+            if (self._epoch and packet.meta.get("epoch") == self._epoch
+                    and left["doubles"]):
+                left["doubles"] -= 1
+                self.rx_packets += 1
+
+        monkeypatch.setattr(EtherLoadGen, "_on_rx", mutant)
+        with pytest.raises(InvariantViolation,
+                           match="loadgen: port-accounting"):
+            run_fixed_load(gem5_default(), "testpmd", 64, 40.0,
+                           n_packets=500)
+        assert left["doubles"] == 0
+
 
 class TestPositiveControls:
     """The mutations above only mean something if unmutated runs pass."""

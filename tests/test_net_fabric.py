@@ -1,6 +1,7 @@
 """Unit tests for the output-queued switch and the fabric builders."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.loadgen.flowgen import Flow
 from repro.net.fabric import (
@@ -12,6 +13,7 @@ from repro.net.fabric import (
     build_fabric,
     build_fat_tree,
     build_leaf_spine,
+    ecmp_select,
     host_mac,
     packet_five_tuple,
 )
@@ -133,6 +135,40 @@ def test_ecmp_route_spreads_flows_and_is_stable():
         picks[switch.route_for(frame)] += 1
         assert switch.route_for(frame) == switch.route_for(frame)
     assert set(picks) == {2, 3}    # both uplinks carry traffic
+
+
+_FIVE_TUPLES = st.tuples(st.integers(0, 15), st.integers(0, 15),
+                         st.sampled_from((6, 17)), st.integers(0, 65535),
+                         st.integers(0, 65535))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fives=st.lists(st.one_of(st.none(), _FIVE_TUPLES), min_size=1,
+                      max_size=6),
+       route_sets=st.lists(st.lists(st.integers(0, 7), min_size=1,
+                                    max_size=8, unique=True),
+                           min_size=1, max_size=4))
+def test_ecmp_memo_returns_the_hashed_choice(fives, route_sets):
+    """A switch hashes each (route set, flow) once: its first answer
+    and every repeat are ecmp_select() of the flow's hash input, and
+    the memo never reaches the checkpoint.  ``None`` stands for a
+    frame with no flow 5-tuple, hashed on its MAC pair."""
+    def build():
+        switch = OutputQueuedSwitch(Simulation(seed=0), "agg1",
+                                    SwitchConfig(radix=8))
+        for i, outs in enumerate(route_sets):
+            switch.add_route(host_mac(100 + i), outs)
+        return switch
+
+    switch = build()
+    for _repeat in range(2):
+        for five in fives:
+            for i, outs in enumerate(route_sets):
+                frame = Packet(256, dst=host_mac(100 + i), src=host_mac(3),
+                               meta={} if five is None else {"flow5": five})
+                assert switch.route_for(frame) == ecmp_select(
+                    packet_five_tuple(frame), outs, salt="agg1")
+    assert switch.serialize_state() == build().serialize_state()
 
 
 def test_packet_five_tuple_falls_back_to_macs():

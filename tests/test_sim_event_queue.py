@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.event_queue import Event, EventQueue
+from repro.sim.checkpoint import CheckpointError
+from repro.sim.event_queue import Event, EventPool, EventQueue
 
 
 @pytest.fixture
@@ -188,3 +189,110 @@ def test_determinism_two_queues_same_schedule():
         return log
 
     assert build() == build()
+
+
+# ----------------------------------------------------------------------
+# Pooled firings (EventPool): one order, count and error behaviour on
+# the batched path (a bare queue entry per firing) and on the reference
+# path (a fresh Event per firing).
+# ----------------------------------------------------------------------
+
+@pytest.fixture(params=[True, False], ids=["batched", "reference"])
+def batched(request, monkeypatch):
+    """Select the event path; queues and pools built in the test read
+    it at construction."""
+    monkeypatch.setenv("REPRO_EVENT_BATCH", "1" if request.param else "0")
+    return request.param
+
+
+def test_pooled_and_named_fire_in_schedule_order_on_the_heap(batched):
+    queue = EventQueue()
+    order = []
+    pool = EventPool(order.append, "pool")
+    queue.schedule(Event(lambda: order.append("named-1")), 10)
+    pool.schedule_at(queue, 10, "pooled-1")
+    queue.schedule(Event(lambda: order.append("named-2")), 10)
+    pool.schedule_at(queue, 10, "pooled-2")
+    pool.schedule_at(queue, 5, "pooled-early")
+    queue.schedule(Event(lambda: order.append("named-urgent"),
+                         priority=-1), 10)
+    queue.run()
+    assert order == ["pooled-early", "named-urgent", "named-1", "pooled-1",
+                     "named-2", "pooled-2"]
+
+
+def test_pooled_and_named_fire_in_schedule_order_on_the_fifo(batched):
+    """Entries scheduled at the current tick join the same-tick FIFO on
+    the batched path and still fire behind an earlier heap entry for
+    the same tick."""
+    queue = EventQueue()
+    order = []
+    pool = EventPool(order.append, "pool")
+    fifo_depth = []
+
+    def at_ten():
+        order.append("named-heap")
+        pool.schedule_at(queue, queue.now, "pooled-now-1")
+        queue.schedule(Event(lambda: order.append("named-now")), queue.now)
+        pool.schedule_at(queue, queue.now, "pooled-now-2")
+        fifo_depth.append(len(queue._fifo))
+
+    queue.schedule(Event(at_ten), 10)
+    pool.schedule_at(queue, 10, "pooled-heap")
+    queue.run()
+    assert fifo_depth == [3 if batched else 0]
+    assert order == ["named-heap", "pooled-heap", "pooled-now-1",
+                     "named-now", "pooled-now-2"]
+
+
+def test_pending_pooled_firing_is_counted_and_blocks_a_checkpoint(batched):
+    queue = EventQueue()
+    pool = EventPool(lambda payload: None, "nic0.rx_dma_done")
+    assert repr(pool) == "<EventPool nic0.rx_dma_done>"
+    pool.schedule_at(queue, 40, "frame")
+    assert queue.pending == 1
+    assert queue.peek() == 40
+    with pytest.raises(CheckpointError, match=r"nic0\.rx_dma_done"):
+        queue.serialize_state({})
+    queue.run()
+    assert queue.pending == 0
+    assert queue.peek() is None
+    assert queue.serialize_state({})["events"] == []
+
+
+def test_pooled_firing_into_the_past_rejected(batched):
+    queue = EventQueue()
+    pool = EventPool(lambda payload: None, "pool")
+    queue.run(until=100)
+    with pytest.raises(ValueError):
+        pool.schedule_at(queue, 99)
+    assert queue.pending == 0
+    assert queue.peek() is None
+
+
+def test_on_event_names_each_pooled_firing_by_its_pool(batched):
+    """The hook sees one object per pooled firing, carrying the pool's
+    name and a callback that leads to the pool's dispatch function:
+    what a tracer attributes the firing to."""
+    queue = EventQueue()
+    delivered = []
+
+    def deliver(payload):
+        delivered.append(payload)
+
+    pool = EventPool(deliver, "link0.deliver")
+    seen = []
+    queue.on_event = seen.append
+    pool.schedule_at(queue, 5, "a")
+    queue.call_at(6, lambda: None, name="named")
+    pool.schedule_at(queue, 7, "b")
+    queue.run()
+    assert delivered == ["a", "b"]
+    assert [obj.name for obj in seen] == ["link0.deliver", "named",
+                                          "link0.deliver"]
+    for obj, payload in ((seen[0], "a"), (seen[2], "b")):
+        if batched:
+            assert obj.callback is deliver
+        else:
+            assert obj.callback.func is deliver
+            assert obj.callback.args == (payload,)

@@ -65,6 +65,31 @@ class TestTopologyRegistry:
             topo.add(label, Owner(label))
         assert [label for label, _ in topo.components()] == ["b", "a", "c"]
 
+    def test_per_event_pass_skips_final_checks_only_rules(self):
+        """Strict mode's per-event pass (``final`` false) calls every
+        rule except those a component declares ``final_checks_only``;
+        a final check calls them all, in registration order."""
+        calls = []
+
+        class Ruled(Owner):
+            def invariant_failures(self, final=True):
+                calls.append((self.name, final))
+                return [f"broken at final={final}"]
+
+        class FinalOnly(Ruled):
+            final_checks_only = True
+
+        topo = Topology("t")
+        topo.add("a", Ruled("a"))
+        topo.add("b", FinalOnly("b"))
+        assert topo.invariant_failures(final=False) == [
+            "a: broken at final=False"]
+        assert calls == [("a", False)]
+        calls.clear()
+        assert topo.invariant_failures(final=True) == [
+            "a: broken at final=True", "b: broken at final=True"]
+        assert calls == [("a", True), ("b", True)]
+
 
 class TestValidation:
     def test_dangling_request_port_named(self):
