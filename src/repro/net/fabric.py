@@ -41,7 +41,7 @@ from repro.net.packet import (
     ETHERTYPE_EXPERIMENTAL,
     MacAddress,
     Packet,
-    serialization_ticks,
+    wire_ticks,
 )
 from repro.nic.phy import EtherLink, EtherPort
 from repro.sim.channel import ChannelHalf
@@ -56,6 +56,11 @@ DROP_SWITCH_QUEUE = "switch-queue-full"
 DROP_SWITCH_NO_ROUTE = "switch-no-route"
 DROP_HOST_QUEUE = "host-queue-full"
 DROP_CAUSES = (DROP_SWITCH_QUEUE, DROP_SWITCH_NO_ROUTE, DROP_HOST_QUEUE)
+
+#: Entries a switch's ECMP memo holds before it is cleared: above the
+#: (route set, flow) pairs one switch sees in a run of a hundred flows,
+#: and a bound on a run of thousands of short ones.
+ECMP_MEMO_CAP = 256
 
 #: Locally-administered MAC prefix for fabric hosts: host ``h`` is
 #: ``02:00:00:00:xx:xx`` with ``h`` in the low bytes.
@@ -143,7 +148,9 @@ class OutputQueuedSwitch(Stateful, SimObject):
         self._default_route: Tuple[int, ...] = ()
         # ecmp_select() per (route set, flow 5-tuple): a flow's path is a
         # pure function of both, so each flow is hashed once, not once
-        # per frame.  Derived, so never checkpointed.
+        # per frame.  Cleared when it reaches ECMP_MEMO_CAP entries, so
+        # a run of many short flows cannot grow it without bound.
+        # Derived, so never checkpointed.
         self._ecmp_memo: Dict[Tuple[Tuple[int, ...], Tuple], int] = {}
         self._queued = [0] * config.radix
         self._free_at = [0] * config.radix
@@ -153,8 +160,10 @@ class OutputQueuedSwitch(Stateful, SimObject):
         self._tx = 0
         self._drops = {DROP_SWITCH_QUEUE: 0, DROP_SWITCH_NO_ROUTE: 0}
         self.window_drops: Dict[str, int] = {}  # by cause, nonzero only
-        self.queue_peak = 0     # deepest output FIFO occupancy seen
-        self._depart_pool = EventPool(self._depart, f"{name}.depart")
+        # One departure stream per output: each FIFO drains in order.
+        self._depart_pools = [EventPool(self._depart, f"{name}.p{i}.depart")
+                              for i in range(config.radix)]
+        self._wire_ticks = wire_ticks(config.bandwidth_bits_per_sec)
 
     def _receiver(self, index: int) -> Callable[[Packet], None]:
         def on_receive(packet: Packet, _index: int = index) -> None:
@@ -206,10 +215,12 @@ class OutputQueuedSwitch(Stateful, SimObject):
         if len(outs) == 1:
             return outs[0]
         key = (outs, packet_five_tuple(packet))
-        out = self._ecmp_memo.get(key)
+        memo = self._ecmp_memo
+        out = memo.get(key)
         if out is None:
-            out = self._ecmp_memo[key] = ecmp_select(key[1], outs,
-                                                     salt=self.name)
+            if len(memo) >= ECMP_MEMO_CAP:
+                memo.clear()
+            out = memo[key] = ecmp_select(key[1], outs, salt=self.name)
         return out
 
     # -- datapath ------------------------------------------------------------
@@ -224,14 +235,12 @@ class OutputQueuedSwitch(Stateful, SimObject):
             self._drop(packet, DROP_SWITCH_QUEUE, out=out)
             return
         self._queued[out] += 1
-        if self._queued[out] > self.queue_peak:
-            self.queue_peak = self._queued[out]
-        start = max(self.now + self.forward_latency_ticks,
+        events = self.sim.events
+        start = max(events._now + self.forward_latency_ticks,
                     self._free_at[out])
-        finish = start + serialization_ticks(
-            packet.wire_len, self.config.bandwidth_bits_per_sec)
-        self._free_at[out] = finish
-        self._depart_pool.schedule_at(self.sim.events, finish, (out, packet))
+        self._free_at[out] = finish = (start
+                                       + self._wire_ticks[packet.wire_len])
+        self._depart_pools[out].schedule_at(events, finish, (out, packet))
 
     def _depart(self, payload) -> None:
         out, packet = payload
@@ -258,7 +267,7 @@ class OutputQueuedSwitch(Stateful, SimObject):
 
     # -- measurement and checkpoint support ----------------------------------
 
-    measured_fields = ("window_drops", "queue_peak")
+    measured_fields = ("window_drops",)
     state_fields = ("_free_at", "_rx", "_tx", "_drops") + measured_fields
 
     def serialize_state(self) -> dict:

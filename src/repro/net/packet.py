@@ -13,6 +13,7 @@ an explicit ``ts_offset`` so the byte-level encoding can be exercised too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 from dataclasses import dataclass
@@ -37,6 +38,30 @@ def serialization_ticks(wire_len: int, bandwidth_bits_per_sec: float) -> int:
     carries it.  Wire bits include the 8B preamble + 12B inter-frame gap.
     """
     return round((wire_len + 20) * 8 * 1e12 / bandwidth_bits_per_sec)
+
+
+class WireTicks(dict):
+    """:func:`serialization_ticks` by frame length at one line rate.
+
+    A wire model looks each frame up here (``table[wire_len]``), so a
+    length is computed once.  :func:`wire_ticks` hands every wire at a
+    rate the same table, which therefore holds at most one entry per
+    frame length, however many links a fabric has."""
+
+    def __init__(self, bandwidth_bits_per_sec: float) -> None:
+        super().__init__()
+        self.bandwidth_bits_per_sec = bandwidth_bits_per_sec
+
+    def __missing__(self, wire_len: int) -> int:
+        ticks = self[wire_len] = serialization_ticks(
+            wire_len, self.bandwidth_bits_per_sec)
+        return ticks
+
+
+@functools.lru_cache(maxsize=None)
+def wire_ticks(bandwidth_bits_per_sec: float) -> WireTicks:
+    """The process's one :class:`WireTicks` table for a line rate."""
+    return WireTicks(bandwidth_bits_per_sec)
 
 
 @dataclass(frozen=True)

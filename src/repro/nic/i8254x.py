@@ -181,6 +181,10 @@ class I8254xNic(Stateful, SimObject, PciDevice):
         # Measurement-window count (see measured_fields); drops per
         # cause are the drop FSM's.
         self.rx_buffer_starved = 0  # RX DMA stalls for lack of buffers
+        # Whether the RX DMA last stopped because the driver had no
+        # buffer.  Not checkpointed: it matters only while a frame waits
+        # in the RX FIFO, and a checkpoint is taken with the FIFO empty.
+        self._rx_stalled = False
 
         # Lifetime accounting (never reset).  Frames and descriptors are
         # counted by the port, FIFO or ring they cross; the NIC adds only
@@ -304,15 +308,15 @@ class I8254xNic(Stateful, SimObject, PciDevice):
         if not accepted:
             self.total_rx_drops += 1
             return
-        self._kick_service()
-
-    # ------------------------------------------------------------------
-    # DMA service loop (Fig 3 steps 2-4)
-    # ------------------------------------------------------------------
-
-    def _kick_service(self) -> None:
         self._kick_rx()
-        self._kick_tx()
+
+    # ------------------------------------------------------------------
+    # DMA service loop (Fig 3 steps 2-4).  Each direction is kicked only
+    # by what can change its readiness: a wire arrival or the driver's
+    # buffer return (RDT) for RX, a TX post or a TX DMA completion for
+    # TX.  The one exception is an RX DMA stalled for lack of a host
+    # buffer: TX completions free buffers, so a TX post retries it.
+    # ------------------------------------------------------------------
 
     def _kick_rx(self) -> None:
         if self._rx_service_event.scheduled or not self._rx_work_ready():
@@ -344,10 +348,12 @@ class I8254xNic(Stateful, SimObject, PciDevice):
         if buffer_addr is None:
             # Buffer starvation: the driver has no packet buffer to post.
             # The frame stays at the head of the FIFO; service resumes
-            # when buffers return (rx_replenish kicks us).
+            # on the next arrival, buffer return or TX post.
             self.rx_fifo.requeue_front(packet)
             self.rx_buffer_starved += 1
+            self._rx_stalled = True
             return
+        self._rx_stalled = False
         self.rx_ring.fill(buffer_addr, packet)
         finish = self.dma.write_packet(now, buffer_addr, packet.wire_len)
         if self.sim.tracer.enabled:
@@ -445,14 +451,15 @@ class I8254xNic(Stateful, SimObject, PciDevice):
         """Driver posts one packet; kicks the DMA engine (TDT doorbell)."""
         ok = self.tx_ring.enqueue(buffer_addr, packet)
         if ok:
-            self._kick_service()
+            if self._rx_stalled:
+                self._kick_rx()
+            self._kick_tx()
         return ok
 
     def rx_replenish(self, count: int = 1) -> None:
         """Driver returns buffers to the NIC (RDT doorbell)."""
         self.rx_ring.replenish(count)
-        if self._rx_work_ready():
-            self._kick_service()
+        self._kick_rx()
 
     # ------------------------------------------------------------------
     # Measurement and checkpoint support

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.net.packet import Packet, serialization_ticks
+from repro.net.packet import Packet, wire_ticks
 from repro.sim.checkpoint import Stateful
 from repro.sim.event_queue import EventPool
 from repro.sim.ports import PacketPort
@@ -57,6 +57,30 @@ class EtherPort(Stateful, PacketPort):
         self.on_receive(packet)
 
 
+class _Direction:
+    """One direction of a full-duplex link: the port it carries frames
+    from and the port it delivers to, its serialization horizon, its
+    lifetime frame counters, and the frames on the wire, which are the
+    pending firings of its delivery stream (one :class:`EventPool`:
+    a wire delivers in the order it sent)."""
+
+    __slots__ = ("key", "src", "dst", "free_at", "sent", "delivered",
+                 "stream")
+
+    def __init__(self, link_name: str, key: str) -> None:
+        self.key = key   # "a" or "b": the direction's checkpoint key
+        self.src: Optional[EtherPort] = None
+        self.dst: Optional[EtherPort] = None
+        self.free_at = 0
+        self.sent = 0
+        self.delivered = 0
+        self.stream = EventPool(self._deliver, f"{link_name}.deliver_{key}")
+
+    def _deliver(self, packet: Packet) -> None:
+        self.delivered += 1
+        self.dst.deliver(packet)
+
+
 class EtherLink(Stateful, SimObject):
     """Full-duplex point-to-point Ethernet cable."""
 
@@ -72,21 +96,11 @@ class EtherLink(Stateful, SimObject):
         self.delay_ticks = delay_ticks
         self._port_a: Optional[EtherPort] = None
         self._port_b: Optional[EtherPort] = None
-        # (direction, source port, destination port), set by connect().
-        self._directions: tuple = ()
-        # Independent serialization horizon per direction (full duplex).
-        self._tx_free_at = {"a": 0, "b": 0}
-        # Frames accepted for transmission but not yet delivered, per
-        # direction.  Lifetime accounting: lets the link-conservation
-        # invariant hold exactly at any instant.
-        self._in_flight = {"a": 0, "b": 0}
-        self._sent = {"a": 0, "b": 0}
-        self._delivered = {"a": 0, "b": 0}
-        # Both directions, in the measurement window.
-        self.bytes_carried = 0
-        # Pooled per-frame delivery events (see EventPool): same firing
-        # order as a fresh event per frame, no allocation.
-        self._deliver_pool = EventPool(self._deliver, f"{name}.deliver")
+        # Independent serialization horizon, counters and delivery
+        # stream per direction (full duplex): a carries port_a's frames.
+        self._a = _Direction(name, "a")
+        self._b = _Direction(name, "b")
+        self._wire_ticks = wire_ticks(bandwidth_bits_per_sec)
 
     def connect(self, port_a: EtherPort, port_b: EtherPort) -> None:
         """Attach the two endpoint ports to this link.
@@ -101,82 +115,79 @@ class EtherLink(Stateful, SimObject):
                     bandwidth_bits_per_sec=self.bandwidth_bits_per_sec,
                     delay_ticks=self.delay_ticks)
         self._port_a, self._port_b = port_a, port_b
-        self._directions = (("a", port_a, port_b), ("b", port_b, port_a))
+        self._a.src, self._a.dst = port_a, port_b
+        self._b.src, self._b.dst = port_b, port_a
         port_a.link = self
         port_b.link = self
 
     def invariant_failures(self, final: bool = True):
         """Frame conservation: the wire loses nothing, so every frame the
-        link accepts is either still serializing/propagating or has been
-        delivered to the peer.  Nothing to check until connected.
+        link accepts is either still serializing/propagating (a pending
+        firing of its direction's delivery stream) or has been delivered
+        to the peer.  Nothing to check until connected.
 
         The equality is over the link's *own* lifetime counters, not the
         port counters: unit tests legitimately call ``port.deliver()``
         out-of-band, and a port may be driven by several sources.  The
         port counters are coupled by inequalities instead — out-of-band
         traffic can only add to them."""
+        if self._port_a is None:
+            return []
         fails = []
-        for direction, src, dst in self._directions:
-            sent = self._sent[direction]
-            delivered = self._delivered[direction]
-            in_flight = self._in_flight[direction]
-            if in_flight < 0:
-                fails.append(f"frame-conservation: direction {direction}: "
-                             f"negative in-flight count {in_flight}")
+        for d in (self._a, self._b):
+            sent, delivered, in_flight = d.sent, d.delivered, d.stream.pending
             if sent != delivered + in_flight:
                 fails.append(
-                    f"frame-conservation: direction {direction}: accepted "
+                    f"frame-conservation: direction {d.key}: accepted "
                     f"{sent} frames but delivered {delivered} with "
                     f"{in_flight} in flight")
-            if src.frames_sent < sent:
+            if d.src.frames_sent < sent:
                 fails.append(
-                    f"frame-conservation: {src.name} sent "
-                    f"{src.frames_sent} frames but the link carried {sent} "
-                    f"from it")
-            if dst.frames_received < delivered:
+                    f"frame-conservation: {d.src.name} sent "
+                    f"{d.src.frames_sent} frames but the link carried "
+                    f"{sent} from it")
+            if d.dst.frames_received < delivered:
                 fails.append(
-                    f"frame-conservation: {dst.name} received "
-                    f"{dst.frames_received} frames but the link delivered "
-                    f"{delivered} to it")
+                    f"frame-conservation: {d.dst.name} received "
+                    f"{d.dst.frames_received} frames but the link "
+                    f"delivered {delivered} to it")
         return fails
 
     def transmit(self, src_port: EtherPort, packet: Packet) -> None:
         """Serialize the frame at line rate, then deliver after the
         propagation delay."""
         if src_port is self._port_a:
-            direction, dst = "a", self._port_b
+            d = self._a
         elif src_port is self._port_b:
-            direction, dst = "b", self._port_a
+            d = self._b
         else:
             raise ValueError(f"{src_port.name} is not attached to {self.name}")
-        if dst is None:
-            raise RuntimeError(f"{self.name} has a dangling end")
-        start = max(self.now, self._tx_free_at[direction])
-        finish = start + serialization_ticks(packet.wire_len,
-                                             self.bandwidth_bits_per_sec)
-        self._tx_free_at[direction] = finish
-        self.bytes_carried += packet.wire_len
-        self._sent[direction] += 1
-        self._in_flight[direction] += 1
-        self._deliver_pool.schedule_at(self.sim.events,
-                                       finish + self.delay_ticks,
-                                       (packet, dst, direction))
-
-    def _deliver(self, payload) -> None:
-        packet, dst, direction = payload
-        self._in_flight[direction] -= 1
-        self._delivered[direction] += 1
-        dst.deliver(packet)
+        events = self.sim.events
+        now = events._now
+        finish = ((d.free_at if d.free_at > now else now)
+                  + self._wire_ticks[packet.wire_len])
+        d.free_at = finish
+        d.sent += 1
+        d.stream.schedule_at(events, finish + self.delay_ticks, packet)
 
     def held(self) -> int:
         """Frames on the wire, both directions."""
-        return self._in_flight["a"] + self._in_flight["b"]
+        return self._a.stream.pending + self._b.stream.pending
 
     # -- checkpoint support --------------------------------------------------
 
-    measured_fields = ("bytes_carried",)
+    # Busy horizons and lifetime frame counters, keyed by direction;
+    # frames still on the wire (held()) would need their payloads
+    # serialized, so the link is checkpointed only once they have landed.
 
-    # Busy horizons, window and lifetime frame counters; frames still on
-    # the wire (held()) would need their payloads serialized, so the
-    # link is checkpointed only once they have landed.
-    state_fields = ("_tx_free_at", "_sent", "_delivered") + measured_fields
+    def serialize_state(self) -> dict:
+        return {"tx_free_at": {"a": self._a.free_at, "b": self._b.free_at},
+                "sent": {"a": self._a.sent, "b": self._b.sent},
+                "delivered": {"a": self._a.delivered,
+                              "b": self._b.delivered}}
+
+    def deserialize_state(self, state: dict) -> None:
+        for d in (self._a, self._b):
+            d.free_at = state["tx_free_at"][d.key]
+            d.sent = state["sent"][d.key]
+            d.delivered = state["delivered"][d.key]

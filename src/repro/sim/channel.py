@@ -108,20 +108,17 @@ class ChannelHalf(Stateful, SimObject):
         self._tx_free_at = 0
         self._outbox: List[ChannelFrame] = []
         self._out_seq = 0
-        self._pending_in = 0      # injected deliveries not yet fired
         # Lifetime counters: the shard-level conservation law closes
         # over frames that left / entered through this half.
         self.frames_out = 0
         self.frames_in = 0
+        # Injected frames not yet delivered are its pending firings.
         self._deliver_pool = EventPool(self._deliver, f"{name}.deliver")
 
     def invariant_failures(self, final: bool = True):
-        """Channel sanity: no negative pending count, and no more frames
-        in the outbox than were ever posted."""
+        """Channel sanity: no more frames in the outbox than were ever
+        posted."""
         fails = []
-        if self._pending_in < 0:
-            fails.append(f"channel-sane: negative pending delivery count "
-                         f"{self._pending_in}")
         if len(self._outbox) > self.frames_out:
             fails.append(
                 f"channel-sane: outbox holds {len(self._outbox)} frames "
@@ -186,14 +183,12 @@ class ChannelHalf(Stateful, SimObject):
             raise ChannelError(
                 f"{self.name}: peer frame delivers at {deliver_at} but "
                 f"this shard is already at {self.now} (epoch skew)")
-        self._pending_in += 1
         self._deliver_pool.schedule_at(self.sim.events, deliver_at,
                                        decode_frame(frame))
 
     def _deliver(self, packet: Packet) -> None:
         if self.port is None:
             raise RuntimeError(f"{self.name} has no attached device port")
-        self._pending_in -= 1
         self.frames_in += 1
         self.port.deliver(packet)
 
@@ -203,7 +198,7 @@ class ChannelHalf(Stateful, SimObject):
         """Frames this half is responsible for that have not been
         handed to a device yet: posted-but-undrained plus
         injected-but-undelivered."""
-        return len(self._outbox) + self._pending_in
+        return len(self._outbox) + self._deliver_pool.pending
 
     # -- checkpoint support --------------------------------------------------
 

@@ -248,15 +248,87 @@ def snapshot(sim: Any, topology: Any, meta: Dict[str, Any]) -> Dict[str, Any]:
     })
 
 
+def _key_differences(component: Any, fresh: Any, saved: Any, prefix: str,
+                     missing: List[str], extra: List[str]) -> None:
+    """Collect the keys ``saved`` lacks and the keys it adds against
+    ``fresh``, this build's own ``serialize_state()`` of ``component``.
+    Only the parts a :class:`Stateful` names in ``state_fields`` and
+    that are themselves serializable are compared deeper; any other
+    dict in the state is data (drops by cause, a host's flows), whose
+    keys a fresh build cannot know."""
+    if not isinstance(fresh, dict) or not isinstance(saved, dict):
+        return
+    missing.extend(prefix + key for key in fresh if key not in saved)
+    extra.extend(prefix + key for key in saved if key not in fresh)
+    for path in getattr(component, "state_fields", ()):
+        owner, attr = _owner(component, path)
+        part = getattr(owner, attr)
+        key = state_key(path)
+        if is_serializable(part) and key in fresh and key in saved:
+            _key_differences(part, fresh[key], saved[key], f"{key}.",
+                             missing, extra)
+
+
+def _layout_problem(label: str, component: Any, fresh: Any,
+                    saved: Any) -> Optional[str]:
+    """How ``saved``, the document's entry for ``label``, differs in its
+    keys from ``fresh``, what this build writes; None if it does not."""
+    if saved is None:
+        return f"{label!r} has no entry"
+    missing: List[str] = []
+    extra: List[str] = []
+    _key_differences(component, fresh, saved, "", missing, extra)
+    parts = [f"{kind} keys {sorted(keys)}"
+             for kind, keys in (("missing", missing), ("extra", extra))
+             if keys]
+    return f"{label!r} has " + "; ".join(parts) if parts else None
+
+
+def _refuse_mismatched_layout(sim: Any, topology: Any,
+                              doc: Dict[str, Any]) -> None:
+    """Refuse a document whose entries do not have the keys this
+    build's components and event queue write, or whose pending events
+    this build cannot re-bind by name, naming each mismatch: checked
+    before :func:`restore_snapshot` writes anything."""
+    fresh_sim = sim.serialize_state()
+    sim_problems = [
+        _layout_problem("sim", None, fresh_sim, doc["sim"]),
+        _layout_problem("sim.events", None, fresh_sim["events"],
+                        doc["sim"].get("events", {}))]
+    problems = [_layout_problem(label, component,
+                                component.serialize_state(),
+                                doc["objects"].get(label))
+                for label, component in topology.components()]
+    problems.extend(sim_problems)
+    if not any(sim_problems):
+        registry = sim._named_events
+        for entry in doc["sim"]["events"]["events"]:
+            event = registry.get(entry["name"])
+            if event is None:
+                problems.append(f"pending event {entry['name']!r} is not "
+                                f"in this build's named-event registry")
+            elif event.priority != entry["priority"]:
+                problems.append(
+                    f"pending event {entry['name']!r} has priority "
+                    f"{entry['priority']}, this build's has "
+                    f"{event.priority}")
+    problems = [problem for problem in problems if problem]
+    if problems:
+        raise CheckpointError(
+            f"{topology.name}: checkpoint layout does not match this "
+            f"build: " + ", ".join(problems))
+
+
 def restore_snapshot(sim: Any, topology: Any, doc: Any,
                      expect: Dict[str, Any]) -> None:
     """Restore a :func:`snapshot` document into a freshly built,
     never-run ``sim`` and ``topology`` — the one place it is read.
 
     ``expect`` is the identity this build must match (``label``,
-    ``app``, ``seed``); the component label list must match too.  Both
-    are checked, and so is freshness, before any state is touched: a
-    rejected restore leaves the rig exactly as it was.
+    ``app``, ``seed``); the component label list must match too, and
+    every component entry must have the keys the component writes.
+    All of it is checked, and so is freshness, before any state is
+    touched: a rejected restore leaves the rig exactly as it was.
     """
     if not sim.events.fresh:
         raise CheckpointError(
@@ -271,6 +343,7 @@ def restore_snapshot(sim: Any, topology: Any, doc: Any,
             raise CheckpointError(
                 f"{topology.name}: checkpoint was taken with {key} "
                 f"{meta.get(key)!r}, this build has {want!r}")
+    _refuse_mismatched_layout(sim, topology, doc)
     for label, component in topology.components():
         try:
             component.deserialize_state(doc["objects"][label])

@@ -12,29 +12,37 @@ Two hot-path mechanisms keep the queue cheap without changing that order:
   always has a larger sequence number than everything already pending,
   so a plain append keeps the FIFO sorted by the global (tick, priority,
   seq) key and the run loop only has to compare the two queue heads.
-- :class:`EventPool`: a per-packet firing is a **bare queue entry**
-  ``(tick, 0, seq, payload, pool)``, and the run loop calls
-  ``pool.callback(payload)``: no event object, no free list and no
-  trampoline per packet.  A named :class:`Event` keeps its
+- :class:`EventPool`: an **ordered stream** of per-packet firings, such
+  as one direction of a wire.  A firing is a bare entry
+  ``(tick, 0, seq, payload, pool)`` that waits in the pool's own deque;
+  only the pool's earliest firing sits in the heap (or the FIFO), and
+  when it fires the run loop queues the next one.  A pool refuses a
+  firing earlier than its previous one, so its deque is sorted.  The
+  order cannot change: a waiting entry keeps the key it took at
+  :meth:`EventPool.schedule_at`, and it enters the heap while its
+  predecessor fires, before anything with a larger key can be popped.
+  The heap therefore holds one entry per busy stream and per named
+  event, not one per frame in flight.  A named :class:`Event` keeps its
   ``(tick, priority, seq, event, generation)`` entry, which
   :meth:`EventQueue.deschedule` cancels lazily; a pooled firing is never
-  cancelled.  Sequence numbers are taken at schedule time in both cases,
-  so a bare entry sorts exactly where a freshly constructed event from
-  the same call site would — firing order (and hence trace digests) is
-  bit-identical either way.
+  cancelled.
 
 Setting ``REPRO_EVENT_BATCH=0`` disables both and restores the reference
 path: a pure heap, and one fresh ``Event(partial(dispatch, payload))``
-per pooled firing.  This module is the only reader of that switch:
-components always schedule their per-packet firings through an
-:class:`EventPool`, and the pool alone decides how a firing is stored.
-The equivalence suite in ``tests/perf`` checks the two paths produce
-identical results.
+per pooled firing, each in the heap under its own key.  The pool still
+keeps its deque there (it is what :attr:`EventPool.pending` counts), and
+it refuses an out-of-order firing on both paths.  This module is the
+only reader of that switch: components always schedule their per-packet
+firings through an :class:`EventPool`, and the pool alone decides how a
+firing is stored.  The equivalence suite in ``tests/perf`` checks the
+two paths produce identical results, which is the check on the ordering
+argument above.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import os
 from collections import deque
 from functools import partial
@@ -95,45 +103,84 @@ class Event:
         return f"<Event {self.name} {state}>"
 
 
+class _FreshFiring(partial):
+    """A pooled firing on the reference path: ``partial(dispatch,
+    payload)`` that first takes its entry off the pool's deque, so
+    :attr:`EventPool.pending` counts the same on both paths."""
+
+    __slots__ = ("pool",)
+
+    def __call__(self):
+        self.pool._waiting.popleft()
+        return self.func(*self.args)
+
+
 class EventPool:
-    """One dispatch callback and name shared by many one-shot firings.
+    """An ordered stream of one-shot firings that share one dispatch
+    callback and name.
 
     Hot paths call :meth:`schedule_at` with the per-firing state as a
     payload instead of allocating ``Event`` + closure + f-string name per
-    packet.  A firing is a bare queue entry that takes its sequence
-    number at :meth:`schedule_at`, exactly as ``EventQueue.schedule``
-    would, so ordering is identical to fresh events.  The queue's
-    ``on_event`` hook is handed the pool itself, which carries the
-    ``name`` and ``callback`` an :class:`Event` would.  With
-    ``REPRO_EVENT_BATCH=0`` each firing is a fresh :class:`Event` under
-    the pool's name instead (the reference path).
+    packet.  A firing is a bare entry ``(tick, 0, seq, payload, pool)``
+    that takes its sequence number at :meth:`schedule_at`, exactly as
+    ``EventQueue.schedule`` would, and waits in the pool's deque; the
+    queue holds only the pool's earliest firing and queues the next one
+    when it fires.  So the firings of one pool must come in order: one
+    earlier than the pool's previous firing is refused.  Each
+    independent stream (a direction of a wire, an output port of a
+    switch) gets its own pool.  The queue's ``on_event`` hook is handed
+    the pool itself, which carries the ``name`` and ``callback`` an
+    :class:`Event` would.  With ``REPRO_EVENT_BATCH=0`` each firing is
+    a fresh :class:`Event` under the pool's name instead (the reference
+    path).
     """
 
-    __slots__ = ("_batched", "callback", "name")
+    __slots__ = ("_batched", "callback", "name", "_waiting")
 
     def __init__(self, dispatch: Callable, name: str) -> None:
         self._batched = batching_enabled()
         self.callback = dispatch   # called as callback(payload)
         self.name = name
+        #: Every firing not yet fired, earliest first.  On the batched
+        #: path the head is also queued in the heap or the FIFO.
+        self._waiting: deque = deque()
+
+    @property
+    def pending(self) -> int:
+        """Firings scheduled and not yet fired."""
+        return len(self._waiting)
 
     def schedule_at(self, queue: "EventQueue", when: int,
                     payload=None) -> None:
-        """Fire ``callback(payload)`` at absolute tick ``when``."""
-        if not self._batched:
-            queue.schedule(
-                Event(partial(self.callback, payload), name=self.name), when)
-            return
+        """Fire ``callback(payload)`` at absolute tick ``when``, which
+        may be neither in the past nor before the pool's previous
+        firing."""
+        waiting = self._waiting
         now = queue._now
-        if when < now:
+        if waiting:
+            if when < waiting[-1][0]:
+                raise ValueError(
+                    f"cannot schedule {self!r} at {when}, before its "
+                    f"previous firing at {waiting[-1][0]}")
+        elif when < now:
             raise ValueError(
                 f"cannot schedule {self!r} at {when}, now is {now}")
+        if not self._batched:
+            firing = _FreshFiring(self.callback, payload)
+            firing.pool = self
+            event = queue.schedule(Event(firing, name=self.name), when)
+            waiting.append((when, 0, event._seq, payload, self))
+            return
         seq = queue._seq
         queue._seq = seq + 1
         queue._live += 1
-        if when == now and queue._use_fifo:
-            queue._fifo.append((when, 0, seq, payload, self))
-        else:
-            heapq.heappush(queue._heap, (when, 0, seq, payload, self))
+        entry = (when, 0, seq, payload, self)
+        if not waiting:   # the stream's next firing: queue it now
+            if when == now and queue._use_fifo:
+                queue._fifo.append(entry)
+            else:
+                heapq.heappush(queue._heap, entry)
+        waiting.append(entry)
 
     def __repr__(self) -> str:
         return f"<EventPool {self.name}>"
@@ -147,7 +194,8 @@ class EventQueue:
     a named event ``x`` is the :class:`Event` and ``tag`` the int
     generation it had when scheduled (a stale generation marks a
     cancelled entry); for a pooled firing ``x`` is the payload and
-    ``tag`` the :class:`EventPool`.
+    ``tag`` the :class:`EventPool`, whose later firings wait in the
+    pool until this one fires.
     """
 
     def __init__(self) -> None:
@@ -332,6 +380,11 @@ class EventQueue:
                 target._gen += 1
                 target.callback()
             else:
+                # Queue the stream's next firing before this one runs.
+                waiting = tag._waiting
+                waiting.popleft()
+                if waiting:
+                    heapq.heappush(heap, waiting[0])
                 tag.callback(target)
                 target = tag
             hook = self.on_event
@@ -348,9 +401,15 @@ class EventQueue:
 
     def live_events(self) -> List[Union[Event, EventPool]]:
         """What will fire, in firing order: each live :class:`Event`, and
-        for each pending pooled firing its :class:`EventPool`."""
-        entries = sorted(entry for queue in (self._heap, self._fifo)
-                         for entry in queue if self._is_live(entry))
+        for each pending pooled firing, queued or waiting in its pool,
+        the :class:`EventPool`."""
+        entries = []
+        for entry in itertools.chain(self._heap, self._fifo):
+            if type(entry[4]) is not int:
+                entries.extend(entry[4]._waiting)
+            elif self._is_live(entry):
+                entries.append(entry)
+        entries.sort()
         return [entry[3] if type(entry[4]) is int else entry[4]
                 for entry in entries]
 
@@ -365,23 +424,32 @@ class EventQueue:
         been drained to a checkpointable point.
         """
         events = []
+        unnamed: Dict[Union[Event, EventPool], int] = {}
         for event in self.live_events():
             name = names_by_event.get(id(event))
             if name is None:
-                raise CheckpointError(
-                    f"pending event {event!r} is not in the named-event "
-                    f"registry; drain the simulation to quiescence before "
-                    f"checkpointing")
-            events.append({"name": name, "when": event._when,
-                           "priority": event.priority})
+                unnamed[event] = unnamed.get(event, 0) + 1
+            else:
+                events.append({"name": name, "when": event._when,
+                               "priority": event.priority})
+        if unnamed:
+            listed = ", ".join(f"{event!r} x{count}" if count > 1
+                               else repr(event)
+                               for event, count in unnamed.items())
+            raise CheckpointError(
+                f"pending events not in the named-event registry: "
+                f"{listed}; drain the simulation to quiescence before "
+                f"checkpointing")
         return {"now": self._now, "seq": self._seq, "fired": self._fired,
                 "events": events}
 
     def deserialize_state(self, state: dict,
                           events_by_name: Dict[str, Event]) -> None:
-        """Rebuild a snapshot into this :attr:`fresh` queue (the
-        precondition :func:`~repro.sim.checkpoint.restore_snapshot`
-        checks before it restores anything).
+        """Rebuild a snapshot into this :attr:`fresh` queue.  Both are
+        preconditions :func:`~repro.sim.checkpoint.restore_snapshot`
+        checks before it restores anything: the queue is fresh, and
+        each pending event's name is in ``events_by_name`` with the
+        same priority.
 
         Events are re-scheduled in snapshot order — which is firing order,
         so relative tie-breaks among restored events are preserved — and
@@ -390,16 +458,6 @@ class EventQueue:
         """
         self._now = state["now"]
         for entry in state["events"]:
-            event = events_by_name.get(entry["name"])
-            if event is None:
-                raise CheckpointError(
-                    f"checkpoint references unknown event "
-                    f"{entry['name']!r}; was the node built with the "
-                    f"same configuration?")
-            if event.priority != entry["priority"]:
-                raise CheckpointError(
-                    f"event {entry['name']!r} priority changed "
-                    f"({entry['priority']} -> {event.priority})")
-            self.schedule(event, entry["when"])
+            self.schedule(events_by_name[entry["name"]], entry["when"])
         self._seq = max(self._seq, state["seq"])
         self._fired = state["fired"]

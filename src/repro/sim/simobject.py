@@ -159,8 +159,9 @@ class SimObject:
 
     @property
     def now(self) -> int:
-        """Current simulated tick."""
-        return self.sim.events.now
+        """Current simulated tick (the queue's clock, read directly: this
+        is the simulator's most-read property)."""
+        return self.sim.events._now
 
     def make_event(self, callback: Callable[[], None], name: str = "",
                    priority: int = Event.DEFAULT_PRIORITY) -> Event:

@@ -324,6 +324,66 @@ def test_restore_into_a_started_rig_is_refused():
         node.restore(doc)
 
 
+def _rig_state(rig):
+    return ({label: canonical_json(c.serialize_state())
+             for label, c in rig.topology.components()},
+            canonical_json(rig.sim.serialize_state()))
+
+
+def _resealed(doc, edit):
+    doc = json.loads(canonical_json(doc))
+    edit(doc)
+    doc["digest"] = compute_digest(doc)
+    return doc
+
+
+@pytest.mark.parametrize("name", ["testpmd-256", "fat-tree-k4-dpdk"])
+def test_restore_refuses_a_layout_mismatch_before_writing(warmed, name):
+    """A document that lacks one key of the last component, or has one
+    it does not write, is refused by the component's label and the key
+    before any component is written: the fresh rig is left as built."""
+    spec, rig = warmed(name)
+    doc = rig.checkpoint(extra_meta=spec.meta)
+    last = doc["meta"]["components"][-1]
+    key = sorted(doc["objects"][last])[-1]
+
+    def lose_key(d):
+        del d["objects"][last][key]
+
+    def add_key(d):
+        d["objects"][last]["stale_counter"] = 0
+
+    for edit, detail in ((lose_key, f"missing keys ['{key}']"),
+                         (add_key, "extra keys ['stale_counter']")):
+        fresh = spec.build()
+        before = _rig_state(fresh)
+        with pytest.raises(CheckpointError) as refused:
+            fresh.restore(_resealed(doc, edit))
+        assert f"{last!r} has {detail}" in str(refused.value)
+        assert _rig_state(fresh) == before
+
+
+def test_restore_names_a_nested_key_and_an_unknown_event(warmed):
+    spec, rig = warmed("testpmd-256")
+    doc = rig.checkpoint(extra_meta=spec.meta)
+    nic = next(label for label, component in rig.topology.components()
+               if "rx_fifo" in doc["objects"][label])
+
+    def edit(d):
+        del d["objects"][nic]["rx_fifo"]["enqueued"]
+        d["sim"]["events"]["events"].append(
+            {"name": "gone.event", "when": 1, "priority": 0})
+
+    fresh = spec.build()
+    before = _rig_state(fresh)
+    with pytest.raises(CheckpointError) as refused:
+        fresh.restore(_resealed(doc, edit))
+    message = str(refused.value)
+    assert f"{nic!r} has missing keys ['rx_fifo.enqueued']" in message
+    assert "pending event 'gone.event' is not in" in message
+    assert _rig_state(fresh) == before
+
+
 # ----------------------------------------------------------------------
 # The Stateful encoding rules
 # ----------------------------------------------------------------------

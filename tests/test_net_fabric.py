@@ -7,6 +7,7 @@ from repro.loadgen.flowgen import Flow
 from repro.net.fabric import (
     DROP_SWITCH_NO_ROUTE,
     DROP_SWITCH_QUEUE,
+    ECMP_MEMO_CAP,
     FabricConfig,
     OutputQueuedSwitch,
     SwitchConfig,
@@ -87,15 +88,6 @@ def test_switch_drops_frames_with_no_route():
     sim.invariants.check(final=True)
 
 
-def test_switch_queue_peak_tracks_depth():
-    sim = Simulation(seed=0)
-    switch, _received = _switch_rig(sim, queue_capacity=8)
-    for sport in range(5):
-        switch.ports[0].deliver(_frame(dst_id=1, sport=50000 + sport))
-    assert switch.queue_peak == 5
-    _run(sim)
-
-
 def test_switch_conservation_invariant_catches_mutation():
     sim = Simulation(seed=0)
     switch, _received = _switch_rig(sim)
@@ -169,6 +161,24 @@ def test_ecmp_memo_returns_the_hashed_choice(fives, route_sets):
                 assert switch.route_for(frame) == ecmp_select(
                     packet_five_tuple(frame), outs, salt="agg1")
     assert switch.serialize_state() == build().serialize_state()
+
+
+def test_ecmp_memo_is_bounded():
+    """More distinct flows than the memo holds: it never grows past its
+    cap, and both a flow's first lookup and its repeat are
+    ecmp_select()'s choice."""
+    switch = OutputQueuedSwitch(Simulation(seed=0), "agg1",
+                                SwitchConfig(radix=4))
+    outs = (0, 1, 2, 3)
+    switch.add_route(host_mac(100), outs)
+    for sport in range(3 * ECMP_MEMO_CAP + 7):
+        frame = Packet(256, dst=host_mac(100), src=host_mac(3),
+                       meta={"flow5": (3, 100, 6, sport, 9000)})
+        want = ecmp_select(packet_five_tuple(frame), outs, salt="agg1")
+        assert switch.route_for(frame) == want
+        assert switch.route_for(frame) == want
+        assert len(switch._ecmp_memo) <= ECMP_MEMO_CAP
+    assert len(switch._ecmp_memo) == 7
 
 
 def test_packet_five_tuple_falls_back_to_macs():

@@ -78,8 +78,7 @@ def test_stats_counters():
     sim, link, port_a, _pb, _ra, _rb = build()
     port_a.send(Packet(wire_len=100))
     sim.run()
-    assert link._sent == {"a": 1, "b": 0}
-    assert link.bytes_carried == 100
+    assert link.serialize_state()["sent"] == {"a": 1, "b": 0}
     assert port_a.frames_sent == 1
 
 

@@ -1,6 +1,10 @@
 """Unit tests for the deterministic event queue."""
 
+import os
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.checkpoint import CheckpointError
 from repro.sim.event_queue import Event, EventPool, EventQueue
@@ -209,11 +213,12 @@ def test_pooled_and_named_fire_in_schedule_order_on_the_heap(batched):
     queue = EventQueue()
     order = []
     pool = EventPool(order.append, "pool")
+    early = EventPool(order.append, "early")
     queue.schedule(Event(lambda: order.append("named-1")), 10)
     pool.schedule_at(queue, 10, "pooled-1")
     queue.schedule(Event(lambda: order.append("named-2")), 10)
     pool.schedule_at(queue, 10, "pooled-2")
-    pool.schedule_at(queue, 5, "pooled-early")
+    early.schedule_at(queue, 5, "pooled-early")
     queue.schedule(Event(lambda: order.append("named-urgent"),
                          priority=-1), 10)
     queue.run()
@@ -228,17 +233,19 @@ def test_pooled_and_named_fire_in_schedule_order_on_the_fifo(batched):
     queue = EventQueue()
     order = []
     pool = EventPool(order.append, "pool")
+    other = EventPool(order.append, "other")
+    heap_pool = EventPool(order.append, "heap")
     fifo_depth = []
 
     def at_ten():
         order.append("named-heap")
         pool.schedule_at(queue, queue.now, "pooled-now-1")
         queue.schedule(Event(lambda: order.append("named-now")), queue.now)
-        pool.schedule_at(queue, queue.now, "pooled-now-2")
+        other.schedule_at(queue, queue.now, "pooled-now-2")
         fifo_depth.append(len(queue._fifo))
 
     queue.schedule(Event(at_ten), 10)
-    pool.schedule_at(queue, 10, "pooled-heap")
+    heap_pool.schedule_at(queue, 10, "pooled-heap")
     queue.run()
     assert fifo_depth == [3 if batched else 0]
     assert order == ["named-heap", "pooled-heap", "pooled-now-1",
@@ -296,3 +303,135 @@ def test_on_event_names_each_pooled_firing_by_its_pool(batched):
         else:
             assert obj.callback.func is deliver
             assert obj.callback.args == (payload,)
+
+
+# ----------------------------------------------------------------------
+# Ordered streams: a pool's waiting firings stay in the pool, and only
+# its next firing is queued.
+# ----------------------------------------------------------------------
+
+def test_a_stream_queues_only_its_next_firing():
+    with mock.patch.dict(os.environ, {"REPRO_EVENT_BATCH": "1"}):
+        queue = EventQueue()
+        delivered = []
+        pool = EventPool(delivered.append, "link0.deliver_a")
+    for i in range(100):
+        pool.schedule_at(queue, 10 + i // 3, i)
+    assert (len(queue._heap), pool.pending, queue.pending) == (1, 100, 100)
+    while queue.step():
+        assert len(queue._heap) + len(queue._fifo) <= 1
+        assert pool.pending == queue.pending
+    assert delivered == list(range(100))
+
+
+def test_stream_refuses_a_firing_before_its_previous_one(batched):
+    queue = EventQueue()
+    pool = EventPool(lambda payload: None, "link0.deliver_a")
+    pool.schedule_at(queue, 10, "first")
+    with pytest.raises(ValueError,
+                       match=r"<EventPool link0\.deliver_a> at 9, before "
+                             r"its previous firing at 10"):
+        pool.schedule_at(queue, 9, "early")
+    assert (queue.pending, pool.pending) == (1, 1)
+    assert len(queue.live_events()) == 1
+    pool.schedule_at(queue, 10, "same tick")
+    queue.run()
+    assert (queue.pending, pool.pending) == (0, 0)
+    with pytest.raises(ValueError, match=r"link0\.deliver_a.*now is 10"):
+        pool.schedule_at(queue, 9, "past")
+    assert queue.pending == 0
+
+
+def test_waiting_firings_are_live_and_block_a_checkpoint(batched):
+    queue = EventQueue()
+    pool = EventPool(lambda payload: None, "link0.deliver_a")
+    poll = Event(lambda: None, name="nic0.poll")
+    for tick in (5, 5, 8):
+        pool.schedule_at(queue, tick, tick)
+    queue.schedule(poll, 6)
+    names = ["link0.deliver_a", "link0.deliver_a", "nic0.poll",
+             "link0.deliver_a"]
+    assert [event.name for event in queue.live_events()] == names
+    assert queue.pending == 4
+    with pytest.raises(CheckpointError) as refused:
+        queue.serialize_state({id(poll): "nic0.poll"})
+    message = str(refused.value)
+    if batched:
+        assert "<EventPool link0.deliver_a> x3" in message
+    else:
+        assert message.count("link0.deliver_a") == 3
+    assert "nic0.poll" not in message
+    queue.run(until=6)
+    assert [event.name for event in queue.live_events()] == [
+        "link0.deliver_a"]
+    assert (queue.pending, pool.pending) == (1, 1)
+
+
+def _fire_script(batched, pools, setup, follow_ups):
+    """Run one drawn schedule on one event path; returns the firing
+    order.  ``setup`` ops run at tick 0 and each firing runs the next
+    op of ``follow_ups`` at its own tick: ("pool", p, dt) schedules on
+    pool p at its previous tick (or now, if later) plus dt, ("named",
+    priority, dt) a fresh named event at now plus dt, ("cancel", k)
+    deschedules the k-th named event made so far."""
+    with mock.patch.dict(os.environ,
+                         {"REPRO_EVENT_BATCH": "1" if batched else "0"}):
+        queue = EventQueue()
+        order = []
+        streams = [EventPool(order.append, f"pool{p}") for p in range(pools)]
+    last = [0] * pools
+    named = []
+    ops = iter(follow_ups)
+
+    def run_op(op):
+        now = queue.now
+        if op[0] == "pool":
+            _kind, p, dt = op
+            last[p] = max(last[p], now) + dt
+            streams[p].schedule_at(queue, last[p], f"p{p}@{last[p]}")
+        elif op[0] == "named":
+            _kind, priority, dt = op
+            label = f"n{len(named)}"
+            event = Event(lambda: fire(label), name=label, priority=priority)
+            named.append(event)
+            queue.schedule(event, now + dt)
+        elif named:
+            queue.deschedule(named[op[1] % len(named)])
+
+    def fire(label):
+        order.append(label)
+        op = next(ops, None)
+        if op is not None:
+            run_op(op)
+
+    for stream in streams:
+        stream.callback = fire
+    for op in setup:
+        run_op(op)
+    assert queue.pending == len(queue.live_events())
+    while queue.step():
+        assert queue.pending == len(queue.live_events())
+        assert queue.pending >= sum(stream.pending for stream in streams)
+    assert all(stream.pending == 0 for stream in streams)
+    return order, queue.fired
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("pool"), st.integers(0, 2), st.integers(0, 3)),
+    st.tuples(st.just("named"), st.integers(-1, 1), st.integers(0, 3)),
+    st.tuples(st.just("cancel"), st.integers(0, 50)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(setup=st.lists(_OPS, min_size=1, max_size=25),
+       follow_ups=st.lists(_OPS, max_size=40))
+def test_streams_fire_like_fresh_events(setup, follow_ups):
+    """Several streams with non-decreasing ticks, named events with
+    random priorities, deschedules, and same-tick schedules made inside
+    callbacks fire in one sequence whether each pooled firing waits in
+    its pool (batched) or sits in the heap as a fresh event
+    (reference), and the queue's pending count is its live events
+    after every step."""
+    batched = _fire_script(True, 3, setup, follow_ups)
+    reference = _fire_script(False, 3, setup, follow_ups)
+    assert batched == reference
